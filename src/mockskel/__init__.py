@@ -31,7 +31,6 @@ from .features import (
     Instance,
     InstanceTable,
     Role,
-    build_instance_table,
     extract_table,
     flatten_json,
     to_arff,

@@ -25,18 +25,19 @@ import math
 from dataclasses import dataclass
 from enum import Enum
 from fnmatch import fnmatchcase
-from typing import Iterable, Mapping, Sequence
+from typing import Iterable, Mapping, NamedTuple, Sequence
 from urllib.parse import parse_qsl
 
 from .errors import UnknownAttributeError
 from .traffic import (
     HttpRequest,
-    HttpTransaction,
+    HttpResponse,
     ResourceKeyConfig,
     TrafficLog,
     crud_class,
-    group_by_resource,
+    first_header,
     path_shape,
+    resource_key,
 )
 
 SENTINEL_NULL = "null"
@@ -203,12 +204,7 @@ class ExtractionProfile:
 
 
 # ---------------------------------------------------------------------------
-# Per-transaction extractors
-
-
-def extract_general(txn: HttpTransaction) -> dict[str, str]:
-    """``method`` (input) and ``statusCode`` (target)."""
-    return {"method": txn.request.method, "statusCode": str(txn.response.status_code)}
+# Per-transaction features
 
 
 def tokenize_uri(uri: str, max_path_depth: int | None = None) -> dict[str, str]:
@@ -287,114 +283,48 @@ def _json_content(body: bytes | None, content_type: str | None):
         return True, False, None
 
 
-REQUEST, RESPONSE = "request", "response"
+def _add_json(out: dict[str, str], prefix: str, value, arrays: set[str] | None) -> None:
+    """Add the escaped ``prefix:dot.path`` attributes of a parsed JSON body
+    to ``out``, and its ``prefix:dot.path`` array prefixes to ``arrays``."""
+    flat: dict[str, str] = {}
+    found: set[str] = set()
+    _flatten(value, "", flat, found)
+    for path, text in flat.items():
+        out[f"{prefix}:{path}"] = escape_literal(text)
+    if arrays is not None:
+        arrays.update(f"{prefix}:{path}" for path in found)
 
 
-def _payload_features(txn: HttpTransaction, side: str) -> tuple[dict[str, str], set[str]]:
-    out: dict[str, str] = {}
-    arrays: set[str] = set()
-    if side == REQUEST:
-        has, valid, value = _json_content(txn.request.body, txn.request.body_content_type)
-        out["hasPayload"] = "true" if has else "false"
-        out["hasValidPayload"] = "true" if valid else "false"
-        prefix = "requestjson"
-    else:
-        has, valid, value = _json_content(txn.response.body, txn.response.header("Content-Type"))
-        prefix = "responsejson"
-    if valid:
-        flat: dict[str, str] = {}
-        _flatten(value, "", flat, arrays)
-        for path, text in flat.items():
-            out[f"{prefix}:{path}"] = escape_literal(text)
-        arrays = {f"{prefix}:{p}" for p in arrays}
-    return out, arrays
+def _add_headers(out: dict[str, str], side: str, headers, spelling: dict[str, str] | None) -> None:
+    """Add ``side:<Name>`` header attributes to ``out``.
 
-
-def extract_payload_features(txn: HttpTransaction, side: str = REQUEST) -> dict[str, str]:
-    """Body-derived attributes for one side of a transaction.
-
-    The request side carries the boolean ``hasPayload``/``hasValidPayload``
-    attributes plus ``requestjson:*`` keys; the response side only its
-    flattened ``responsejson:*`` keys.
+    Names that differ only in case are one attribute, and the first value
+    wins.  ``spelling`` maps lower-cased names onto the spelling attribute
+    names use; a name it lacks is added in its own spelling, so a map
+    shared over a whole log keeps the first spelling seen.  Without a map,
+    the first spelling in ``headers`` is used.
     """
-    out, _ = _payload_features(txn, side)
-    return out
+    if spelling is None:
+        spelling = {}
+    for name, value in headers:
+        key = f"{side}:{spelling.setdefault(name.lower(), name)}"
+        if key not in out:
+            out[key] = escape_literal(value)
 
 
-def extract_header_features(
-    txn: HttpTransaction, config: ExtractionConfig = ExtractionConfig()
+def request_feature_map(
+    request: HttpRequest,
+    config: ExtractionConfig = ExtractionConfig(),
+    spelling: dict[str, str] | None = None,
+    arrays: set[str] | None = None,
 ) -> dict[str, str]:
-    """Header attributes (first value wins for duplicate names) plus
-    ``hasAuthorisationToken``."""
-    out: dict[str, str] = {}
-    seen: set[tuple[str, str]] = set()
-    for side, headers in (("requestheader", txn.request.headers), ("responseheader", txn.response.headers)):
-        for name, value in headers:
-            key = (side, name.lower())
-            if key in seen:
-                continue
-            seen.add(key)
-            out[f"{side}:{name}"] = escape_literal(value)
-    has_auth = any(config.is_auth_header(name) for name, _ in txn.request.headers)
-    out["hasAuthorisationToken"] = "true" if has_auth else "false"
-    return out
+    """All request-side attributes of a request (no response, no state).
 
-
-@dataclass(frozen=True)
-class TransactionSummary:
-    """What state features need to know about one past transaction."""
-
-    method: str
-    status_code: int
-    crud: str | None
-
-
-def summarize(txn: HttpTransaction, config: ResourceKeyConfig = ResourceKeyConfig()) -> TransactionSummary:
-    return TransactionSummary(
-        method=txn.request.method,
-        status_code=txn.response.status_code,
-        crud=crud_class(txn.request, config),
-    )
-
-
-def state_features_from_history(history: Sequence[TransactionSummary]) -> dict[str, str]:
-    """State attributes from the ordered predecessors on the same resource."""
-    prev = history[-1] if history else None
-    flags = {"create": False, "read": False, "update": False, "delete": False}
-    for item in history:
-        if item.crud is not None:
-            flags[item.crud] = True
-    return {
-        "hasImmediatePreviousTransaction": "true" if history else "false",
-        "prev:method": prev.method if prev else SENTINEL_NO_EXIST,
-        "prev:statusCode": str(prev.status_code) if prev else SENTINEL_NO_EXIST,
-        "everCreated": "true" if flags["create"] else "false",
-        "everRead": "true" if flags["read"] else "false",
-        "everUpdated": "true" if flags["update"] else "false",
-        "everDeleted": "true" if flags["delete"] else "false",
-    }
-
-
-def extract_state_features(
-    txn: HttpTransaction,
-    history: Sequence[HttpTransaction],
-    config: ResourceKeyConfig = ResourceKeyConfig(),
-) -> dict[str, str]:
-    """State attributes for ``txn`` given its same-resource predecessors
-    (transactions with smaller sequence, in order)."""
-    summaries = [summarize(t, config) for t in history]
-    return state_features_from_history(summaries)
-
-
-# ---------------------------------------------------------------------------
-# Whole-table extraction
-
-
-def request_feature_map(request: HttpRequest, config: ExtractionConfig = ExtractionConfig()) -> dict[str, str]:
-    """All request-side attributes of a bare request (no response, no state).
-
-    Shared by training extraction and the mock server so that both sides
-    compute feature values identically.
+    The one request-side extractor: training rows and the mock server's
+    input vectors are both built with it.  ``spelling`` maps lower-cased
+    header names onto attribute spellings (see ``_add_headers``); when
+    given, ``arrays`` collects the ``requestjson:`` prefixes that were
+    arrays.
     """
     out = {"method": request.method}
     out.update(tokenize_uri(request.uri, config.max_path_depth))
@@ -402,19 +332,70 @@ def request_feature_map(request: HttpRequest, config: ExtractionConfig = Extract
     out["hasPayload"] = "true" if has else "false"
     out["hasValidPayload"] = "true" if valid else "false"
     if valid:
-        flat: dict[str, str] = {}
-        _flatten(value, "", flat, set())
-        for path, text in flat.items():
-            out[f"requestjson:{path}"] = escape_literal(text)
+        _add_json(out, "requestjson", value, arrays)
     has_auth = any(config.is_auth_header(name) for name, _ in request.headers)
     out["hasAuthorisationToken"] = "true" if has_auth else "false"
-    seen = set()
-    for name, value in request.headers:
-        if name.lower() in seen:
-            continue
-        seen.add(name.lower())
-        out[f"requestheader:{name}"] = escape_literal(value)
+    _add_headers(out, "requestheader", request.headers, spelling)
     return out
+
+
+def response_feature_map(
+    response: HttpResponse,
+    spelling: dict[str, str] | None = None,
+    arrays: set[str] | None = None,
+) -> dict[str, str]:
+    """All response-side attributes (the prediction targets): ``statusCode``,
+    ``responseheader:*`` and ``responsejson:*``.
+
+    ``spelling`` and ``arrays`` work as in ``request_feature_map``.
+    """
+    out = {"statusCode": str(response.status_code)}
+    _add_headers(out, "responseheader", response.headers, spelling)
+    _, valid, value = _json_content(response.body, first_header(response.headers, "Content-Type"))
+    if valid:
+        _add_json(out, "responsejson", value, arrays)
+    return out
+
+
+_EVER_FLAGS = (
+    ("everCreated", "create"),
+    ("everRead", "read"),
+    ("everUpdated", "update"),
+    ("everDeleted", "delete"),
+)
+
+
+class ResourceState(NamedTuple):
+    """What the state features know of a resource's earlier transactions:
+    the previous method and status, and the CRUD classes seen so far.
+
+    Its size does not grow with the history; ``after`` folds in one more
+    transaction.
+    """
+
+    prev_method: str | None = None
+    prev_status: int | None = None
+    crud_seen: frozenset[str] = frozenset()
+
+    def after(self, method: str, status: int, crud: str | None) -> "ResourceState":
+        """The state once a ``method`` request with CRUD class ``crud`` was
+        answered with ``status``."""
+        seen = self.crud_seen
+        if crud is not None and crud not in seen:
+            seen = seen | {crud}
+        return ResourceState(method, status, seen)
+
+    def features(self) -> dict[str, str]:
+        """The state attributes (``STATE_ATTRIBUTES``) of the next transaction."""
+        fresh = self.prev_method is None
+        out = {
+            "hasImmediatePreviousTransaction": "false" if fresh else "true",
+            "prev:method": SENTINEL_NO_EXIST if fresh else self.prev_method,
+            "prev:statusCode": SENTINEL_NO_EXIST if fresh else str(self.prev_status),
+        }
+        for name, crud in _EVER_FLAGS:
+            out[name] = "true" if crud in self.crud_seen else "false"
+        return out
 
 
 _URI_FAMILY_PREFIXES = ("uriPathToken", "uriQuery:", "uriFragment")
@@ -423,20 +404,24 @@ _URI_FAMILY_PREFIXES = ("uriPathToken", "uriQuery:", "uriFragment")
 def serve_input_values(
     input_names: Sequence[str],
     request: HttpRequest,
-    history: Sequence[TransactionSummary],
+    state: ResourceState,
     config: ExtractionConfig = ExtractionConfig(),
     also_known: Sequence[str] = (),
 ) -> tuple[dict[str, str], int]:
     """Feature vector for a live request against a known input schema.
 
-    Returns the name->value mapping plus the number of URI-side features
-    the request presented that the schema cannot represent (deeper paths,
-    unknown query keys, fragments never seen in training).  ``also_known``
-    names features deliberately dropped from the schema (e.g. constant
-    inputs), which do not count as unmatched.
+    ``state`` is the folded state of the request's resource.  Request
+    header names match the schema's case-insensitively.  Returns the
+    name->value mapping plus the number of URI-side features the request
+    presented that the schema cannot represent (deeper paths, unknown
+    query keys, fragments never seen in training).  ``also_known`` names
+    features deliberately dropped from the schema (e.g. constant inputs),
+    which do not count as unmatched.
     """
-    raw = request_feature_map(request, config)
-    raw.update(state_features_from_history(history))
+    headers = (name.split(":", 1)[1] for name in input_names if name.startswith("requestheader:"))
+    spelling = {header.lower(): header for header in headers}
+    raw = request_feature_map(request, config, spelling)
+    raw.update(state.features())
     known = set(input_names) | set(also_known)
     values = {name: raw.get(name, sentinel_for(name)) for name in input_names}
     unmatched = sum(
@@ -447,89 +432,60 @@ def serve_input_values(
     return values, unmatched
 
 
-def _canonical_header_key(
-    raw_key: str, canonical: dict[str, dict[str, str]]
-) -> str:
-    side, _, name = raw_key.partition(":")
-    table = canonical[side]
-    return f"{side}:{table.setdefault(name.lower(), name)}"
+# ---------------------------------------------------------------------------
+# Whole-table extraction
+
+#: column order of the table; names within one family keep first-seen order
+_COLUMN_FAMILIES = (
+    "method", "statusCode", "schema", "host", "uriPathToken", "uriQuery:",
+    "uriFragment", "hasPayload", "hasValidPayload", "requestjson:",
+    "hasAuthorisationToken", "requestheader:", "responseheader:", "responsejson:",
+) + STATE_ATTRIBUTES
+
+
+def _column_rank(name: str) -> int:
+    return next(i for i, family in enumerate(_COLUMN_FAMILIES) if name.startswith(family))
 
 
 def extract_table(
     log: TrafficLog, config: ExtractionConfig = ExtractionConfig()
 ) -> tuple[InstanceTable, ExtractionProfile]:
-    """One instance per transaction over the union schema of the dataset."""
-    groups = group_by_resource(log, config.resource)
-    history_of: dict[str, tuple[TransactionSummary, ...]] = {}
-    for txns in groups.values():
-        summaries: list[TransactionSummary] = []
-        for txn in txns:
-            history_of[txn.id] = tuple(summaries)
-            summaries.append(summarize(txn, config.resource))
+    """One instance per transaction over the union schema of the dataset.
 
-    rows: list[dict[str, str]] = []
-    depth = 0
-    query_keys: dict[str, None] = {}
-    fragment_seen = False
-    req_json_keys: dict[str, None] = {}
-    resp_json_keys: dict[str, None] = {}
-    header_canon: dict[str, dict[str, str]] = {"requestheader": {}, "responseheader": {}}
-    header_keys: dict[str, dict[str, None]] = {"requestheader": {}, "responseheader": {}}
+    A row is the request's and the response's features plus the state
+    features of its resource, folded over the log in order.  Header names
+    take the first spelling seen in the log.
+    """
+    request_spelling: dict[str, str] = {}
+    response_spelling: dict[str, str] = {}
     array_paths: set[str] = set()
+    states: dict[str, ResourceState] = {}
     shapes: dict[str, None] = {}
+    seen: dict[str, None] = {}
+    rows: list[dict[str, str]] = []
 
     for txn in log.transactions:
-        row = extract_general(txn)
-        uri_map = tokenize_uri(txn.request.uri, config.max_path_depth)
-        depth = max(depth, sum(1 for k in uri_map if k.startswith("uriPathToken")))
-        for key, value in uri_map.items():
-            if key.startswith("uriQuery:"):
-                query_keys.setdefault(key, None)
-            elif key == "uriFragment":
-                fragment_seen = True
-        row.update(uri_map)
-
-        for side, discovered in ((REQUEST, req_json_keys), (RESPONSE, resp_json_keys)):
-            payload, arrays = _payload_features(txn, side)
-            array_paths.update(arrays)
-            prefix = "requestjson:" if side == REQUEST else "responsejson:"
-            for key in payload:
-                if key.startswith(prefix):
-                    discovered.setdefault(key, None)
-            row.update(payload)
-
-        for raw_key, value in extract_header_features(txn, config).items():
-            if raw_key == "hasAuthorisationToken":
-                row[raw_key] = value
-                continue
-            key = _canonical_header_key(raw_key, header_canon)
-            side = key.split(":", 1)[0]
-            header_keys[side].setdefault(key, None)
-            row[key] = value
-
-        row.update(state_features_from_history(history_of[txn.id]))
-        shapes.setdefault(path_shape(txn.request, config.resource), None)
+        request, response = txn.request, txn.response
+        row = request_feature_map(request, config, request_spelling, array_paths)
+        row.update(response_feature_map(response, response_spelling, array_paths))
+        key = resource_key(request, config.resource)
+        state = states.get(key, ResourceState())
+        row.update(state.features())
+        states[key] = state.after(
+            request.method, response.status_code, crud_class(request, config.resource)
+        )
+        shapes.setdefault(path_shape(request, config.resource), None)
+        seen.update(dict.fromkeys(row))
         rows.append(row)
 
     if not rows:
         return InstanceTable(schema=(), instances=()), ExtractionProfile()
 
-    names: list[str] = ["method", "statusCode", "schema", "host"]
-    names += [f"uriPathToken{i}" for i in range(depth)]
-    names += list(query_keys)
-    if fragment_seen:
-        names.append("uriFragment")
-    names += ["hasPayload", "hasValidPayload"]
-    names += list(req_json_keys)
-    names.append("hasAuthorisationToken")
-    names += list(header_keys["requestheader"])
-    names += list(header_keys["responseheader"])
-    names += list(resp_json_keys)
-    names += list(STATE_ATTRIBUTES)
-
+    names = sorted(seen, key=_column_rank)
+    fills = [sentinel_for(name) for name in names]
     instances = tuple(
         Instance(
-            values=tuple(row.get(name, sentinel_for(name)) for name in names),
+            values=tuple(row.get(name, fill) for name, fill in zip(names, fills)),
             transaction_id=txn.id,
         )
         for row, txn in zip(rows, log.transactions)
@@ -543,16 +499,11 @@ def extract_table(
         for i, name in enumerate(names)
     )
     profile = ExtractionProfile(
-        path_depth=depth,
+        path_depth=sum(1 for name in names if name.startswith("uriPathToken")),
         array_paths=tuple(sorted(array_paths)),
         shapes=tuple(shapes),
     )
     return InstanceTable(schema=schema, instances=instances), profile
-
-
-def build_instance_table(log: TrafficLog, config: ExtractionConfig = ExtractionConfig()) -> InstanceTable:
-    table, _ = extract_table(log, config)
-    return table
 
 
 # ---------------------------------------------------------------------------

@@ -147,51 +147,15 @@ def leaf_count(tree: DecisionTree) -> int:
     return sum(1 for _ in tree.leaves())
 
 
-def recount(model: Model, rows: list[Mapping[str, str]], target_values: list[str]) -> None:
-    """Refresh per-leaf / per-rule training counts from a labelled set.
-
-    Counts reflect first-match semantics for rule lists and branch
-    routing for trees; after recounting, counts over all leaves (or all
-    rules plus the default) sum to ``len(rows)``.
-    """
-    if isinstance(model, DecisionTree):
-        for leaf in model.leaves():
-            leaf.train_count = 0
-            leaf.error_count = 0
-        for values, actual in zip(rows, target_values):
-            node = model.root
-            while isinstance(node, Split):
-                value = values.get(node.attribute)
-                node = node.branches.get(value) or node.branches[node.missing_value]
-            node.train_count += 1
-            if node.klass != actual:
-                node.error_count += 1
-    else:
-        counts = [[0, 0] for _ in model.rules]
-        default = [0, 0]
-        for values, actual in zip(rows, target_values):
-            for i, rule in enumerate(model.rules):
-                if rule.matches(values):
-                    counts[i][0] += 1
-                    counts[i][1] += rule.klass != actual
-                    break
-            else:
-                default[0] += 1
-                default[1] += model.default_class != actual
-        model.rules = tuple(
-            Rule(r.conditions, r.klass, c[0], c[1]) for r, c in zip(model.rules, counts)
-        )
-        model.default_count, model.default_errors = default
-
-
 # ---------------------------------------------------------------------------
 # Rendering (the exact text skeleton files embed)
 
-_BARE_TOKEN = re.compile(r"[A-Za-z0-9_.\-{}/@+]+")
+#: values that skeleton files write (and parse) without JSON quotes
+BARE_TOKEN = re.compile(r"[A-Za-z0-9_.\-{}/@+]+")
 
 
 def _quote(value: str) -> str:
-    if _BARE_TOKEN.fullmatch(value):
+    if BARE_TOKEN.fullmatch(value):
         return value
     return json.dumps(value, ensure_ascii=False)
 

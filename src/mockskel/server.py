@@ -1,8 +1,8 @@
 """Serve synthesized HTTP responses from a mock skeleton.
 
 Each request is converted to the skeleton's input feature vector
-(including state features computed from the per-resource history of
-previously served requests), every predicted target is classified, and
+(including state features from the folded state of the requested
+resource), every predicted target is classified, and
 the predictions are assembled into a status code, headers, and a JSON
 body.  ``/_mock/*`` control endpoints expose reset, counters, and the
 active skeleton text.
@@ -19,7 +19,7 @@ from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 from .errors import MockskelError
 from .features import (
     SENTINEL_NO_EXIST,
-    TransactionSummary,
+    ResourceState,
     serve_input_values,
     unescape_literal,
 )
@@ -28,6 +28,9 @@ from .skeleton import PLACEHOLDER, MockSkeleton
 from .traffic import HttpRequest, crud_class, path_shape, resource_key
 
 log = logging.getLogger(__name__)
+
+#: number of striped per-resource locks in a MockService
+LOCK_STRIPES = 64
 
 
 @dataclass
@@ -39,20 +42,28 @@ class SynthesizedResponse:
 
 @dataclass
 class ServeState:
-    """Per-resource history of served transactions plus counters."""
+    """Folded state of each served resource plus counters.
 
-    per_resource: dict[str, list[TransactionSummary]] = field(default_factory=dict)
+    ``lock`` guards the counters, which requests for any resource update.
+    """
+
+    per_resource: dict[str, ResourceState] = field(default_factory=dict)
     requests_served: int = 0
     unmatched_features: int = 0
+    lock: threading.Lock = field(default_factory=threading.Lock, repr=False, compare=False)
 
-    def history(self, key: str) -> list[TransactionSummary]:
-        return self.per_resource.get(key, [])
+    def history(self, key: str) -> ResourceState:
+        """The folded history of resource ``key``."""
+        return self.per_resource.get(key, ResourceState())
 
-    def append(self, key: str, summary: TransactionSummary) -> None:
-        self.per_resource.setdefault(key, []).append(summary)
+    def count(self, unmatched: int) -> None:
+        """Count one served request that presented ``unmatched`` features."""
+        with self.lock:
+            self.requests_served += 1
+            self.unmatched_features += unmatched
 
     def reset(self) -> None:
-        """Clear all histories; counters are preserved."""
+        """Forget every resource's state; counters are preserved."""
         self.per_resource.clear()
 
 
@@ -109,15 +120,14 @@ def synthesize_response(
     skeleton: MockSkeleton, request: HttpRequest, state: ServeState
 ) -> SynthesizedResponse:
     """Classify every predicted target for one request and assemble the
-    response; the served transaction is appended to the state."""
+    response; the served transaction is folded into the state."""
     key = resource_key(request, skeleton.config.resource)
-    history = state.history(key)
+    resource = state.history(key)
     values, unmatched = serve_input_values(
-        skeleton.inputs, request, history, skeleton.config,
+        skeleton.inputs, request, resource, skeleton.config,
         also_known=skeleton.dropped_inputs,
     )
-    state.unmatched_features += unmatched
-    state.requests_served += 1
+    state.count(unmatched)
 
     predictions = {
         name: classify(entry.model, values) for name, entry in skeleton.targets.items()
@@ -158,12 +168,9 @@ def synthesize_response(
         if not any(n.lower() == "content-type" for n in deduped):
             deduped["Content-Type"] = "application/json"
 
-    summary = TransactionSummary(
-        method=request.method,
-        status_code=status,
-        crud=crud_class(request, skeleton.config.resource),
+    state.per_resource[key] = resource.after(
+        request.method, status, crud_class(request, skeleton.config.resource)
     )
-    state.append(key, summary)
     return SynthesizedResponse(
         status_code=status, headers=tuple(deduped.items()), body=body
     )
@@ -172,22 +179,22 @@ def synthesize_response(
 class MockService:
     """Thread-safe skeleton server core (usable without HTTP).
 
-    Histories of distinct resources evolve independently; requests for
-    one resource are serialized so state features see a consistent
-    ordering.
+    States of distinct resources evolve independently; requests for one
+    resource are serialized so state features see a consistent ordering.
+    A resource's requests take one of a fixed set of striped locks, so
+    the locks do not grow with the number of resources.
     """
 
     def __init__(self, skeleton: MockSkeleton, strict: bool = False):
         self.skeleton = skeleton
         self.strict = strict
         self.state = ServeState()
-        self._master = threading.Lock()
-        self._locks: dict[str, threading.Lock] = {}
+        self._master = self.state.lock  # guards the counters, reset and stats
+        self._locks = tuple(threading.Lock() for _ in range(LOCK_STRIPES))
         self._shapes = set(skeleton.profile.shapes)
 
     def _lock_for(self, key: str) -> threading.Lock:
-        with self._master:
-            return self._locks.setdefault(key, threading.Lock())
+        return self._locks[hash(key) % LOCK_STRIPES]
 
     def handle(
         self,
@@ -201,8 +208,7 @@ class MockService:
         except (ValueError, MockskelError):
             return SynthesizedResponse(status_code=501, headers=(), body=None)
         if self.strict and path_shape(request, self.skeleton.config.resource) not in self._shapes:
-            with self._master:
-                self.state.requests_served += 1
+            self.state.count(0)
             return SynthesizedResponse(status_code=501, headers=(), body=None)
         key = resource_key(request, self.skeleton.config.resource)
         with self._lock_for(key):
@@ -224,6 +230,15 @@ class MockService:
             }
 
 
+def _content_length(value: str | None) -> int | None:
+    """Body length a request declares: 0 without the header, None when the
+    value is not a non-negative decimal integer."""
+    if value is None:
+        return 0
+    value = value.strip()
+    return int(value) if value.isascii() and value.isdigit() else None
+
+
 def make_handler(service: MockService, skeleton_text: str):
     class Handler(BaseHTTPRequestHandler):
         protocol_version = "HTTP/1.1"
@@ -231,27 +246,26 @@ def make_handler(service: MockService, skeleton_text: str):
         def log_message(self, fmt, *args):  # route through logging, not stderr
             log.debug(fmt, *args)
 
-        def _read_body(self) -> bytes | None:
-            length = int(self.headers.get("Content-Length") or 0)
-            return self.rfile.read(length) if length else None
-
         def _send(self, status: int, headers, body: bytes | None) -> None:
+            """Answer a HEAD with the body's length but no body, and a 204
+            with neither."""
             self.send_response(status)
             for name, value in headers:
                 self.send_header(name, value)
-            self.send_header("Content-Length", str(len(body) if body else 0))
+            if status != 204:
+                self.send_header("Content-Length", str(len(body) if body else 0))
             self.end_headers()
-            if body:
+            if body and status != 204 and self.command != "HEAD":
                 self.wfile.write(body)
 
-        def _control(self) -> None:
-            if self.path == "/_mock/reset" and self.command == "POST":
+        def _control(self, path: str) -> None:
+            if path == "/_mock/reset" and self.command == "POST":
                 service.reset()
                 self._send(200, [("Content-Type", "application/json")], b'{"reset":true}')
-            elif self.path == "/_mock/stats" and self.command == "GET":
+            elif path == "/_mock/stats" and self.command == "GET":
                 payload = json.dumps(service.stats()).encode()
                 self._send(200, [("Content-Type", "application/json")], payload)
-            elif self.path == "/_mock/skeleton" and self.command == "GET":
+            elif path == "/_mock/skeleton" and self.command == "GET":
                 self._send(
                     200,
                     [("Content-Type", "text/plain; charset=utf-8")],
@@ -261,9 +275,15 @@ def make_handler(service: MockService, skeleton_text: str):
                 self._send(404, [], None)
 
         def _handle(self) -> None:
-            body = self._read_body()
-            if self.path.startswith("/_mock/"):
-                self._control()
+            length = _content_length(self.headers.get("Content-Length"))
+            if length is None:
+                # the body's end is unknown, so the connection cannot be reused
+                self._send(400, [("Connection", "close")], None)
+                return
+            body = self.rfile.read(length) if length else None
+            path = self.path.partition("?")[0]
+            if path.startswith("/_mock/"):
+                self._control(path)
                 return
             host = self.headers.get("Host") or "localhost"
             uri = f"http://{host}{self.path}"

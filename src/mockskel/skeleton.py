@@ -45,7 +45,7 @@ from .errors import SkeletonSyntaxError, UnknownAttributeError
 from .evaluation import TargetMetrics
 from .features import ExtractionConfig, ExtractionProfile
 from .learners import DecisionTree, Leaf, Model, Rule, RuleList, Split
-from .learners.model import render_model
+from .learners.model import BARE_TOKEN, render_model
 from .prep import Removal
 
 log = logging.getLogger(__name__)
@@ -196,7 +196,6 @@ def emit_skeleton(skeleton: MockSkeleton) -> str:
 # ---------------------------------------------------------------------------
 # Parsing
 
-_BARE_VALUE = re.compile(r"[A-Za-z0-9_.\-{}/@+]+")
 _COUNTS = re.compile(r"\((\d+)(?:/(\d+))?\)\s*$")
 _DECODER = json.JSONDecoder()
 
@@ -212,7 +211,7 @@ def _take_value(text: str, line_no: int) -> tuple[str, str]:
         if not isinstance(value, str):
             raise SkeletonSyntaxError("quoted value must be a JSON string", line_no)
         return value, text[end:]
-    match = _BARE_VALUE.match(text)
+    match = BARE_TOKEN.match(text)
     if not match:
         raise SkeletonSyntaxError(f"expected a value, found {text!r}", line_no)
     return match.group(0), text[match.end():]

@@ -114,6 +114,15 @@ def _normalize_headers(headers: Iterable) -> tuple[tuple[str, str], ...]:
     return tuple(out)
 
 
+def first_header(headers: tuple[tuple[str, str], ...], name: str) -> str | None:
+    """First value of header ``name``, matched case-insensitively, or None."""
+    lname = name.lower()
+    for hname, value in headers:
+        if hname.lower() == lname:
+            return value
+    return None
+
+
 def _split_absolute_uri(uri: str) -> SplitResult:
     try:
         parts = urlsplit(uri)
@@ -147,15 +156,7 @@ class HttpRequest:
         if self.body is not None and not isinstance(self.body, bytes):
             object.__setattr__(self, "body", bytes(self.body))
         if self.body_content_type is None:
-            object.__setattr__(self, "body_content_type", self.header("Content-Type"))
-
-    def header(self, name: str) -> str | None:
-        """First header value matching ``name`` case-insensitively, or None."""
-        lname = name.lower()
-        for hname, value in self.headers:
-            if hname.lower() == lname:
-                return value
-        return None
+            object.__setattr__(self, "body_content_type", first_header(self.headers, "Content-Type"))
 
     def split_uri(self) -> SplitResult:
         return _split_absolute_uri(self.uri)
@@ -179,13 +180,6 @@ class HttpResponse:
         object.__setattr__(self, "headers", _normalize_headers(self.headers))
         if self.body is not None and not isinstance(self.body, bytes):
             object.__setattr__(self, "body", bytes(self.body))
-
-    def header(self, name: str) -> str | None:
-        lname = name.lower()
-        for hname, value in self.headers:
-            if hname.lower() == lname:
-                return value
-        return None
 
 
 @dataclass(frozen=True)

@@ -1,23 +1,34 @@
+import random
+
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from mockskel.features import (
     SENTINEL_NO_EXIST,
     SENTINEL_NULL,
+    ExtractionConfig,
+    ResourceState,
     Role,
-    build_instance_table,
     escape_literal,
-    extract_general,
-    extract_header_features,
-    extract_payload_features,
-    extract_state_features,
+    extract_table,
     flatten_json,
     request_feature_map,
+    response_feature_map,
     serve_input_values,
     to_arff,
     tokenize_uri,
     unescape_literal,
 )
-from mockskel.traffic import HttpRequest, HttpResponse, HttpTransaction, TrafficLog
+from mockskel.synth import generate_synthetic_log
+from mockskel.traffic import (
+    HttpRequest,
+    HttpResponse,
+    HttpTransaction,
+    TrafficLog,
+    crud_class,
+    resource_key,
+)
 
 
 def txn(i, method="GET", uri="https://api.ex.com/tasks/1", status=200,
@@ -30,13 +41,27 @@ def txn(i, method="GET", uri="https://api.ex.com/tasks/1", status=200,
     )
 
 
+def table_of(log):
+    table, _ = extract_table(log)
+    return table
+
+
+def folded(history):
+    """The ResourceState after ``history``, a sequence of transactions."""
+    state = ResourceState()
+    for t in history:
+        state = state.after(t.request.method, t.response.status_code, crud_class(t.request))
+    return state
+
+
 class TestGeneral:
     @pytest.mark.parametrize(
         "method,status", [("GET", 200), ("DELETE", 204), ("POST", 422)]
     )
     def test_method_and_status(self, method, status):
-        features = extract_general(txn(0, method=method, status=status))
-        assert features == {"method": method, "statusCode": str(status)}
+        t = txn(0, method=method, status=status)
+        assert request_feature_map(t.request)["method"] == method
+        assert response_feature_map(t.response) == {"statusCode": str(status)}
 
 
 class TestTokenizeUri:
@@ -82,7 +107,7 @@ class TestPayload:
     def test_valid_json_request(self):
         t = txn(0, method="POST", req_body=b'{"title":"x"}',
                 req_headers=[("Content-Type", "application/json")])
-        features = extract_payload_features(t, "request")
+        features = request_feature_map(t.request)
         assert features["hasPayload"] == "true"
         assert features["hasValidPayload"] == "true"
         assert features["requestjson:title"] == "x"
@@ -90,27 +115,43 @@ class TestPayload:
     def test_unparseable_body(self):
         t = txn(0, method="POST", req_body=b"{bad",
                 req_headers=[("Content-Type", "application/json")])
-        features = extract_payload_features(t, "request")
+        features = request_feature_map(t.request)
         assert features["hasPayload"] == "true"
         assert features["hasValidPayload"] == "false"
         assert not any(k.startswith("requestjson:") for k in features)
 
     def test_bodiless_request(self):
-        features = extract_payload_features(txn(0), "request")
+        features = request_feature_map(txn(0).request)
         assert features["hasPayload"] == "false"
         assert features["hasValidPayload"] == "false"
 
     def test_non_json_content_type_not_parsed(self):
         t = txn(0, method="POST", req_body=b'{"a":1}',
                 req_headers=[("Content-Type", "text/plain")])
-        features = extract_payload_features(t, "request")
+        features = request_feature_map(t.request)
         assert features["hasValidPayload"] == "false"
 
     def test_response_side_has_only_json_keys(self):
         t = txn(0, resp_body=b'{"ok":true}',
                 resp_headers=[("Content-Type", "application/json")])
-        features = extract_payload_features(t, "response")
-        assert features == {"responsejson:ok": "true"}
+        features = response_feature_map(t.response)
+        assert features == {
+            "statusCode": "200",
+            "responseheader:Content-Type": "application/json",
+            "responsejson:ok": "true",
+        }
+
+    def test_array_paths_collected_on_both_sides(self):
+        t = txn(0, method="POST", req_body=b'{"tags":["a"]}',
+                req_headers=[("Content-Type", "application/json")],
+                resp_body=b'{"items":[{"id":1}]}',
+                resp_headers=[("Content-Type", "application/json")])
+        arrays = set()
+        request_feature_map(t.request, arrays=arrays)
+        response_feature_map(t.response, arrays=arrays)
+        assert arrays == {"requestjson:tags", "responsejson:items"}
+        _, profile = extract_table(TrafficLog((t,)))
+        assert profile.array_paths == ("requestjson:tags", "responsejson:items")
 
 
 class TestFlattenJson:
@@ -137,21 +178,21 @@ class TestFlattenJson:
 class TestHeaders:
     def test_response_header_extracted(self):
         t = txn(0, resp_headers=[("Cache-Control", "no-cache")])
-        features = extract_header_features(t)
+        features = response_feature_map(t.response)
         assert features["responseheader:Cache-Control"] == "no-cache"
 
     def test_authorisation_token_detected(self):
         t = txn(0, req_headers=[("Authorization", "Bearer t")])
-        features = extract_header_features(t)
+        features = request_feature_map(t.request)
         assert features["hasAuthorisationToken"] == "true"
         assert features["requestheader:Authorization"] == "Bearer t"
 
     def test_x_token_pattern_detected(self):
         t = txn(0, req_headers=[("X-Api-Token", "secret")])
-        assert extract_header_features(t)["hasAuthorisationToken"] == "true"
+        assert request_feature_map(t.request)["hasAuthorisationToken"] == "true"
 
     def test_no_auth(self):
-        assert extract_header_features(txn(0))["hasAuthorisationToken"] == "false"
+        assert request_feature_map(txn(0).request)["hasAuthorisationToken"] == "false"
 
     def test_missing_header_fills_no_exist_in_table(self):
         log = TrafficLog(
@@ -160,13 +201,24 @@ class TestHeaders:
                 txn(1, uri="https://api.ex.com/tasks/2"),
             )
         )
-        table = build_instance_table(log)
+        table = table_of(log)
         assert table.column("responseheader:X-Frame-Options") == ["DENY", SENTINEL_NO_EXIST]
+
+    def test_header_names_take_first_spelling_in_log(self):
+        log = TrafficLog(
+            (
+                txn(0, req_headers=[("x-tenant", "a"), ("X-Tenant", "ignored")]),
+                txn(1, req_headers=[("X-TENANT", "b")]),
+            )
+        )
+        table = table_of(log)
+        assert "requestheader:X-Tenant" not in table.names
+        assert table.column("requestheader:x-tenant") == ["a", "b"]
 
 
 class TestStateFeatures:
     def test_first_transaction_on_resource(self):
-        features = extract_state_features(txn(0), [])
+        features = folded([]).features()
         assert features["hasImmediatePreviousTransaction"] == "false"
         assert features["prev:method"] == SENTINEL_NO_EXIST
         assert features["prev:statusCode"] == SENTINEL_NO_EXIST
@@ -174,8 +226,7 @@ class TestStateFeatures:
             assert features[flag] == "false"
 
     def test_post_then_get(self):
-        history = [txn(0, method="POST", status=201)]
-        features = extract_state_features(txn(1), history)
+        features = folded([txn(0, method="POST", status=201)]).features()
         assert features["hasImmediatePreviousTransaction"] == "true"
         assert features["prev:method"] == "POST"
         assert features["prev:statusCode"] == "201"
@@ -185,9 +236,22 @@ class TestStateFeatures:
     def test_uri_pattern_overrides_method(self):
         # POST .../statuses/destroy/42 counts as a delete
         history = [txn(0, method="POST", uri="https://api.tw.com/statuses/destroy/42")]
-        features = extract_state_features(txn(1), history)
+        features = folded(history).features()
         assert features["everDeleted"] == "true"
         assert features["everCreated"] == "false"
+
+    def test_fold_keeps_last_transaction_and_flags(self):
+        history = [
+            txn(0, method="POST", status=201),
+            txn(1, method="GET"),
+            txn(2, method="PATCH", status=400),
+        ]
+        state = folded(history)
+        assert state == ResourceState("PATCH", 400, frozenset({"create", "read", "update"}))
+        features = state.features()
+        assert features["prev:method"] == "PATCH"
+        assert features["prev:statusCode"] == "400"
+        assert features["everDeleted"] == "false"
 
 
 class TestBuildTable:
@@ -199,7 +263,7 @@ class TestBuildTable:
                     resp_headers=[("Content-Type", "application/json")]),
             )
         )
-        table = build_instance_table(log)
+        table = table_of(log)
         assert table.column("responsejson:a") == ["1", SENTINEL_NO_EXIST]
         assert table.column("responsejson:b") == [SENTINEL_NO_EXIST, "2"]
 
@@ -210,23 +274,23 @@ class TestBuildTable:
                 txn(1, uri="https://a.ex/x/1/sub/leaf"),
             )
         )
-        table = build_instance_table(log)
+        table = table_of(log)
         assert table.column("uriPathToken2") == [SENTINEL_NULL, "sub"]
         assert table.column("uriPathToken3") == [SENTINEL_NULL, "leaf"]
 
     def test_empty_log(self):
-        table = build_instance_table(TrafficLog(()))
+        table = table_of(TrafficLog(()))
         assert table.schema == ()
         assert table.instances == ()
 
     def test_rectangular_on_synthetic_fixture(self, small_synth_log):
-        table = build_instance_table(small_synth_log)
+        table = table_of(small_synth_log)
         assert len(table.instances) == len(small_synth_log)
         width = len(table.schema)
         assert all(len(inst.values) == width for inst in table.instances)
 
     def test_role_soundness(self, small_synth_log):
-        table = build_instance_table(small_synth_log)
+        table = table_of(small_synth_log)
         for attr in table.schema:
             if attr.role is Role.TARGET:
                 assert attr.name == "statusCode" or attr.name.startswith(
@@ -237,7 +301,7 @@ class TestBuildTable:
                 assert attr.name != "statusCode"
 
     def test_sentinel_safety(self, small_synth_log):
-        table = build_instance_table(small_synth_log)
+        table = table_of(small_synth_log)
         for attr in table.schema:
             for value in attr.domain:
                 if value == SENTINEL_NULL:
@@ -246,8 +310,8 @@ class TestBuildTable:
                     assert not attr.name.startswith("uriPathToken")
 
     def test_idempotent(self, small_synth_log):
-        a = build_instance_table(small_synth_log)
-        b = build_instance_table(small_synth_log)
+        a = table_of(small_synth_log)
+        b = table_of(small_synth_log)
         assert a == b
 
     def test_state_causality(self):
@@ -261,12 +325,12 @@ class TestBuildTable:
                 txn(2, method="GET", uri=base, status=200),
             )
         )
-        table = build_instance_table(log)
+        table = table_of(log)
         assert table.column("everCreated") == ["false", "false", "true"]
         assert table.column("hasImmediatePreviousTransaction") == ["false", "true", "true"]
 
     def test_domains_cover_observed_values(self, small_synth_log):
-        table = build_instance_table(small_synth_log)
+        table = table_of(small_synth_log)
         for i, attr in enumerate(table.schema):
             observed = {inst.values[i] for inst in table.instances}
             assert observed <= set(attr.domain)
@@ -276,7 +340,7 @@ class TestServeValues:
     def test_deep_uri_counts_unmatched(self):
         request = HttpRequest("GET", "https://a.ex/x/1/deep/deeper")
         values, unmatched = serve_input_values(
-            ["method", "uriPathToken0", "uriPathToken1"], request, []
+            ["method", "uriPathToken0", "uriPathToken1"], request, ResourceState()
         )
         assert values["method"] == "GET"
         assert values["uriPathToken0"] == "x"
@@ -285,40 +349,74 @@ class TestServeValues:
     def test_absent_inputs_fill_family_sentinel(self):
         request = HttpRequest("GET", "https://a.ex/x")
         values, _ = serve_input_values(
-            ["uriPathToken1", "uriQuery:max", "requestheader:Accept"], request, []
+            ["uriPathToken1", "uriQuery:max", "requestheader:Accept"], request, ResourceState()
         )
         assert values["uriPathToken1"] == SENTINEL_NULL
         assert values["uriQuery:max"] == SENTINEL_NO_EXIST
         assert values["requestheader:Accept"] == SENTINEL_NO_EXIST
 
-    def test_request_map_matches_training_extraction(self, small_synth_log):
-        # the serve-time feature path agrees with training extraction on a
-        # request-by-request basis
-        table = build_instance_table(small_synth_log)
+    def test_request_header_names_match_schema_case_insensitively(self):
+        request = HttpRequest("GET", "https://a.ex/x", headers=[("content-TYPE", "text/plain")])
+        values, _ = serve_input_values(["requestheader:Content-Type"], request, ResourceState())
+        assert values["requestheader:Content-Type"] == "text/plain"
+
+
+def _recased(log: TrafficLog, rng: random.Random) -> TrafficLog:
+    """``log`` with every request header name in a random letter case."""
+
+    def recase(name: str) -> str:
+        return "".join(c.upper() if rng.random() < 0.5 else c.lower() for c in name)
+
+    return TrafficLog(tuple(
+        HttpTransaction(
+            t.id,
+            t.sequence,
+            HttpRequest(t.request.method, t.request.uri,
+                        headers=[(recase(n), v) for n, v in t.request.headers],
+                        body=t.request.body),
+            t.response,
+        )
+        for t in log.transactions
+    ))
+
+
+class TestServeMatchesTraining:
+    @settings(max_examples=25, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+    @given(
+        seed=st.integers(0, 10_000),
+        n_transactions=st.integers(1, 150),
+        n_resources=st.integers(1, 12),
+        rng=st.randoms(use_true_random=False),
+    )
+    def test_replay_reproduces_training_inputs(self, seed, n_transactions, n_resources, rng):
+        # replaying a recording in order, with each resource's state folded
+        # over its predecessors, gives every transaction its training row
+        log = _recased(generate_synthetic_log(n_transactions, n_resources, seed=seed), rng)
+        config = ExtractionConfig()
+        table, _ = extract_table(log, config)
         input_names = [a.name for a in table.inputs()]
-        state_names = {
-            "hasImmediatePreviousTransaction", "prev:method", "prev:statusCode",
-            "everCreated", "everRead", "everUpdated", "everDeleted",
-        }
-        for i, t in enumerate(small_synth_log.transactions[:50]):
+        states: dict[str, ResourceState] = {}
+        for i, t in enumerate(log.transactions):
+            key = resource_key(t.request, config.resource)
+            state = states.get(key, ResourceState())
+            values, _ = serve_input_values(input_names, t.request, state, config)
             row = table.row_mapping(i)
-            raw = request_feature_map(t.request)
-            for name in input_names:
-                if name in state_names:
-                    continue
-                assert raw.get(name, row[name]) == row[name], name
+            assert values == {name: row[name] for name in input_names}
+            states[key] = state.after(
+                t.request.method, t.response.status_code, crud_class(t.request, config.resource)
+            )
 
 
 class TestArff:
     def test_export_contains_schema_and_rows(self):
         log = TrafficLog((txn(0), txn(1, uri="https://api.ex.com/tasks/2", status=404)))
-        text = to_arff(build_instance_table(log), relation="unit")
+        text = to_arff(table_of(log), relation="unit")
         assert "@relation unit" in text
         assert "@attribute statusCode {200,404}" in text
-        assert text.count("\n@attribute") == len(build_instance_table(log).schema)
+        assert text.count("\n@attribute") == len(table_of(log).schema)
         assert "@data" in text
 
     def test_quoting(self):
         log = TrafficLog((txn(0, req_headers=[("Accept", "a b,c")]),))
-        text = to_arff(build_instance_table(log))
+        text = to_arff(table_of(log))
         assert "'a b,c'" in text

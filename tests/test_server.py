@@ -1,10 +1,14 @@
 import http.client
 import json
+import socket
 import threading
+import time
 
 import pytest
 
+from mockskel import server as server_module
 from mockskel.cli import RunConfig, choose_models, run_pipeline
+from mockskel.features import ResourceState
 from mockskel.server import MockService, ServeState, serve_skeleton, synthesize_response
 from mockskel.skeleton import build_skeleton, emit_skeleton, parse_skeleton
 from mockskel.traffic import HttpRequest
@@ -96,14 +100,26 @@ class TestSynthesis:
         assert service.handle("GET", f"{HOST}/tasks/2").status_code == 404
         assert service.handle("GET", f"{HOST}/tasks/1").status_code == 200
 
-    def test_history_grows_monotonically(self, skeleton):
+    def test_resource_state_keeps_constant_size(self, skeleton):
         service = MockService(skeleton)
-        key_lengths = []
+        headers, body = post_body()
+        service.handle("POST", f"{HOST}/tasks/3", headers, body)
+        sizes = []
         for _ in range(4):
-            service.handle("GET", f"{HOST}/tasks/3")
-            key = next(iter(service.state.per_resource))
-            key_lengths.append(len(service.state.per_resource[key]))
-        assert key_lengths == [1, 2, 3, 4]
+            last = service.handle("GET", f"{HOST}/tasks/3")
+            (state,) = service.state.per_resource.values()
+            sizes.append(len(state))
+        assert sizes == [len(ResourceState())] * 4
+        assert state.prev_method == "GET"
+        assert state.prev_status == last.status_code == 200
+        assert state.crud_seen == {"create", "read"}
+
+    def test_locks_do_not_grow_with_resources(self, skeleton):
+        service = MockService(skeleton)
+        locks = service._locks
+        for i in range(200):
+            service.handle("GET", f"{HOST}/tasks/{10_000 + i}")
+        assert service._locks is locks and len(locks) < 200
 
 
 class TestReset:
@@ -136,6 +152,39 @@ class TestReset:
         before = service.stats()["requests"]
         service.reset()
         assert service.stats()["requests"] == before
+
+
+class _YieldingCounterState(ServeState):
+    """Serve state whose request counter yields the thread between reading
+    and storing a new value, so unguarded increments lose updates."""
+
+    @property
+    def requests_served(self) -> int:
+        return self._served
+
+    @requests_served.setter
+    def requests_served(self, value: int) -> None:
+        time.sleep(0.0005)
+        self._served = value
+
+
+class TestCounters:
+    def test_concurrent_requests_on_distinct_resources_all_counted(self, skeleton, monkeypatch):
+        monkeypatch.setattr(server_module, "ServeState", _YieldingCounterState)
+        service = MockService(skeleton)
+        threads, per_thread = 8, 40
+
+        def hit(worker):
+            for i in range(per_thread):
+                service.handle("GET", f"{HOST}/tasks/{worker * 1000 + i % 5}")
+
+        workers = [threading.Thread(target=hit, args=(w,)) for w in range(threads)]
+        for w in workers:
+            w.start()
+        for w in workers:
+            w.join(timeout=30)
+        assert not any(w.is_alive() for w in workers)
+        assert service.stats()["requests"] == threads * per_thread
 
 
 class TestReplayFidelity:
@@ -217,3 +266,57 @@ class TestHttpServer:
     def test_unknown_control_endpoint_404(self, server):
         response, _ = self.request(server, "GET", "/_mock/nope")
         assert response.status == 404
+
+    def test_control_route_ignores_query(self, server):
+        response, data = self.request(server, "GET", "/_mock/stats?x=1")
+        assert response.status == 200
+        assert "requests" in json.loads(data)
+
+    def raw_exchange(self, server, request: bytes) -> bytes:
+        """Send raw bytes; everything the server writes before it closes."""
+        with socket.create_connection(("127.0.0.1", server.server_address[1]), timeout=5) as sock:
+            sock.sendall(request)
+            received = b""
+            while chunk := sock.recv(4096):
+                received += chunk
+        return received
+
+    @pytest.mark.parametrize("length", ["abc", "-1"])
+    def test_bad_content_length_gets_400_and_close(self, server, length):
+        received = self.raw_exchange(
+            server,
+            f"POST /tasks/1 HTTP/1.1\r\nHost: x\r\nContent-Length: {length}\r\n\r\n{{}}".encode(),
+        )
+        assert received.startswith(b"HTTP/1.1 400 ")
+
+    def test_head_sends_length_without_body(self, server):
+        conn = http.client.HTTPConnection("127.0.0.1", server.server_address[1], timeout=5)
+        try:
+            conn.request("HEAD", "/tasks/31")
+            head = conn.getresponse()
+            assert head.read() == b""
+            # a stray body would be read as the start of this answer
+            conn.request("GET", "/tasks/31")
+            get = conn.getresponse()
+            body = get.read()
+            assert head.status == get.status == 404
+            assert json.loads(body)["ok"] is False
+            assert head.getheader("Content-Length") == str(len(body))
+        finally:
+            conn.close()
+
+    def test_204_has_no_body_and_no_length(self, server):
+        conn = http.client.HTTPConnection("127.0.0.1", server.server_address[1], timeout=5)
+        try:
+            headers, body = post_body()
+            conn.request("POST", "/tasks/32", body=body, headers=dict(headers))
+            assert conn.getresponse().read()
+            conn.request("DELETE", "/tasks/32")
+            response = conn.getresponse()
+            assert response.status == 204
+            assert response.getheader("Content-Length") is None
+            assert response.read() == b""
+            conn.request("GET", "/_mock/stats")
+            assert conn.getresponse().status == 200
+        finally:
+            conn.close()
