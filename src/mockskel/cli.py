@@ -2,6 +2,9 @@
 
 Exit codes: 0 success, 2 usage, 3 I/O error, 4 parse error, 5 degenerate
 data (nothing learnable).
+
+The training modules, and numpy with them, are imported inside the
+functions that train, so ``serve`` starts without loading them.
 """
 
 from __future__ import annotations
@@ -14,6 +17,7 @@ import sys
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
 from pathlib import Path
+from typing import TYPE_CHECKING
 
 from .errors import (
     DegenerateDatasetError,
@@ -22,17 +26,8 @@ from .errors import (
     UnknownAttributeError,
     UnparseableUriError,
 )
-from .evaluation import (
-    TargetMetrics,
-    aggregate,
-    cross_validate,
-    metrics_csv,
-    render_aggregate_table,
-    report_json,
-)
 from .features import ExtractionConfig, ExtractionProfile, InstanceTable, extract_table
-from .learners import LEARNER_ORDER, LearnerParams, Model, model_size, train
-from .prep import PrepConfig, Removal, prepare_all
+from .learners import LEARNER_ORDER, Model, model_size
 from .skeleton import build_skeleton, emit_skeleton, parse_skeleton
 from .synth import generate_synthetic_log
 from .traffic import (
@@ -43,6 +38,11 @@ from .traffic import (
     load_traffic,
     save_jsonl,
 )
+
+if TYPE_CHECKING:
+    from .evaluation import TargetMetrics
+    from .learners import LearnerParams
+    from .prep import EncodedTable, PrepConfig, Removal
 
 log = logging.getLogger(__name__)
 
@@ -85,6 +85,8 @@ class RunConfig:
     out_csv: str = ""
 
     def prep_config(self) -> PrepConfig:
+        from .prep import PrepConfig
+
         return PrepConfig(
             max_target_cardinality=self.max_target_cardinality,
             max_target_distinct_ratio=self.max_target_distinct_ratio,
@@ -105,7 +107,7 @@ class RunConfig:
         )
 
     def learner_params(self) -> LearnerParams:
-        from .learners import C45Params, PartParams, RipperParams
+        from .learners import C45Params, LearnerParams, PartParams, RipperParams
 
         return LearnerParams(
             c45=C45Params(self.c45_confidence, self.c45_min_leaf),
@@ -161,6 +163,8 @@ class PipelineResult:
     models: dict[tuple[str, str], Model] = field(default_factory=dict)
 
     def aggregates(self, dataset_name: str):
+        from .evaluation import aggregate
+
         out = []
         for learner in LEARNER_ORDER:
             per_learner = [m for m in self.metrics if m.learner == learner]
@@ -169,33 +173,62 @@ class PipelineResult:
         return out
 
 
-def _evaluate_one(dataset, learner: str, params: LearnerParams, folds: int, seed: int):
-    metrics = cross_validate(dataset, learner, params, k=folds, seed=seed)
-    model = train(learner, dataset, params)
-    return metrics, model
+@dataclass(frozen=True)
+class _TrainJob:
+    """What every (target, learner) task of one run reads: the shared
+    encoded table and the run's settings."""
+
+    table: EncodedTable
+    params: LearnerParams
+    folds: int
+    seed: int
+
+    def run(self, target: int, learner: str) -> tuple[TargetMetrics, Model]:
+        """Cross-validate ``learner`` on target column ``target``, then fit
+        it on every row."""
+        from .evaluation import cross_validate_encoded
+        from .learners import EncodedDataset, train_encoded
+
+        enc = EncodedDataset.for_target(self.table, target)
+        metrics = cross_validate_encoded(enc, learner, self.params, k=self.folds, seed=self.seed)
+        return metrics, train_encoded(learner, enc, enc.all_rows(), self.params)
+
+
+#: the job of this worker process, set once by ``_start_worker``
+_worker_job: _TrainJob | None = None
+
+
+def _start_worker(job: _TrainJob) -> None:
+    global _worker_job
+    _worker_job = job
+
+
+def _run_in_worker(target: int, learner: str) -> tuple[TargetMetrics, Model]:
+    return _worker_job.run(target, learner)
 
 
 def run_pipeline(traffic_log: TrafficLog, config: RunConfig) -> PipelineResult:
+    """Extract, prepare and encode once, then cross-validate and fit every
+    (target, learner) pair.  Pool workers receive the encoded table once,
+    when they start; each task names only a target column and a learner."""
+    from .prep import prepare_all
+
     table, profile = extract_table(traffic_log, config.extraction_config())
     datasets, removals = prepare_all(table, config.prep_config())
     if not datasets:
         raise DegenerateDatasetError("no learnable targets after preparation")
-    params = config.learner_params()
+    job = _TrainJob(datasets[0].encoded, config.learner_params(), config.folds, config.seed)
     tasks = [(dataset, learner) for dataset in datasets for learner in config.learners]
     jobs = config.jobs or os.cpu_count() or 1
-    results = []
     if jobs > 1 and len(tasks) > 1:
-        with ProcessPoolExecutor(max_workers=jobs) as pool:
+        with ProcessPoolExecutor(max_workers=jobs, initializer=_start_worker, initargs=(job,)) as pool:
             futures = [
-                pool.submit(_evaluate_one, dataset, learner, params, config.folds, config.seed)
+                pool.submit(_run_in_worker, dataset.target_index, learner)
                 for dataset, learner in tasks
             ]
             results = [f.result() for f in futures]
     else:
-        results = [
-            _evaluate_one(dataset, learner, params, config.folds, config.seed)
-            for dataset, learner in tasks
-        ]
+        results = [job.run(dataset.target_index, learner) for dataset, learner in tasks]
     out = PipelineResult(table=table, profile=profile, removals=removals, metrics=[])
     for (dataset, learner), (metrics, model) in zip(tasks, results):
         out.metrics.append(metrics)
@@ -234,6 +267,8 @@ def _load_input(config: RunConfig) -> TrafficLog:
 
 
 def cmd_evaluate(args: argparse.Namespace) -> int:
+    from .evaluation import metrics_csv, render_aggregate_table, report_json
+
     config = resolve_run_config(args)
     traffic_log = _load_input(config)
     result = run_pipeline(traffic_log, config)
@@ -250,6 +285,8 @@ def cmd_evaluate(args: argparse.Namespace) -> int:
 
 
 def cmd_train(args: argparse.Namespace) -> int:
+    from .evaluation import metrics_csv, render_aggregate_table, report_json
+
     config = resolve_run_config(args)
     traffic_log = _load_input(config)
     result = run_pipeline(traffic_log, config)

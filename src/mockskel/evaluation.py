@@ -14,7 +14,7 @@ from typing import Sequence
 import numpy as np
 
 from .errors import DegenerateDatasetError
-from .learners import EncodedDataset, LearnerParams, classify, model_size, train_encoded
+from .learners import EncodedDataset, LearnerParams, model_size, predict_encoded, train_encoded
 from .prep import PreparedDataset
 
 log = logging.getLogger(__name__)
@@ -110,15 +110,15 @@ def stratified_fold_indices(labels: Sequence, k: int, seed: int) -> list[np.ndar
     by_class: dict = {}
     for i, label in enumerate(labels):
         by_class.setdefault(label, []).append(i)
-    folds: list[list[int]] = [[] for _ in range(k)]
-    cursor = 0
+    # deal the shuffled classes round-robin: position p goes to fold p % k
+    dealt: list[int] = []
     for label in sorted(by_class, key=str):
         indices = by_class[label]
         rng.shuffle(indices)
-        for i in indices:
-            folds[cursor % k].append(i)
-            cursor += 1
-    return [np.array(sorted(f), dtype=np.intp) for f in folds]
+        dealt.extend(indices)
+    order = np.array(dealt, dtype=np.intp)
+    fold_of = np.arange(n) % k
+    return [np.sort(order[fold_of == f]) for f in range(k)]
 
 
 def stratified_folds(dataset: PreparedDataset, k: int = 10, seed: int = 1) -> list[np.ndarray]:
@@ -166,14 +166,25 @@ def cross_validate(
     """
     if len(dataset) == 0:
         raise DegenerateDatasetError("cannot evaluate an empty dataset")
-    enc = EncodedDataset(dataset)
-    folds = stratified_fold_indices(list(enc.y), k, seed)
+    return cross_validate_encoded(EncodedDataset(dataset), learner, params, k, seed)
+
+
+def cross_validate_encoded(
+    enc: EncodedDataset,
+    learner: str,
+    params: LearnerParams = LearnerParams(),
+    k: int = 10,
+    seed: int = 1,
+) -> TargetMetrics:
+    """``cross_validate`` on an encoded view; held-out rows are
+    predicted from their codes."""
+    if enc.n_instances == 0:
+        raise DegenerateDatasetError("cannot evaluate an empty dataset")
+    folds = stratified_fold_indices(enc.y.tolist(), k, seed)
     n_classes = enc.n_classes
     pooled = np.zeros((n_classes, n_classes), dtype=np.int64)
     per_fold: list[FoldMetrics] = []
     sizes: list[int] = []
-    value_rows = [dataset.table.row_mapping(i) for i in range(len(dataset))]
-    class_index = {v: i for i, v in enumerate(enc.target_domain)}
 
     for held_out in folds:
         if len(held_out) == 0:
@@ -186,10 +197,8 @@ def cross_validate(
         model = train_encoded(learner, enc, train_rows, params)
         size = model_size(model)
         sizes.append(size)
-        fold_confusion = np.zeros_like(pooled)
-        for i in held_out:
-            predicted = classify(model, value_rows[int(i)])
-            fold_confusion[enc.y[int(i)], class_index[predicted]] += 1
+        cells = enc.y[held_out] * n_classes + predict_encoded(model, enc, held_out)
+        fold_confusion = np.bincount(cells, minlength=n_classes * n_classes).reshape(n_classes, n_classes)
         pooled += fold_confusion
         facc = float(np.trace(fold_confusion) / fold_confusion.sum())
         fprec, frec = weighted_precision_recall(fold_confusion)
@@ -198,7 +207,7 @@ def cross_validate(
     accuracy = float(np.trace(pooled) / pooled.sum())
     precision, recall = weighted_precision_recall(pooled)
     return TargetMetrics(
-        target=dataset.target,
+        target=enc.target_name,
         learner=learner,
         accuracy=accuracy,
         precision=precision,

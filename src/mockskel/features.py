@@ -20,11 +20,13 @@ prefix.
 
 from __future__ import annotations
 
+import fnmatch
 import json
 import math
+import re
 from dataclasses import dataclass
 from enum import Enum
-from fnmatch import fnmatchcase
+from functools import cached_property, lru_cache
 from typing import Iterable, Mapping, NamedTuple, Sequence
 from urllib.parse import parse_qsl
 
@@ -167,11 +169,22 @@ class ExtractionConfig:
     #: bound on schema width for pathological URIs
     max_path_depth: int = 16
 
+    @cached_property
+    def _auth_matchers(self) -> tuple[frozenset[str], re.Pattern | None]:
+        """The lower-cased auth header names, and one regex matching any
+        lower-cased auth pattern as ``fnmatchcase`` does."""
+        names = frozenset(n.lower() for n in self.auth_header_names)
+        patterns = "|".join(fnmatch.translate(p.lower()) for p in self.auth_header_patterns)
+        return names, re.compile(patterns) if patterns else None
+
+    def __getstate__(self) -> dict:
+        # pickle the fields alone, whether or not the matchers were built
+        return {k: v for k, v in self.__dict__.items() if k != "_auth_matchers"}
+
     def is_auth_header(self, name: str) -> bool:
         lname = name.lower()
-        if lname in {n.lower() for n in self.auth_header_names}:
-            return True
-        return any(fnmatchcase(lname, p.lower()) for p in self.auth_header_patterns)
+        names, pattern = self._auth_matchers
+        return lname in names or (pattern is not None and pattern.match(lname) is not None)
 
     def to_json_dict(self) -> dict:
         return {
@@ -401,6 +414,18 @@ class ResourceState(NamedTuple):
 _URI_FAMILY_PREFIXES = ("uriPathToken", "uriQuery:", "uriFragment")
 
 
+@lru_cache(maxsize=16)
+def _schema_lookups(
+    input_names: tuple[str, ...], also_known: tuple[str, ...]
+) -> tuple[dict[str, str], tuple[tuple[str, str], ...], frozenset[str]]:
+    """What ``serve_input_values`` needs of one input schema: the header
+    spelling map, each input with its fill value, and the known names."""
+    headers = (name.split(":", 1)[1] for name in input_names if name.startswith("requestheader:"))
+    spelling = {header.lower(): header for header in headers}
+    fills = tuple((name, sentinel_for(name)) for name in input_names)
+    return spelling, fills, frozenset(input_names) | frozenset(also_known)
+
+
 def serve_input_values(
     input_names: Sequence[str],
     request: HttpRequest,
@@ -416,14 +441,14 @@ def serve_input_values(
     presented that the schema cannot represent (deeper paths, unknown
     query keys, fragments never seen in training).  ``also_known`` names
     features deliberately dropped from the schema (e.g. constant inputs),
-    which do not count as unmatched.
+    which do not count as unmatched.  The lookups derived from the schema
+    are worked out once per schema.
     """
-    headers = (name.split(":", 1)[1] for name in input_names if name.startswith("requestheader:"))
-    spelling = {header.lower(): header for header in headers}
-    raw = request_feature_map(request, config, spelling)
+    spelling, fills, known = _schema_lookups(tuple(input_names), tuple(also_known))
+    # a copy: request_feature_map adds the request's other header names to it
+    raw = request_feature_map(request, config, dict(spelling))
     raw.update(state.features())
-    known = set(input_names) | set(also_known)
-    values = {name: raw.get(name, sentinel_for(name)) for name in input_names}
+    values = {name: raw.get(name, fill) for name, fill in fills}
     unmatched = sum(
         1
         for key in raw

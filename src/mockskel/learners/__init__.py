@@ -1,16 +1,14 @@
-"""Symbolic learners over nominal single-target datasets."""
+"""Symbolic learners over nominal single-target datasets.
 
-from .base import (
-    C45Params,
-    EncodedDataset,
-    LearnerParams,
-    PartParams,
-    RipperParams,
-    added_errors,
-    entropy,
-    gain_ratio,
-)
-from .c45 import train_c45, train_c45_encoded
+The model forms load with the package.  The learners and their numpy
+machinery load on first use, so a process that only serves a skeleton
+never imports them.
+"""
+
+from __future__ import annotations
+
+from importlib import import_module
+
 from .model import (
     DecisionTree,
     Leaf,
@@ -25,41 +23,54 @@ from .model import (
     render_rules,
     render_tree,
 )
-from .part import train_part, train_part_encoded
-from .ripper import train_ripper, train_ripper_encoded
 
-#: learner registry: name -> (train on PreparedDataset, train on encoded rows)
-LEARNERS = {
-    "c45": (train_c45, train_c45_encoded),
-    "ripper": (train_ripper, train_ripper_encoded),
-    "part": (train_part, train_part_encoded),
+#: the learners, each named after its module; ties between them break in this order
+LEARNER_ORDER = ("c45", "ripper", "part")
+
+#: names loaded from a submodule on first use
+_LAZY = {
+    **dict.fromkeys(
+        ("C45Params", "EncodedDataset", "LearnerParams", "PartParams", "RipperParams",
+         "added_errors", "entropy", "gain_ratio", "predict_encoded"),
+        "base",
+    ),
+    **{f"train_{name}": name for name in LEARNER_ORDER},
+    **{f"train_{name}_encoded": name for name in LEARNER_ORDER},
 }
 
-LEARNER_ORDER = ("c45", "ripper", "part")
+
+def __getattr__(name: str):
+    if name not in _LAZY:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    return getattr(import_module(f"{__name__}.{_LAZY[name]}"), name)
 
 
 def params_for(name: str, params: LearnerParams):
     return {"c45": params.c45, "ripper": params.ripper, "part": params.part}[name]
 
 
-def train(name: str, dataset, params: LearnerParams = LearnerParams()):
-    """Train one learner by name on a prepared dataset."""
-    if name not in LEARNERS:
-        raise ValueError(f"unknown learner {name!r} (expected one of {sorted(LEARNERS)})")
-    return LEARNERS[name][0](dataset, params_for(name, params))
+def _trainer(name: str, suffix: str = ""):
+    if name not in LEARNER_ORDER:
+        raise ValueError(f"unknown learner {name!r} (expected one of {sorted(LEARNER_ORDER)})")
+    return __getattr__(f"train_{name}{suffix}")
 
 
-def train_encoded(name: str, enc, rows, params: LearnerParams = LearnerParams()):
-    if name not in LEARNERS:
-        raise ValueError(f"unknown learner {name!r} (expected one of {sorted(LEARNERS)})")
-    return LEARNERS[name][1](enc, rows, params_for(name, params))
+def train(name: str, dataset, params: LearnerParams | None = None):
+    """Train one learner by name on a prepared dataset (default parameters
+    when ``params`` is None)."""
+    params = params or __getattr__("LearnerParams")()
+    return _trainer(name)(dataset, params_for(name, params))
+
+
+def train_encoded(name: str, enc, rows, params: LearnerParams | None = None):
+    params = params or __getattr__("LearnerParams")()
+    return _trainer(name, "_encoded")(enc, rows, params_for(name, params))
 
 
 __all__ = [
     "C45Params",
     "DecisionTree",
     "EncodedDataset",
-    "LEARNERS",
     "LEARNER_ORDER",
     "Leaf",
     "LearnerParams",
@@ -76,6 +87,7 @@ __all__ = [
     "leaf_count",
     "model_size",
     "params_for",
+    "predict_encoded",
     "render_model",
     "render_rules",
     "render_tree",

@@ -1,6 +1,6 @@
-"""Shared learner machinery: parameters, integer encoding of nominal
-datasets, entropy / gain ratio, and the pessimistic error estimate used
-for pruning."""
+"""Shared learner machinery: parameters, the per-target view of the
+encoded table, classification of encoded rows, entropy / gain ratio, and
+the pessimistic error estimate used for pruning."""
 
 from __future__ import annotations
 
@@ -11,9 +11,9 @@ from typing import Iterable
 
 import numpy as np
 
-from ..errors import DegenerateDatasetError, UnknownAttributeError
-from ..features import Role
-from ..prep import PreparedDataset
+from ..errors import DegenerateDatasetError, SchemaMismatchError, UnknownAttributeError
+from ..prep import EncodedTable, PreparedDataset
+from .model import DecisionTree, Leaf, Model, Node, RuleList
 
 
 @dataclass(frozen=True)
@@ -45,34 +45,33 @@ class LearnerParams:
 
 
 class EncodedDataset:
-    """Integer-encoded view of a prepared dataset for the learner cores.
+    """One target's view of an encoded table, for the learner cores.
 
-    Column j of ``X`` holds indices into ``domains[j]``; ``y`` holds
-    indices into ``target_domain``.
+    Column j of ``X`` holds indices into ``domains[j]`` (``codes[j]`` maps
+    each value to its index); ``y`` holds indices into ``target_domain``.
+    ``X`` is the table's own array and ``y`` one column of its ``Y``:
+    nothing is copied.
     """
 
     def __init__(self, prepared: PreparedDataset):
-        table = prepared.table
-        inputs = [a for a in table.schema if a.role is Role.INPUT]
-        target = table.attribute(prepared.target)
-        self.target_name = target.name
-        self.target_domain: tuple[str, ...] = target.domain
-        self.names: tuple[str, ...] = tuple(a.name for a in inputs)
-        self.domains: tuple[tuple[str, ...], ...] = tuple(a.domain for a in inputs)
-        n = len(table.instances)
-        d = len(inputs)
-        self.X = np.zeros((n, d), dtype=np.int32)
-        self.y = np.zeros(n, dtype=np.int32)
-        col_of = {a.name: table.index_of(a.name) for a in inputs}
-        y_col = table.index_of(target.name)
-        value_index = [
-            {v: i for i, v in enumerate(a.domain)} for a in inputs
-        ]
-        y_index = {v: i for i, v in enumerate(target.domain)}
-        for r, inst in enumerate(table.instances):
-            for j, attr in enumerate(inputs):
-                self.X[r, j] = value_index[j][inst.values[col_of[attr.name]]]
-            self.y[r] = y_index[inst.values[y_col]]
+        self._view(prepared.encoded, prepared.target_index)
+
+    @classmethod
+    def for_target(cls, table: EncodedTable, target: int) -> "EncodedDataset":
+        """The view of ``table``'s target column ``target``."""
+        enc = cls.__new__(cls)
+        enc._view(table, target)
+        return enc
+
+    def _view(self, table: EncodedTable, target: int) -> None:
+        attr = table.targets[target]
+        self.target_name = attr.name
+        self.target_domain: tuple[str, ...] = attr.domain
+        self.names: tuple[str, ...] = tuple(a.name for a in table.inputs)
+        self.domains: tuple[tuple[str, ...], ...] = tuple(a.domain for a in table.inputs)
+        self.codes: tuple[dict[str, int], ...] = table.input_codes
+        self.X = table.X
+        self.y = table.Y[:, target]
 
     @property
     def n_instances(self) -> int:
@@ -87,6 +86,72 @@ class EncodedDataset:
 
     def total_conditions(self) -> int:
         return sum(len(d) for d in self.domains)
+
+
+# ---------------------------------------------------------------------------
+# Classification of encoded rows: ``classify`` over codes, a block at a time
+
+
+def first_match(rule_list: RuleList, enc: EncodedDataset, rows: np.ndarray) -> np.ndarray:
+    """Per encoded row, the index of the first rule it satisfies, or
+    ``len(rule_list.rules)`` where the default fires."""
+    column_of = {name: j for j, name in enumerate(enc.names)}
+    fired = np.full(len(rows), len(rule_list.rules), dtype=np.intp)
+    undecided = np.ones(len(rows), dtype=bool)
+    for i, rule in enumerate(rule_list.rules):
+        mask = undecided.copy()
+        for attr, value in rule.conditions:
+            j = column_of.get(attr)
+            code = None if j is None else enc.codes[j].get(value)
+            if code is None:  # a test no encoded row can pass
+                mask[:] = False
+                break
+            mask &= enc.X[rows, j] == code
+        fired[mask] = i
+        undecided &= ~mask
+    return fired
+
+
+def rule_class_codes(rule_list: RuleList, enc: EncodedDataset) -> np.ndarray:
+    """Index into ``enc.target_domain`` of each rule's class, then of the
+    default class (-1 for a class outside that domain)."""
+    code_of = {value: i for i, value in enumerate(enc.target_domain)}
+    classes = [rule.klass for rule in rule_list.rules] + [rule_list.default_class]
+    return np.array([code_of.get(klass, -1) for klass in classes], dtype=np.intp)
+
+
+def predict_encoded(model: Model, enc: EncodedDataset, rows: np.ndarray) -> np.ndarray:
+    """Index into ``enc.target_domain`` of the class ``classify`` predicts
+    for each encoded row (-1 for a class outside that domain).
+
+    Trees route whole blocks of rows down each branch; rule lists take
+    the first matching rule's class.
+    """
+    if isinstance(model, RuleList):
+        return rule_class_codes(model, enc)[first_match(model, enc, rows)]
+    if not isinstance(model, DecisionTree):
+        raise SchemaMismatchError(f"cannot classify with {type(model).__name__}")
+    code_of = {value: i for i, value in enumerate(enc.target_domain)}
+    column_of = {name: j for j, name in enumerate(enc.names)}
+    out = np.empty(len(rows), dtype=np.intp)
+    stack: list[tuple[Node, np.ndarray]] = [(model.root, np.arange(len(rows)))]
+    while stack:
+        node, at = stack.pop()
+        if isinstance(node, Leaf):
+            out[at] = code_of.get(node.klass, -1)
+            continue
+        j = column_of.get(node.attribute)
+        if j is None:
+            stack.append((node.branches[node.missing_value], at))
+            continue
+        keys = list(node.branches)
+        slot = {value: b for b, value in enumerate(keys)}
+        missing = slot[node.missing_value]
+        branch_of_code = np.array([slot.get(v, missing) for v in enc.domains[j]], dtype=np.intp)
+        branch = branch_of_code[enc.X[rows[at], j]]
+        for b in np.unique(branch):
+            stack.append((node.branches[keys[b]], at[branch == b]))
+    return out
 
 
 def entropy(class_counts: Iterable[float]) -> float:

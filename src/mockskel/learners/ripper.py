@@ -17,7 +17,7 @@ import numpy as np
 
 from ..errors import DegenerateDatasetError
 from ..prep import PreparedDataset
-from .base import EncodedDataset, RipperParams, class_counts
+from .base import EncodedDataset, RipperParams, class_counts, first_match, rule_class_codes
 from .model import Rule, RuleList
 
 MDL_SURPLUS_BITS = 64.0
@@ -162,12 +162,12 @@ def _grow_prune_split(
     grow: list[int] = []
     prune: list[int] = []
     for group_rows in (rows[enc.y[rows] == pos], rows[enc.y[rows] != pos]):
-        group = list(map(int, group_rows))
+        group = group_rows.tolist()
         rng.shuffle(group)
         cut = len(group) - len(group) // params.folds_split
         grow.extend(group[:cut])
         prune.extend(group[cut:])
-    return np.array(sorted(grow), dtype=np.intp), np.array(sorted(prune), dtype=np.intp)
+    return np.sort(np.array(grow, dtype=np.intp)), np.sort(np.array(prune, dtype=np.intp))
 
 
 def _acceptable(enc: EncodedDataset, remaining: np.ndarray, conds: Conds, pos: int, params: RipperParams) -> bool:
@@ -314,38 +314,18 @@ def train_ripper_encoded(
 
 def recount_encoded(rule_list: RuleList, enc: EncodedDataset, rows: np.ndarray) -> None:
     """Refresh (N/E) annotations with first-match counts over ``rows``."""
-    index_of = {name: j for j, name in enumerate(enc.names)}
-    value_of = [
-        {v: i for i, v in enumerate(domain)} for domain in enc.domains
-    ]
-    uncovered = np.ones(len(rows), dtype=bool)
-    new_rules = []
-    for rule in rule_list.rules:
-        mask = uncovered.copy()
-        for attr, value in rule.conditions:
-            j = index_of.get(attr)
-            vi = value_of[j].get(value) if j is not None else None
-            if vi is None:
-                mask[:] = False
-                break
-            mask &= enc.X[rows, j] == vi
-        n = int(mask.sum())
-        try:
-            ki = enc.target_domain.index(rule.klass)
-            e = n - int((enc.y[rows[mask]] == ki).sum())
-        except ValueError:
-            e = n
-        new_rules.append(Rule(rule.conditions, rule.klass, n, e))
-        uncovered &= ~mask
-    n = int(uncovered.sum())
-    try:
-        ki = enc.target_domain.index(rule_list.default_class)
-        e = n - int((enc.y[rows[uncovered]] == ki).sum())
-    except ValueError:
-        e = n
-    rule_list.rules = tuple(new_rules)
-    rule_list.default_count = n
-    rule_list.default_errors = e
+    fired = first_match(rule_list, enc, rows)
+    class_codes = rule_class_codes(rule_list, enc)
+    slots = len(class_codes)
+    covered = np.bincount(fired, minlength=slots)
+    correct = np.bincount(fired[enc.y[rows] == class_codes[fired]], minlength=slots)
+    errors = covered - correct
+    rule_list.rules = tuple(
+        Rule(rule.conditions, rule.klass, int(covered[i]), int(errors[i]))
+        for i, rule in enumerate(rule_list.rules)
+    )
+    rule_list.default_count = int(covered[-1])
+    rule_list.default_errors = int(errors[-1])
 
 
 def train_ripper(dataset: PreparedDataset, params: RipperParams = RipperParams()) -> RuleList:

@@ -1,4 +1,4 @@
-"""Dataset preparation: nominal coercion, target pruning, per-target projection.
+"""Dataset preparation: nominal coercion, target pruning, integer encoding.
 
 Learning happens on one single-target dataset per surviving response
 feature; targets that cannot discriminate (one distinct value) or cannot
@@ -11,6 +11,9 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass, replace
+from functools import cached_property
+
+import numpy as np
 
 from .errors import PrunedTargetError, UnknownTargetError
 from .features import Attribute, Instance, InstanceTable, Role, nominal_sort
@@ -58,29 +61,114 @@ def removal_report_json(removals: tuple[Removal, ...]) -> str:
     return json.dumps([r.to_json_dict() for r in removals], indent=2)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
+class EncodedTable:
+    """The integer form of a prepared table, built once and shared by
+    every target, learner, fold and worker.
+
+    Column j of ``X`` holds indices into ``inputs[j].domain`` and column t
+    of ``Y`` indices into ``targets[t].domain``.  Both arrays are
+    column-major, so one attribute's codes are contiguous.
+    """
+
+    X: np.ndarray
+    Y: np.ndarray
+    inputs: tuple[Attribute, ...]
+    targets: tuple[Attribute, ...]
+    #: per input, value -> code (the inverse of its domain)
+    input_codes: tuple[dict[str, int], ...]
+
+    def target_index(self, name: str) -> int:
+        for t, attr in enumerate(self.targets):
+            if attr.name == name:
+                return t
+        raise UnknownTargetError(f"{name!r} is not a target attribute of this table")
+
+
+def encode_table(table: InstanceTable) -> EncodedTable:
+    """Encode every attribute of ``table`` against its domain, one column
+    at a time."""
+    n = len(table.instances)
+    inputs, targets = table.inputs(), table.targets()
+    X = np.empty((n, len(inputs)), dtype=np.int32, order="F")
+    Y = np.empty((n, len(targets)), dtype=np.int32, order="F")
+    columns = list(zip(*(inst.values for inst in table.instances))) or [()] * len(table.schema)
+    input_codes = []
+    x_col = y_col = 0
+    for attr, column in zip(table.schema, columns):
+        code_of = {value: i for i, value in enumerate(attr.domain)}
+        codes = np.fromiter(map(code_of.__getitem__, column), dtype=np.int32, count=n)
+        if attr.role is Role.INPUT:
+            X[:, x_col] = codes
+            x_col += 1
+            input_codes.append(code_of)
+        else:
+            Y[:, y_col] = codes
+            y_col += 1
+    return EncodedTable(X=X, Y=Y, inputs=inputs, targets=targets, input_codes=tuple(input_codes))
+
+
 class PreparedDataset:
-    """All input attributes plus exactly one target attribute."""
+    """All input attributes plus exactly one target attribute.
 
-    table: InstanceTable
-    target: str
-    provenance: tuple[Removal, ...] = ()
+    ``source`` may hold other targets as well: the datasets of one
+    ``prepare_all`` share it and its ``encoded`` form, and ``table``, the
+    one-target projection, is built only when read.  A dataset built by
+    hand encodes its source the first time ``encoded`` is read.
+    """
 
-    def __post_init__(self):
-        attr = self.table.attribute(self.target)
-        if attr.role is not Role.TARGET:
-            raise UnknownTargetError(f"{self.target!r} is not a target attribute")
+    def __init__(
+        self,
+        table: InstanceTable,
+        target: str,
+        provenance: tuple[Removal, ...] = (),
+        encoded: EncodedTable | None = None,
+    ):
+        if table.attribute(target).role is not Role.TARGET:
+            raise UnknownTargetError(f"{target!r} is not a target attribute")
+        self.source = table
+        self.target = target
+        self.provenance = provenance
+        self._encoded = encoded
+
+    @property
+    def encoded(self) -> EncodedTable:
+        if self._encoded is None:
+            self._encoded = encode_table(self.source)
+        return self._encoded
+
+    @property
+    def target_index(self) -> int:
+        """This dataset's column of ``encoded.Y``."""
+        return self.encoded.target_index(self.target)
+
+    @cached_property
+    def table(self) -> InstanceTable:
+        """The inputs plus this dataset's target, as strings."""
+        keep = [
+            i for i, a in enumerate(self.source.schema)
+            if a.role is Role.INPUT or a.name == self.target
+        ]
+        if len(keep) == len(self.source.schema):
+            return self.source
+        return InstanceTable(
+            schema=tuple(self.source.schema[i] for i in keep),
+            instances=tuple(
+                Instance(values=tuple(inst.values[i] for i in keep), transaction_id=inst.transaction_id)
+                for inst in self.source.instances
+            ),
+        )
 
     @property
     def target_attribute(self) -> Attribute:
-        return self.table.attribute(self.target)
+        return self.source.attribute(self.target)
 
     @property
     def input_attributes(self) -> tuple[Attribute, ...]:
-        return self.table.inputs()
+        return self.source.inputs()
 
     def __len__(self) -> int:
-        return len(self.table.instances)
+        return len(self.source.instances)
 
 
 def coerce_to_nominal(table: InstanceTable) -> InstanceTable:
@@ -137,33 +225,23 @@ def project_for_target(
     target: str,
     removals: tuple[Removal, ...] = (),
 ) -> PreparedDataset:
-    """Restrict a pruned table to its inputs plus the named target."""
+    """The dataset of a pruned table's inputs plus the named target."""
     for removal in removals:
         if removal.attribute == target:
             raise PrunedTargetError(f"target {target!r} was removed ({removal.reason})")
     names = {a.name: a for a in table.schema}
     if target not in names or names[target].role is not Role.TARGET:
         raise UnknownTargetError(f"{target!r} is not a target attribute of this table")
-    keep = [i for i, a in enumerate(table.schema) if a.role is Role.INPUT or a.name == target]
-    schema = tuple(table.schema[i] for i in keep)
-    instances = tuple(
-        Instance(values=tuple(inst.values[i] for i in keep), transaction_id=inst.transaction_id)
-        for inst in table.instances
-    )
-    return PreparedDataset(
-        table=InstanceTable(schema=schema, instances=instances),
-        target=target,
-        provenance=removals,
-    )
+    return PreparedDataset(table, target, removals)
 
 
 def prepare_all(
     table: InstanceTable, config: PrepConfig = PrepConfig()
 ) -> tuple[list[PreparedDataset], tuple[Removal, ...]]:
-    """Coerce, prune, and project one dataset per surviving target."""
+    """Coerce, prune, and encode once; one dataset per surviving target,
+    all sharing the pruned table and its encoded form."""
     coerced = coerce_to_nominal(table)
     pruned, removals = prune_targets(coerced, config)
-    datasets = [
-        project_for_target(pruned, attr.name, removals) for attr in pruned.targets()
-    ]
+    encoded = encode_table(pruned)
+    datasets = [PreparedDataset(pruned, attr.name, removals, encoded) for attr in encoded.targets]
     return datasets, removals

@@ -39,14 +39,15 @@ import json
 import logging
 import re
 from dataclasses import dataclass, field
-from typing import Mapping
+from typing import TYPE_CHECKING, Mapping
 
 from .errors import SkeletonSyntaxError, UnknownAttributeError
-from .evaluation import TargetMetrics
 from .features import ExtractionConfig, ExtractionProfile
-from .learners import DecisionTree, Leaf, Model, Rule, RuleList, Split
-from .learners.model import BARE_TOKEN, render_model
-from .prep import Removal
+from .learners.model import BARE_TOKEN, DecisionTree, Leaf, Model, Rule, RuleList, Split, render_model
+
+if TYPE_CHECKING:  # training-side types; serving does not import them
+    from .evaluation import TargetMetrics
+    from .prep import Removal
 
 log = logging.getLogger(__name__)
 

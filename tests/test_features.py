@@ -1,4 +1,6 @@
+import pickle
 import random
+from fnmatch import fnmatchcase
 
 import pytest
 from hypothesis import HealthCheck, given, settings
@@ -20,6 +22,7 @@ from mockskel.features import (
     tokenize_uri,
     unescape_literal,
 )
+from mockskel.features import _schema_lookups
 from mockskel.synth import generate_synthetic_log
 from mockskel.traffic import (
     HttpRequest,
@@ -194,6 +197,32 @@ class TestHeaders:
     def test_no_auth(self):
         assert request_feature_map(txn(0).request)["hasAuthorisationToken"] == "false"
 
+    def test_auth_header_match_agrees_with_fnmatch(self):
+        config = ExtractionConfig(
+            auth_header_names=("Authorization", "COOKIE"),
+            auth_header_patterns=("x-*-token", "Api-K?y", "[ab]-sig"),
+        )
+
+        def reference(name):
+            lname = name.lower()
+            return lname in {n.lower() for n in config.auth_header_names} or any(
+                fnmatchcase(lname, p.lower()) for p in config.auth_header_patterns
+            )
+
+        names = ["Authorization", "cookie", "X-Api-Token", "x-token", "api-key", "API-KXY",
+                 "b-sig", "c-sig", "a-sig-extra", "Accept", "X-A-Token\n", ""]
+        for name in names:
+            assert config.is_auth_header(name) == reference(name), name
+        assert not ExtractionConfig(auth_header_patterns=()).is_auth_header("x-a-token")
+
+    def test_auth_matchers_leave_equality_and_pickling_unchanged(self):
+        config = ExtractionConfig()
+        pickled = pickle.dumps(config)
+        assert config.is_auth_header("Cookie")
+        assert pickle.dumps(config) == pickled
+        assert pickle.loads(pickled) == config == ExtractionConfig()
+        assert config.to_json_dict() == ExtractionConfig().to_json_dict()
+
     def test_missing_header_fills_no_exist_in_table(self):
         log = TrafficLog(
             (
@@ -359,6 +388,18 @@ class TestServeValues:
         request = HttpRequest("GET", "https://a.ex/x", headers=[("content-TYPE", "text/plain")])
         values, _ = serve_input_values(["requestheader:Content-Type"], request, ResourceState())
         assert values["requestheader:Content-Type"] == "text/plain"
+
+    def test_schema_lookups_are_not_changed_by_requests(self):
+        inputs = ("method", "uriPathToken0", "requestheader:Content-Type")
+        first = HttpRequest("GET", "https://a.ex/x", headers=[("x-trace", "1")])
+        second = HttpRequest("GET", "https://a.ex/x", headers=[("X-TRACE", "2"), ("content-type", "a/b")])
+        for request in (first, second, first):
+            values, unmatched = serve_input_values(inputs, request, ResourceState())
+            assert values == {"method": "GET", "uriPathToken0": "x", "requestheader:Content-Type":
+                              "a/b" if request is second else SENTINEL_NO_EXIST}
+            assert unmatched == 0
+        spelling, _, _ = _schema_lookups(inputs, ())
+        assert spelling == {"content-type": "Content-Type"}
 
 
 def _recased(log: TrafficLog, rng: random.Random) -> TrafficLog:

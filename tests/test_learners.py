@@ -2,13 +2,20 @@ import math
 import random
 from collections import Counter
 
+import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from conftest import make_dataset
 from mockskel.errors import DegenerateDatasetError
+from mockskel.evaluation import stratified_fold_indices
+from mockskel.features import extract_table
 from mockskel.learners import (
+    LEARNER_ORDER,
     C45Params,
     DecisionTree,
+    EncodedDataset,
     Leaf,
     Rule,
     RuleList,
@@ -18,12 +25,16 @@ from mockskel.learners import (
     gain_ratio,
     leaf_count,
     model_size,
+    predict_encoded,
     render_model,
     train_c45,
+    train_encoded,
     train_part,
     train_ripper,
 )
 from mockskel.learners.base import added_errors
+from mockskel.prep import prepare_all
+from mockskel.synth import generate_synthetic_log
 
 # ---------------------------------------------------------------------------
 # Independent oracles (plain-Python contingency arithmetic)
@@ -402,6 +413,94 @@ class TestCoverageInvariant:
         for _ in range(50):
             instance = {"a": rng.choice(["v0", "weird", "?"]), "b": rng.choice(["v1", "zz"])}
             assert classify(model, instance) in domain
+
+
+def assert_predictions_match_classify(model, ds, enc, rows):
+    """The class predicted from each row's codes is the one ``classify``
+    gives for its name->value mapping."""
+    predicted = predict_encoded(model, enc, rows)
+    expected = [classify(model, ds.table.row_mapping(int(i))) for i in rows]
+    assert [enc.target_domain[c] for c in predicted] == expected
+
+
+def _has_empty_leaf(node) -> bool:
+    if isinstance(node, Leaf):
+        return node.train_count == 0
+    return any(_has_empty_leaf(child) for child in node.branches.values())
+
+
+class TestEncodedPrediction:
+    @settings(max_examples=20, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+    @given(seed=st.integers(0, 10_000), n_transactions=st.integers(20, 200),
+           learner=st.sampled_from(LEARNER_ORDER), fold=st.integers(0, 4))
+    def test_held_out_predictions_match_classify(self, seed, n_transactions, learner, fold):
+        table, _ = extract_table(generate_synthetic_log(n_transactions, 8, seed=seed))
+        datasets, _ = prepare_all(table)
+        for ds in datasets:
+            enc = EncodedDataset(ds)
+            held_out = stratified_fold_indices(enc.y.tolist(), 5, seed)[fold]
+            train_rows = np.setdiff1d(enc.all_rows(), held_out)
+            if len(train_rows) == 0:
+                continue
+            model = train_encoded(learner, enc, train_rows)
+            assert_predictions_match_classify(model, ds, enc, held_out)
+            assert_predictions_match_classify(model, ds, enc, enc.all_rows())
+
+    def test_tree_routes_rows_to_an_empty_branch(self):
+        # "c" never occurs in training, so its branch is a leaf with count 0
+        rows = [["a", "x", "200"]] * 6 + [["b", "y", "404"]] * 6 + [["c", "x", "500"]] * 2
+        ds = make_dataset(rows, ["k", "j"])
+        enc = EncodedDataset(ds)
+        tree = train_encoded("c45", enc, enc.all_rows()[:12])
+        assert _has_empty_leaf(tree.root)
+        assert_predictions_match_classify(tree, ds, enc, enc.all_rows())
+
+    def test_tree_without_a_branch_takes_the_missing_value_branch(self):
+        ds = make_dataset([["a", "200"], ["b", "404"], ["c", "500"], ["c", "500"]], ["k"])
+        enc = EncodedDataset(ds)
+        tree = DecisionTree("statusCode", Split("k", {"a": Leaf("200", 1), "b": Leaf("404", 5)}))
+        assert tree.root.missing_value == "b"
+        assert_predictions_match_classify(tree, ds, enc, enc.all_rows())
+        assert [enc.target_domain[c] for c in predict_encoded(tree, enc, enc.all_rows())] == [
+            "200", "404", "404", "404"]
+
+    def test_rule_list_default_and_unknown_tests(self):
+        ds = make_dataset(
+            [["GET", "true", "200"], ["GET", "false", "404"], ["POST", "false", "201"],
+             ["DELETE", "true", "204"]],
+            ["method", "everCreated"],
+        )
+        enc = EncodedDataset(ds)
+        model = RuleList(
+            target="statusCode",
+            rules=(
+                Rule((("method", "PATCH"),), "204"),  # value never encoded
+                Rule((("nosuch", "GET"),), "204"),  # attribute not an input
+                Rule((("method", "GET"), ("everCreated", "true")), "200"),
+                Rule((("method", "GET"),), "404"),
+            ),
+            default_class="201",
+        )
+        assert_predictions_match_classify(model, ds, enc, enc.all_rows())
+        predicted = predict_encoded(model, enc, np.array([3, 0, 2], dtype=np.intp))
+        assert [enc.target_domain[c] for c in predicted] == ["201", "200", "201"]
+
+
+    @pytest.mark.parametrize("train_fn", [train_ripper, train_part])
+    def test_rule_counts_match_first_match_reference(self, train_fn):
+        rng = random.Random(43)
+        for _ in range(20):
+            attrs = ["a", "b", "c"]
+            rows = random_rows(rng, rng.randrange(10, 60), attrs, [2, 3, 4], 3)
+            model = train_fn(dataset_from_rows(rows, attrs))
+            counts = [[0, 0] for _ in range(len(model.rules) + 1)]
+            for row in rows:
+                i = next((i for i, r in enumerate(model.rules) if r.matches(row)), len(model.rules))
+                klass = model.rules[i].klass if i < len(model.rules) else model.default_class
+                counts[i][0] += 1
+                counts[i][1] += row["statusCode"] != klass
+            got = [[r.train_count, r.error_count] for r in model.rules]
+            assert got + [[model.default_count, model.default_errors]] == counts
 
 
 class TestTreeCounts:

@@ -1,10 +1,16 @@
+import random
+
+import numpy as np
 import pytest
 
 from mockskel.errors import PrunedTargetError, UnknownTargetError
 from mockskel.features import Attribute, Instance, InstanceTable, Role
+from mockskel.learners import EncodedDataset
 from mockskel.prep import (
     PrepConfig,
+    PreparedDataset,
     coerce_to_nominal,
+    encode_table,
     prepare_all,
     project_for_target,
     prune_targets,
@@ -186,6 +192,74 @@ class TestProjection:
         )
         datasets, _ = prepare_all(table)
         assert [ds.target for ds in datasets] == ["statusCode"]
+
+
+def reference_codes(table: InstanceTable, role: Role) -> np.ndarray:
+    """Per-cell encoding of the ``role`` columns, the loop the shared
+    table replaced."""
+    cols = [i for i, a in enumerate(table.schema) if a.role is role]
+    out = np.zeros((len(table.instances), len(cols)), dtype=np.int32)
+    for r, inst in enumerate(table.instances):
+        for j, i in enumerate(cols):
+            out[r, j] = table.schema[i].domain.index(inst.values[i])
+    return out
+
+
+class TestEncodedTable:
+    def test_datasets_share_one_encoded_table(self):
+        datasets, _ = prepare_all(TestProjection().wide_table(n_inputs=5, n_targets=3))
+        a, b = (EncodedDataset(ds) for ds in datasets[:2])
+        assert np.shares_memory(a.X, b.X)
+        Y = datasets[0].encoded.Y
+        assert np.shares_memory(a.y, Y) and np.shares_memory(b.y, Y)
+        assert a.y.flags.c_contiguous and a.X[:, 0].flags.c_contiguous
+
+    def test_target_column_is_the_datasets_target(self):
+        table = table_from_columns(
+            {
+                "m": (Role.INPUT, ["GET", "POST", "PUT", "GET"]),
+                "statusCode": (Role.TARGET, ["200", "201", "200", "404"]),
+                "responseheader:X": (Role.TARGET, ["a", "b", "b", "a"]),
+            }
+        )
+        datasets, _ = prepare_all(table)
+        for ds in datasets:
+            enc = EncodedDataset(ds)
+            assert enc.target_name == ds.target
+            assert [enc.target_domain[c] for c in enc.y] == ds.table.column(ds.target)
+
+    def test_codes_match_per_cell_reference(self):
+        rng = random.Random(5)
+        for _ in range(20):
+            n = rng.randrange(0, 40)
+            columns = {
+                f"in{i}": (Role.INPUT, [str(rng.randrange(1 + i)) for _ in range(n)])
+                for i in range(rng.randrange(1, 5))
+            }
+            for i in range(rng.randrange(1, 4)):
+                columns[f"responsejson:t{i}"] = (Role.TARGET, [rng.choice("xyz") for _ in range(n)])
+            table = table_from_columns(columns)
+            encoded = encode_table(table)
+            assert encoded.X.shape == (n, len(table.inputs()))
+            assert encoded.Y.shape == (n, len(table.targets()))
+            np.testing.assert_array_equal(encoded.X, reference_codes(table, Role.INPUT))
+            np.testing.assert_array_equal(encoded.Y, reference_codes(table, Role.TARGET))
+            for attr, codes in zip(encoded.inputs, encoded.input_codes):
+                assert [attr.domain[c] for c in codes.values()] == list(codes)
+
+    def test_hand_built_dataset_encodes_its_own_table(self):
+        table = table_from_columns(
+            {
+                "m": (Role.INPUT, ["GET", "POST", "GET"]),
+                "statusCode": (Role.TARGET, ["200", "201", "200"]),
+            }
+        )
+        ds = PreparedDataset(table, "statusCode")
+        assert ds.table is table
+        enc = EncodedDataset(ds)
+        assert enc.X[:, 0].tolist() == [0, 1, 0]
+        assert enc.y.tolist() == [0, 1, 0]
+        assert np.shares_memory(enc.X, EncodedDataset(ds).X)
 
 
 class TestPruningMonotonicity:

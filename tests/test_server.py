@@ -1,11 +1,16 @@
 import http.client
 import json
+import os
 import socket
+import subprocess
+import sys
 import threading
 import time
+from pathlib import Path
 
 import pytest
 
+import mockskel
 from mockskel import server as server_module
 from mockskel.cli import RunConfig, choose_models, run_pipeline
 from mockskel.features import ResourceState
@@ -207,6 +212,31 @@ class TestSynthesizeResponseApi:
         second = synthesize_response(skeleton, HttpRequest("GET", f"{HOST}/tasks/6"), state)
         assert (first.status_code, second.status_code) == (201, 200)
         assert state.requests_served == 2
+
+
+class TestStartup:
+    def test_serving_imports_no_training_module(self, skeleton, tmp_path):
+        # a served request only classifies, so `serve` starts without numpy
+        # or any training module
+        path = tmp_path / "skeleton.txt"
+        path.write_text(emit_skeleton(skeleton), encoding="utf-8")
+        code = (
+            "import sys\n"
+            "import mockskel.cli\n"
+            "from mockskel.server import MockService\n"
+            "from mockskel.skeleton import parse_skeleton\n"
+            "service = MockService(parse_skeleton(open(sys.argv[1], encoding='utf-8').read()))\n"
+            "service.handle('POST', 'http://localhost/tasks/1', [('Content-Type', 'application/json')],"
+            " b'{\"title\": \"x\"}')\n"
+            "print(sorted(m for m in sys.modules if m == 'numpy' or m.startswith("
+            "('mockskel.evaluation', 'mockskel.prep', 'mockskel.learners.base', 'mockskel.learners.c45'))))\n"
+        )
+        src = str(Path(mockskel.__file__).resolve().parents[1])
+        out = subprocess.run(
+            [sys.executable, "-c", code, str(path)], env=dict(os.environ, PYTHONPATH=src),
+            capture_output=True, text=True, timeout=60, check=True,
+        )
+        assert out.stdout.strip() == "[]"
 
 
 class TestStrictMode:
