@@ -42,7 +42,7 @@ from .traffic import (
 if TYPE_CHECKING:
     from .evaluation import TargetMetrics
     from .learners import LearnerParams
-    from .prep import EncodedTable, PrepConfig, Removal
+    from .prep import PrepConfig, PreparedDataset, Removal
 
 log = logging.getLogger(__name__)
 
@@ -175,23 +175,23 @@ class PipelineResult:
 
 @dataclass(frozen=True)
 class _TrainJob:
-    """What every (target, learner) task of one run reads: the shared
-    encoded table and the run's settings."""
+    """What every (target, learner) task of one run reads: the datasets,
+    all views of one encoded table, and the run's settings."""
 
-    table: EncodedTable
+    datasets: tuple[PreparedDataset, ...]
     params: LearnerParams
     folds: int
     seed: int
 
     def run(self, target: int, learner: str) -> tuple[TargetMetrics, Model]:
-        """Cross-validate ``learner`` on target column ``target``, then fit
-        it on every row."""
-        from .evaluation import cross_validate_encoded
-        from .learners import EncodedDataset, train_encoded
+        """Cross-validate ``learner`` on dataset ``target``, then fit it on
+        every row."""
+        from .evaluation import cross_validate
+        from .learners import train
 
-        enc = EncodedDataset.for_target(self.table, target)
-        metrics = cross_validate_encoded(enc, learner, self.params, k=self.folds, seed=self.seed)
-        return metrics, train_encoded(learner, enc, enc.all_rows(), self.params)
+        dataset = self.datasets[target]
+        metrics = cross_validate(dataset, learner, self.params, k=self.folds, seed=self.seed)
+        return metrics, train(learner, dataset, self.params)
 
 
 #: the job of this worker process, set once by ``_start_worker``
@@ -209,30 +209,27 @@ def _run_in_worker(target: int, learner: str) -> tuple[TargetMetrics, Model]:
 
 def run_pipeline(traffic_log: TrafficLog, config: RunConfig) -> PipelineResult:
     """Extract, prepare and encode once, then cross-validate and fit every
-    (target, learner) pair.  Pool workers receive the encoded table once,
-    when they start; each task names only a target column and a learner."""
+    (target, learner) pair.  Pool workers receive the datasets once, when
+    they start; each task names only a dataset and a learner."""
     from .prep import prepare_all
 
     table, profile = extract_table(traffic_log, config.extraction_config())
     datasets, removals = prepare_all(table, config.prep_config())
     if not datasets:
         raise DegenerateDatasetError("no learnable targets after preparation")
-    job = _TrainJob(datasets[0].encoded, config.learner_params(), config.folds, config.seed)
-    tasks = [(dataset, learner) for dataset in datasets for learner in config.learners]
+    job = _TrainJob(tuple(datasets), config.learner_params(), config.folds, config.seed)
+    tasks = [(t, learner) for t in range(len(datasets)) for learner in config.learners]
     jobs = config.jobs or os.cpu_count() or 1
     if jobs > 1 and len(tasks) > 1:
         with ProcessPoolExecutor(max_workers=jobs, initializer=_start_worker, initargs=(job,)) as pool:
-            futures = [
-                pool.submit(_run_in_worker, dataset.target_index, learner)
-                for dataset, learner in tasks
-            ]
+            futures = [pool.submit(_run_in_worker, t, learner) for t, learner in tasks]
             results = [f.result() for f in futures]
     else:
-        results = [job.run(dataset.target_index, learner) for dataset, learner in tasks]
+        results = [job.run(t, learner) for t, learner in tasks]
     out = PipelineResult(table=table, profile=profile, removals=removals, metrics=[])
-    for (dataset, learner), (metrics, model) in zip(tasks, results):
+    for (t, learner), (metrics, model) in zip(tasks, results):
         out.metrics.append(metrics)
-        out.models[(dataset.target, learner)] = model
+        out.models[(datasets[t].target, learner)] = model
     return out
 
 

@@ -14,7 +14,7 @@ from typing import Sequence
 import numpy as np
 
 from .errors import DegenerateDatasetError
-from .learners import EncodedDataset, LearnerParams, model_size, predict_encoded, train_encoded
+from .learners import LearnerParams, model_size, predict_encoded, train
 from .prep import PreparedDataset
 
 log = logging.getLogger(__name__)
@@ -122,10 +122,11 @@ def stratified_fold_indices(labels: Sequence, k: int, seed: int) -> list[np.ndar
 
 
 def stratified_folds(dataset: PreparedDataset, k: int = 10, seed: int = 1) -> list[np.ndarray]:
-    """Stratified fold assignment over a prepared dataset's target."""
+    """Stratified fold assignment over a prepared dataset's target codes:
+    the folds ``cross_validate`` trains on."""
     if len(dataset) == 0:
         raise DegenerateDatasetError("cannot fold an empty dataset")
-    return stratified_fold_indices(dataset.table.column(dataset.target), k, seed)
+    return stratified_fold_indices(dataset.y.tolist(), k, seed)
 
 
 def weighted_precision_recall(confusion: np.ndarray) -> tuple[float, float]:
@@ -161,27 +162,11 @@ def cross_validate(
     """k-fold cross-validation of one learner on one target.
 
     Accuracy, precision, and recall are computed from the confusion
-    matrix pooled over all held-out folds; model size is averaged over
-    the per-fold models.
+    matrix pooled over all held-out folds, whose rows are predicted from
+    their codes; model size is averaged over the per-fold models.
     """
-    if len(dataset) == 0:
-        raise DegenerateDatasetError("cannot evaluate an empty dataset")
-    return cross_validate_encoded(EncodedDataset(dataset), learner, params, k, seed)
-
-
-def cross_validate_encoded(
-    enc: EncodedDataset,
-    learner: str,
-    params: LearnerParams = LearnerParams(),
-    k: int = 10,
-    seed: int = 1,
-) -> TargetMetrics:
-    """``cross_validate`` on an encoded view; held-out rows are
-    predicted from their codes."""
-    if enc.n_instances == 0:
-        raise DegenerateDatasetError("cannot evaluate an empty dataset")
-    folds = stratified_fold_indices(enc.y.tolist(), k, seed)
-    n_classes = enc.n_classes
+    folds = stratified_folds(dataset, k, seed)
+    n_classes = dataset.n_classes
     pooled = np.zeros((n_classes, n_classes), dtype=np.int64)
     per_fold: list[FoldMetrics] = []
     sizes: list[int] = []
@@ -189,15 +174,15 @@ def cross_validate_encoded(
     for held_out in folds:
         if len(held_out) == 0:
             continue
-        mask = np.ones(enc.n_instances, dtype=bool)
+        mask = np.ones(len(dataset), dtype=bool)
         mask[held_out] = False
         train_rows = np.flatnonzero(mask)
         if len(train_rows) == 0:
             continue
-        model = train_encoded(learner, enc, train_rows, params)
+        model = train(learner, dataset, params, rows=train_rows)
         size = model_size(model)
         sizes.append(size)
-        cells = enc.y[held_out] * n_classes + predict_encoded(model, enc, held_out)
+        cells = dataset.y[held_out] * n_classes + predict_encoded(model, dataset, held_out)
         fold_confusion = np.bincount(cells, minlength=n_classes * n_classes).reshape(n_classes, n_classes)
         pooled += fold_confusion
         facc = float(np.trace(fold_confusion) / fold_confusion.sum())
@@ -207,7 +192,7 @@ def cross_validate_encoded(
     accuracy = float(np.trace(pooled) / pooled.sum())
     precision, recall = weighted_precision_recall(pooled)
     return TargetMetrics(
-        target=enc.target_name,
+        target=dataset.target,
         learner=learner,
         accuracy=accuracy,
         precision=precision,
@@ -215,7 +200,7 @@ def cross_validate_encoded(
         model_size=float(np.mean(sizes)) if sizes else 0.0,
         per_fold=tuple(per_fold),
         confusion=tuple(tuple(int(x) for x in row) for row in pooled),
-        classes=enc.target_domain,
+        classes=dataset.target_domain,
         folds=len(folds),
         seed=seed,
     )

@@ -30,12 +30,11 @@ LEARNER_ORDER = ("c45", "ripper", "part")
 #: names loaded from a submodule on first use
 _LAZY = {
     **dict.fromkeys(
-        ("C45Params", "EncodedDataset", "LearnerParams", "PartParams", "RipperParams",
-         "added_errors", "entropy", "gain_ratio", "predict_encoded"),
+        ("C45Params", "LearnerParams", "PartParams", "RipperParams", "added_errors", "entropy",
+         "gain_ratio", "predict_encoded"),
         "base",
     ),
     **{f"train_{name}": name for name in LEARNER_ORDER},
-    **{f"train_{name}_encoded": name for name in LEARNER_ORDER},
 }
 
 
@@ -45,32 +44,24 @@ def __getattr__(name: str):
     return getattr(import_module(f"{__name__}.{_LAZY[name]}"), name)
 
 
-def params_for(name: str, params: LearnerParams):
-    return {"c45": params.c45, "ripper": params.ripper, "part": params.part}[name]
-
-
-def _trainer(name: str, suffix: str = ""):
+def train(name: str, dataset, params: LearnerParams | None = None, rows=None):
+    """Train one learner by name on ``rows`` of a prepared dataset (every
+    row when None), with default parameters when ``params`` is None."""
     if name not in LEARNER_ORDER:
         raise ValueError(f"unknown learner {name!r} (expected one of {sorted(LEARNER_ORDER)})")
-    return __getattr__(f"train_{name}{suffix}")
-
-
-def train(name: str, dataset, params: LearnerParams | None = None):
-    """Train one learner by name on a prepared dataset (default parameters
-    when ``params`` is None)."""
     params = params or __getattr__("LearnerParams")()
-    return _trainer(name)(dataset, params_for(name, params))
+    return __getattr__(f"train_{name}")(dataset, getattr(params, name), rows=rows)
 
 
-def train_encoded(name: str, enc, rows, params: LearnerParams | None = None):
-    params = params or __getattr__("LearnerParams")()
-    return _trainer(name, "_encoded")(enc, rows, params_for(name, params))
+def EncodedDataset(dataset):
+    """``dataset`` itself, already an encoded view: kept because the
+    benchmark harness (``bench/tracing.py``) imports this name."""
+    return dataset
 
 
 __all__ = [
     "C45Params",
     "DecisionTree",
-    "EncodedDataset",
     "LEARNER_ORDER",
     "Leaf",
     "LearnerParams",
@@ -86,17 +77,12 @@ __all__ = [
     "gain_ratio",
     "leaf_count",
     "model_size",
-    "params_for",
     "predict_encoded",
     "render_model",
     "render_rules",
     "render_tree",
     "train",
     "train_c45",
-    "train_c45_encoded",
-    "train_encoded",
     "train_part",
-    "train_part_encoded",
     "train_ripper",
-    "train_ripper_encoded",
 ]

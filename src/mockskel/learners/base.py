@@ -1,6 +1,6 @@
-"""Shared learner machinery: parameters, the per-target view of the
-encoded table, classification of encoded rows, entropy / gain ratio, and
-the pessimistic error estimate used for pruning."""
+"""Shared learner machinery: parameters, classification of encoded rows,
+entropy / gain ratio, and the pessimistic error estimate used for
+pruning."""
 
 from __future__ import annotations
 
@@ -12,7 +12,7 @@ from typing import Iterable
 import numpy as np
 
 from ..errors import DegenerateDatasetError, SchemaMismatchError, UnknownAttributeError
-from ..prep import EncodedTable, PreparedDataset
+from ..prep import PreparedDataset
 from .model import DecisionTree, Leaf, Model, Node, RuleList
 
 
@@ -44,95 +44,51 @@ class LearnerParams:
     part: PartParams = PartParams()
 
 
-class EncodedDataset:
-    """One target's view of an encoded table, for the learner cores.
-
-    Column j of ``X`` holds indices into ``domains[j]`` (``codes[j]`` maps
-    each value to its index); ``y`` holds indices into ``target_domain``.
-    ``X`` is the table's own array and ``y`` one column of its ``Y``:
-    nothing is copied.
-    """
-
-    def __init__(self, prepared: PreparedDataset):
-        self._view(prepared.encoded, prepared.target_index)
-
-    @classmethod
-    def for_target(cls, table: EncodedTable, target: int) -> "EncodedDataset":
-        """The view of ``table``'s target column ``target``."""
-        enc = cls.__new__(cls)
-        enc._view(table, target)
-        return enc
-
-    def _view(self, table: EncodedTable, target: int) -> None:
-        attr = table.targets[target]
-        self.target_name = attr.name
-        self.target_domain: tuple[str, ...] = attr.domain
-        self.names: tuple[str, ...] = tuple(a.name for a in table.inputs)
-        self.domains: tuple[tuple[str, ...], ...] = tuple(a.domain for a in table.inputs)
-        self.codes: tuple[dict[str, int], ...] = table.input_codes
-        self.X = table.X
-        self.y = table.Y[:, target]
-
-    @property
-    def n_instances(self) -> int:
-        return len(self.y)
-
-    @property
-    def n_classes(self) -> int:
-        return len(self.target_domain)
-
-    def all_rows(self) -> np.ndarray:
-        return np.arange(self.n_instances, dtype=np.intp)
-
-    def total_conditions(self) -> int:
-        return sum(len(d) for d in self.domains)
-
-
 # ---------------------------------------------------------------------------
 # Classification of encoded rows: ``classify`` over codes, a block at a time
 
 
-def first_match(rule_list: RuleList, enc: EncodedDataset, rows: np.ndarray) -> np.ndarray:
+def first_match(rule_list: RuleList, ds: PreparedDataset, rows: np.ndarray) -> np.ndarray:
     """Per encoded row, the index of the first rule it satisfies, or
     ``len(rule_list.rules)`` where the default fires."""
-    column_of = {name: j for j, name in enumerate(enc.names)}
+    column_of = {name: j for j, name in enumerate(ds.names)}
     fired = np.full(len(rows), len(rule_list.rules), dtype=np.intp)
     undecided = np.ones(len(rows), dtype=bool)
     for i, rule in enumerate(rule_list.rules):
         mask = undecided.copy()
         for attr, value in rule.conditions:
             j = column_of.get(attr)
-            code = None if j is None else enc.codes[j].get(value)
+            code = None if j is None else ds.codes[j].get(value)
             if code is None:  # a test no encoded row can pass
                 mask[:] = False
                 break
-            mask &= enc.X[rows, j] == code
+            mask &= ds.X[rows, j] == code
         fired[mask] = i
         undecided &= ~mask
     return fired
 
 
-def rule_class_codes(rule_list: RuleList, enc: EncodedDataset) -> np.ndarray:
-    """Index into ``enc.target_domain`` of each rule's class, then of the
+def rule_class_codes(rule_list: RuleList, ds: PreparedDataset) -> np.ndarray:
+    """Index into ``ds.target_domain`` of each rule's class, then of the
     default class (-1 for a class outside that domain)."""
-    code_of = {value: i for i, value in enumerate(enc.target_domain)}
+    code_of = {value: i for i, value in enumerate(ds.target_domain)}
     classes = [rule.klass for rule in rule_list.rules] + [rule_list.default_class]
     return np.array([code_of.get(klass, -1) for klass in classes], dtype=np.intp)
 
 
-def predict_encoded(model: Model, enc: EncodedDataset, rows: np.ndarray) -> np.ndarray:
-    """Index into ``enc.target_domain`` of the class ``classify`` predicts
+def predict_encoded(model: Model, ds: PreparedDataset, rows: np.ndarray) -> np.ndarray:
+    """Index into ``ds.target_domain`` of the class ``classify`` predicts
     for each encoded row (-1 for a class outside that domain).
 
     Trees route whole blocks of rows down each branch; rule lists take
     the first matching rule's class.
     """
     if isinstance(model, RuleList):
-        return rule_class_codes(model, enc)[first_match(model, enc, rows)]
+        return rule_class_codes(model, ds)[first_match(model, ds, rows)]
     if not isinstance(model, DecisionTree):
         raise SchemaMismatchError(f"cannot classify with {type(model).__name__}")
-    code_of = {value: i for i, value in enumerate(enc.target_domain)}
-    column_of = {name: j for j, name in enumerate(enc.names)}
+    code_of = {value: i for i, value in enumerate(ds.target_domain)}
+    column_of = {name: j for j, name in enumerate(ds.names)}
     out = np.empty(len(rows), dtype=np.intp)
     stack: list[tuple[Node, np.ndarray]] = [(model.root, np.arange(len(rows)))]
     while stack:
@@ -147,8 +103,8 @@ def predict_encoded(model: Model, enc: EncodedDataset, rows: np.ndarray) -> np.n
         keys = list(node.branches)
         slot = {value: b for b, value in enumerate(keys)}
         missing = slot[node.missing_value]
-        branch_of_code = np.array([slot.get(v, missing) for v in enc.domains[j]], dtype=np.intp)
-        branch = branch_of_code[enc.X[rows[at], j]]
+        branch_of_code = np.array([slot.get(v, missing) for v in ds.domains[j]], dtype=np.intp)
+        branch = branch_of_code[ds.X[rows[at], j]]
         for b in np.unique(branch):
             stack.append((node.branches[keys[b]], at[branch == b]))
     return out
@@ -182,12 +138,12 @@ def _entropy_np(counts: np.ndarray) -> float:
     return math.log2(total) - _xlogx_sum(counts) / total
 
 
-def contingency(enc: EncodedDataset, rows: np.ndarray, attr_index: int) -> np.ndarray:
+def contingency(ds: PreparedDataset, rows: np.ndarray, attr_index: int) -> np.ndarray:
     """(domain size x class count) contingency table over ``rows``."""
-    m = len(enc.domains[attr_index])
-    k = enc.n_classes
-    values = enc.X[rows, attr_index].astype(np.int64)
-    return np.bincount(values * k + enc.y[rows], minlength=m * k).reshape(m, k)
+    m = len(ds.domains[attr_index])
+    k = ds.n_classes
+    values = ds.X[rows, attr_index].astype(np.int64)
+    return np.bincount(values * k + ds.y[rows], minlength=m * k).reshape(m, k)
 
 
 def branch_entropies(cont: np.ndarray) -> np.ndarray:
@@ -228,14 +184,13 @@ def gain_ratio(dataset: PreparedDataset, attribute: str, target: str | None = No
         raise UnknownAttributeError(
             f"dataset is projected for target {dataset.target!r}, not {target!r}"
         )
-    enc = EncodedDataset(dataset)
-    if enc.n_instances == 0:
+    if len(dataset) == 0:
         raise DegenerateDatasetError("no instances")
     try:
-        idx = enc.names.index(attribute)
+        idx = dataset.names.index(attribute)
     except ValueError:
         raise UnknownAttributeError(f"no input attribute named {attribute!r}") from None
-    _, ratio = gain_and_ratio(contingency(enc, enc.all_rows(), idx))
+    _, ratio = gain_and_ratio(contingency(dataset, dataset.all_rows(), idx))
     return ratio
 
 
@@ -260,8 +215,8 @@ def added_errors(n: float, e: float, cf: float) -> float:
     return r * n - e
 
 
-def class_counts(enc: EncodedDataset, rows: np.ndarray) -> np.ndarray:
-    return np.bincount(enc.y[rows], minlength=enc.n_classes)
+def class_counts(ds: PreparedDataset, rows: np.ndarray) -> np.ndarray:
+    return np.bincount(ds.y[rows], minlength=ds.n_classes)
 
 
 def majority_class(counts: np.ndarray) -> int:

@@ -15,7 +15,6 @@ from ..errors import DegenerateDatasetError
 from ..prep import PreparedDataset
 from .base import (
     C45Params,
-    EncodedDataset,
     added_errors,
     class_counts,
     contingency,
@@ -34,12 +33,12 @@ def _estimated_errors(node: Node, cf: float) -> float:
 
 
 def best_split(
-    enc: EncodedDataset, rows: np.ndarray, available: np.ndarray, min_leaf: int
+    ds: PreparedDataset, rows: np.ndarray, available: np.ndarray, min_leaf: int
 ) -> tuple[int | None, float]:
     """Index and gain ratio of the best admissible split attribute."""
     best_attr, best_ratio = None, 0.0
     for a in np.flatnonzero(available):
-        cont = contingency(enc, rows, int(a))
+        cont = contingency(ds, rows, int(a))
         branch_sizes = cont.sum(axis=1)
         if int((branch_sizes >= min_leaf).sum()) < 2:
             continue
@@ -52,35 +51,35 @@ def best_split(
 
 
 def _build(
-    enc: EncodedDataset,
+    ds: PreparedDataset,
     rows: np.ndarray,
     available: np.ndarray,
     params: C45Params,
     prune: bool,
 ) -> Node:
-    counts = class_counts(enc, rows)
+    counts = class_counts(ds, rows)
     total = len(rows)
     maj = majority_class(counts)
     errors = total - int(counts[maj])
-    leaf = Leaf(enc.target_domain[maj], total, errors)
+    leaf = Leaf(ds.target_domain[maj], total, errors)
     if errors == 0 or total < 2 * params.min_leaf_instances or not available.any():
         return leaf
 
-    attr, _ = best_split(enc, rows, available, params.min_leaf_instances)
+    attr, _ = best_split(ds, rows, available, params.min_leaf_instances)
     if attr is None:
         return leaf
 
     child_available = available.copy()
     child_available[attr] = False
-    column = enc.X[rows, attr]
+    column = ds.X[rows, attr]
     branches: dict[str, Node] = {}
-    for vi, value in enumerate(enc.domains[attr]):
+    for vi, value in enumerate(ds.domains[attr]):
         sub = rows[column == vi]
         if len(sub) == 0:
-            branches[value] = Leaf(enc.target_domain[maj], 0, 0)
+            branches[value] = Leaf(ds.target_domain[maj], 0, 0)
         else:
-            branches[value] = _build(enc, sub, child_available, params, prune)
-    node = Split(enc.names[attr], branches)
+            branches[value] = _build(ds, sub, child_available, params, prune)
+    node = Split(ds.names[attr], branches)
 
     if prune:
         subtree_est = _estimated_errors(node, params.confidence_factor)
@@ -90,18 +89,16 @@ def _build(
     return node
 
 
-def train_c45_encoded(
-    enc: EncodedDataset, rows: np.ndarray, params: C45Params = C45Params(), prune: bool = True
+def train_c45(
+    ds: PreparedDataset,
+    params: C45Params = C45Params(),
+    prune: bool = True,
+    rows: np.ndarray | None = None,
 ) -> DecisionTree:
+    """Fit a tree on ``rows`` of ``ds`` (every row when None)."""
+    rows = ds.all_rows() if rows is None else rows
     if len(rows) == 0:
         raise DegenerateDatasetError("cannot train a tree on 0 instances")
-    available = np.ones(len(enc.names), dtype=bool)
-    root = _build(enc, rows, available, params, prune)
-    return DecisionTree(target=enc.target_name, root=root)
-
-
-def train_c45(
-    dataset: PreparedDataset, params: C45Params = C45Params(), prune: bool = True
-) -> DecisionTree:
-    enc = EncodedDataset(dataset)
-    return train_c45_encoded(enc, enc.all_rows(), params, prune)
+    available = np.ones(len(ds.names), dtype=bool)
+    root = _build(ds, rows, available, params, prune)
+    return DecisionTree(target=ds.target, root=root)

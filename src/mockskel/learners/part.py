@@ -17,7 +17,6 @@ import numpy as np
 from ..errors import DegenerateDatasetError
 from ..prep import PreparedDataset
 from .base import (
-    EncodedDataset,
     PartParams,
     added_errors,
     branch_entropies,
@@ -50,30 +49,30 @@ _PNode = Union[_PLeaf, _PSplit]
 
 
 def _expand(
-    enc: EncodedDataset, rows: np.ndarray, available: np.ndarray, params: PartParams
+    ds: PreparedDataset, rows: np.ndarray, available: np.ndarray, params: PartParams
 ) -> _PNode:
-    counts = class_counts(enc, rows)
+    counts = class_counts(ds, rows)
     total = len(rows)
     maj = majority_class(counts)
     errors = total - int(counts[maj])
     leaf = _PLeaf(maj, total, errors)
     if errors == 0 or total < 2 * params.min_leaf_instances or not available.any():
         return leaf
-    attr, _ = best_split(enc, rows, available, params.min_leaf_instances)
+    attr, _ = best_split(ds, rows, available, params.min_leaf_instances)
     if attr is None:
         return leaf
 
     child_available = available.copy()
     child_available[attr] = False
-    column = enc.X[rows, attr]
-    subsets = {vi: rows[column == vi] for vi in range(len(enc.domains[attr]))}
-    entropies = branch_entropies(contingency(enc, rows, attr))
+    column = ds.X[rows, attr]
+    subsets = {vi: rows[column == vi] for vi in range(len(ds.domains[attr]))}
+    entropies = branch_entropies(contingency(ds, rows, attr))
     order = sorted(subsets, key=lambda vi: (entropies[vi], vi))
 
     node = _PSplit(attr=attr, children={vi: None for vi in range(len(subsets))})
     for vi in order:
         sub = subsets[vi]
-        child = _PLeaf(maj, 0, 0) if len(sub) == 0 else _expand(enc, sub, child_available, params)
+        child = _PLeaf(maj, 0, 0) if len(sub) == 0 else _expand(ds, sub, child_available, params)
         node.children[vi] = child
         if isinstance(child, _PSplit):
             return node  # further siblings stay unexpanded
@@ -103,34 +102,31 @@ def _best_leaf(node: _PNode, conds: _Conds = ()) -> tuple[_PLeaf, _Conds]:
     return best
 
 
-def train_part_encoded(
-    enc: EncodedDataset, rows: np.ndarray, params: PartParams = PartParams()
+def train_part(
+    ds: PreparedDataset, params: PartParams = PartParams(), rows: np.ndarray | None = None
 ) -> RuleList:
+    """Learn a rule list from ``rows`` of ``ds`` (every row when None)."""
+    rows = ds.all_rows() if rows is None else rows
     if len(rows) == 0:
         raise DegenerateDatasetError("cannot train a rule list on 0 instances")
     remaining = rows
     rules: list[Rule] = []
     default_class: str | None = None
     while len(remaining):
-        available = np.ones(len(enc.names), dtype=bool)
-        tree = _expand(enc, remaining, available, params)
+        available = np.ones(len(ds.names), dtype=bool)
+        tree = _expand(ds, remaining, available, params)
         leaf, conds = _best_leaf(tree)
         if not conds:
-            default_class = enc.target_domain[leaf.ci]
+            default_class = ds.target_domain[leaf.ci]
             break
-        named = tuple((enc.names[a], enc.domains[a][v]) for a, v in conds)
-        rules.append(Rule(conditions=named, klass=enc.target_domain[leaf.ci]))
+        named = tuple((ds.names[a], ds.domains[a][v]) for a, v in conds)
+        rules.append(Rule(conditions=named, klass=ds.target_domain[leaf.ci]))
         mask = np.ones(len(remaining), dtype=bool)
         for a, v in conds:
-            mask &= enc.X[remaining, a] == v
+            mask &= ds.X[remaining, a] == v
         remaining = remaining[~mask]
     if default_class is None:
-        default_class = rules[-1].klass if rules else enc.target_domain[0]
-    rule_list = RuleList(target=enc.target_name, rules=tuple(rules), default_class=default_class)
-    recount_encoded(rule_list, enc, rows)
+        default_class = rules[-1].klass if rules else ds.target_domain[0]
+    rule_list = RuleList(target=ds.target, rules=tuple(rules), default_class=default_class)
+    recount_encoded(rule_list, ds, rows)
     return rule_list
-
-
-def train_part(dataset: PreparedDataset, params: PartParams = PartParams()) -> RuleList:
-    enc = EncodedDataset(dataset)
-    return train_part_encoded(enc, enc.all_rows(), params)

@@ -17,7 +17,7 @@ import numpy as np
 
 from ..errors import DegenerateDatasetError
 from ..prep import PreparedDataset
-from .base import EncodedDataset, RipperParams, class_counts, first_match, rule_class_codes
+from .base import RipperParams, class_counts, first_match, rule_class_codes
 from .model import Rule, RuleList
 
 MDL_SURPLUS_BITS = 64.0
@@ -67,55 +67,55 @@ def _data_dl(cover: int, uncover: int, fp: int, fn: int) -> float:
     return bits
 
 
-def _match_mask(enc: EncodedDataset, rows: np.ndarray, conds: Conds) -> np.ndarray:
+def _match_mask(ds: PreparedDataset, rows: np.ndarray, conds: Conds) -> np.ndarray:
     mask = np.ones(len(rows), dtype=bool)
     for attr, value in conds:
-        mask &= enc.X[rows, attr] == value
+        mask &= ds.X[rows, attr] == value
     return mask
 
 
-def _union_coverage(enc: EncodedDataset, rows: np.ndarray, ruleset: list[Conds]) -> np.ndarray:
+def _union_coverage(ds: PreparedDataset, rows: np.ndarray, ruleset: list[Conds]) -> np.ndarray:
     mask = np.zeros(len(rows), dtype=bool)
     for conds in ruleset:
-        mask |= _match_mask(enc, rows, conds)
+        mask |= _match_mask(ds, rows, conds)
     return mask
 
 
-def _stage_dl(enc: EncodedDataset, rows: np.ndarray, ruleset: list[Conds], pos: int) -> float:
-    covered = _union_coverage(enc, rows, ruleset)
-    is_pos = enc.y[rows] == pos
+def _stage_dl(ds: PreparedDataset, rows: np.ndarray, ruleset: list[Conds], pos: int) -> float:
+    covered = _union_coverage(ds, rows, ruleset)
+    is_pos = ds.y[rows] == pos
     cover = int(covered.sum())
     uncover = len(rows) - cover
     fp = int((covered & ~is_pos).sum())
     fn = int((~covered & is_pos).sum())
-    total_conds = enc.total_conditions()
+    total_conds = ds.total_conditions()
     return _data_dl(cover, uncover, fp, fn) + sum(
         _theory_dl(total_conds, len(c)) for c in ruleset
     )
 
 
 def _grow_rule(
-    enc: EncodedDataset, grow_rows: np.ndarray, pos: int, start: Conds = ()
+    ds: PreparedDataset, grow_rows: np.ndarray, pos: int, start: Conds = ()
 ) -> Conds:
     """Add attribute=value conditions maximizing FOIL information gain
     until no covered negatives remain (or no condition helps)."""
     conds = list(start)
     used = {attr for attr, _ in conds}
-    covered = grow_rows[_match_mask(enc, grow_rows, tuple(conds))]
+    covered = grow_rows[_match_mask(ds, grow_rows, tuple(conds))]
     while True:
-        is_pos = enc.y[covered] == pos
+        is_pos = ds.y[covered] == pos
         p0 = int(is_pos.sum())
         n0 = len(covered) - p0
         if n0 == 0 or p0 == 0:
             break
         acc0 = _log2(p0 / (p0 + n0))
         best_gain, best_attr, best_value = 0.0, None, None
-        for attr in range(len(enc.names)):
+        for attr in range(len(ds.names)):
             if attr in used:
                 continue
-            values = enc.X[covered, attr]
-            totals = np.bincount(values, minlength=len(enc.domains[attr]))
-            positives = np.bincount(values[is_pos], minlength=len(enc.domains[attr]))
+            values = ds.X[covered, attr]
+            totals = np.bincount(values, minlength=len(ds.domains[attr]))
+            positives = np.bincount(values[is_pos], minlength=len(ds.domains[attr]))
             for vi in range(len(totals)):
                 p1 = int(positives[vi])
                 if p1 == 0:
@@ -127,7 +127,7 @@ def _grow_rule(
             break
         conds.append((best_attr, best_value))
         used.add(best_attr)
-        covered = covered[enc.X[covered, best_attr] == best_value]
+        covered = covered[ds.X[covered, best_attr] == best_value]
     return tuple(conds)
 
 
@@ -135,16 +135,16 @@ def _prune_value(p: int, n: int) -> float:
     return (p - n) / (p + n) if p + n > 0 else 0.0
 
 
-def _prune_rule(enc: EncodedDataset, prune_rows: np.ndarray, conds: Conds, pos: int) -> Conds:
+def _prune_rule(ds: PreparedDataset, prune_rows: np.ndarray, conds: Conds, pos: int) -> Conds:
     """Keep the condition prefix maximizing (p-n)/(p+n) on the prune set
     (ties prefer the shorter rule).  At least one condition is kept."""
     if len(conds) <= 1 or len(prune_rows) == 0:
         return conds
-    is_pos = enc.y[prune_rows] == pos
+    is_pos = ds.y[prune_rows] == pos
     mask = np.ones(len(prune_rows), dtype=bool)
     worths = []
     for attr, value in conds:
-        mask = mask & (enc.X[prune_rows, attr] == value)
+        mask = mask & (ds.X[prune_rows, attr] == value)
         p = int((mask & is_pos).sum())
         n = int(mask.sum()) - p
         worths.append(_prune_value(p, n))
@@ -156,12 +156,12 @@ def _prune_rule(enc: EncodedDataset, prune_rows: np.ndarray, conds: Conds, pos: 
 
 
 def _grow_prune_split(
-    enc: EncodedDataset, rows: np.ndarray, pos: int, params: RipperParams, rng: random.Random
+    ds: PreparedDataset, rows: np.ndarray, pos: int, params: RipperParams, rng: random.Random
 ) -> tuple[np.ndarray, np.ndarray]:
     """Stratified fold-style split: (folds-1)/folds grow, the rest prunes."""
     grow: list[int] = []
     prune: list[int] = []
-    for group_rows in (rows[enc.y[rows] == pos], rows[enc.y[rows] != pos]):
+    for group_rows in (rows[ds.y[rows] == pos], rows[ds.y[rows] != pos]):
         group = group_rows.tolist()
         rng.shuffle(group)
         cut = len(group) - len(group) // params.folds_split
@@ -170,15 +170,15 @@ def _grow_prune_split(
     return np.sort(np.array(grow, dtype=np.intp)), np.sort(np.array(prune, dtype=np.intp))
 
 
-def _acceptable(enc: EncodedDataset, remaining: np.ndarray, conds: Conds, pos: int, params: RipperParams) -> bool:
-    mask = _match_mask(enc, remaining, conds)
-    p = int((enc.y[remaining[mask]] == pos).sum())
+def _acceptable(ds: PreparedDataset, remaining: np.ndarray, conds: Conds, pos: int, params: RipperParams) -> bool:
+    mask = _match_mask(ds, remaining, conds)
+    p = int((ds.y[remaining[mask]] == pos).sum())
     n = int(mask.sum()) - p
     return p > 0 and n < p and (p + n) >= params.min_rule_coverage
 
 
 def _build_stage(
-    enc: EncodedDataset,
+    ds: PreparedDataset,
     stage_rows: np.ndarray,
     pos: int,
     params: RipperParams,
@@ -187,35 +187,35 @@ def _build_stage(
 ) -> list[Conds]:
     """Grow rules for one class until positives run out or MDL says stop."""
     ruleset = list(ruleset or [])
-    remaining = stage_rows[~_union_coverage(enc, stage_rows, ruleset)]
-    min_dl = _stage_dl(enc, stage_rows, ruleset, pos)
-    while (enc.y[remaining] == pos).any():
-        grow_rows, prune_rows = _grow_prune_split(enc, remaining, pos, params, rng)
-        conds = _grow_rule(enc, grow_rows, pos)
+    remaining = stage_rows[~_union_coverage(ds, stage_rows, ruleset)]
+    min_dl = _stage_dl(ds, stage_rows, ruleset, pos)
+    while (ds.y[remaining] == pos).any():
+        grow_rows, prune_rows = _grow_prune_split(ds, remaining, pos, params, rng)
+        conds = _grow_rule(ds, grow_rows, pos)
         if not conds:
             break
-        conds = _prune_rule(enc, prune_rows, conds, pos)
-        dl = _stage_dl(enc, stage_rows, ruleset + [conds], pos)
+        conds = _prune_rule(ds, prune_rows, conds, pos)
+        dl = _stage_dl(ds, stage_rows, ruleset + [conds], pos)
         min_dl = min(min_dl, dl)
         if dl > min_dl + MDL_SURPLUS_BITS:
             break
-        if not _acceptable(enc, remaining, conds, pos, params):
+        if not _acceptable(ds, remaining, conds, pos, params):
             break
         ruleset.append(conds)
-        remaining = remaining[~_match_mask(enc, remaining, conds)]
+        remaining = remaining[~_match_mask(ds, remaining, conds)]
     return ruleset
 
 
 def _whole_list_error(
-    enc: EncodedDataset, rows: np.ndarray, ruleset: list[Conds], pos: int
+    ds: PreparedDataset, rows: np.ndarray, ruleset: list[Conds], pos: int
 ) -> int:
-    covered = _union_coverage(enc, rows, ruleset)
-    is_pos = enc.y[rows] == pos
+    covered = _union_coverage(ds, rows, ruleset)
+    is_pos = ds.y[rows] == pos
     return int((covered & ~is_pos).sum() + (~covered & is_pos).sum())
 
 
 def _prune_for_list(
-    enc: EncodedDataset,
+    ds: PreparedDataset,
     prune_rows: np.ndarray,
     others: list[Conds],
     conds: Conds,
@@ -226,14 +226,14 @@ def _prune_for_list(
         return conds
     best_len, best_err = None, None
     for j in range(1, len(conds) + 1):
-        err = _whole_list_error(enc, prune_rows, others + [conds[:j]], pos)
+        err = _whole_list_error(ds, prune_rows, others + [conds[:j]], pos)
         if best_err is None or err < best_err:
             best_len, best_err = j, err
     return conds[:best_len]
 
 
 def _optimize_stage(
-    enc: EncodedDataset,
+    ds: PreparedDataset,
     stage_rows: np.ndarray,
     ruleset: list[Conds],
     pos: int,
@@ -244,20 +244,20 @@ def _optimize_stage(
     result = list(ruleset)
     for i in range(len(result)):
         others = result[:i] + result[i + 1:]
-        basis = stage_rows[~_union_coverage(enc, stage_rows, others)]
+        basis = stage_rows[~_union_coverage(ds, stage_rows, others)]
         if len(basis) == 0:
             continue
-        grow_rows, prune_rows = _grow_prune_split(enc, basis, pos, params, rng)
+        grow_rows, prune_rows = _grow_prune_split(ds, basis, pos, params, rng)
         candidates = [result[i]]
-        replacement = _grow_rule(enc, grow_rows, pos)
+        replacement = _grow_rule(ds, grow_rows, pos)
         if replacement:
-            candidates.append(_prune_for_list(enc, prune_rows, others, replacement, pos))
-        revision = _grow_rule(enc, grow_rows, pos, start=result[i])
+            candidates.append(_prune_for_list(ds, prune_rows, others, replacement, pos))
+        revision = _grow_rule(ds, grow_rows, pos, start=result[i])
         if revision:
-            candidates.append(_prune_for_list(enc, prune_rows, others, revision, pos))
+            candidates.append(_prune_for_list(ds, prune_rows, others, revision, pos))
         best, best_dl = None, None
         for cand in candidates:
-            dl = _stage_dl(enc, stage_rows, result[:i] + [cand] + result[i + 1:], pos)
+            dl = _stage_dl(ds, stage_rows, result[:i] + [cand] + result[i + 1:], pos)
             if best_dl is None or dl < best_dl - 1e-9:
                 best, best_dl = cand, dl
         result[i] = best
@@ -265,60 +265,62 @@ def _optimize_stage(
 
 
 def _sweep_deletions(
-    enc: EncodedDataset, stage_rows: np.ndarray, ruleset: list[Conds], pos: int
+    ds: PreparedDataset, stage_rows: np.ndarray, ruleset: list[Conds], pos: int
 ) -> list[Conds]:
     """Drop rules whose removal does not increase the description length."""
     result = list(ruleset)
     i = len(result) - 1
     while i >= 0:
         without = result[:i] + result[i + 1:]
-        if _stage_dl(enc, stage_rows, without, pos) <= _stage_dl(enc, stage_rows, result, pos):
+        if _stage_dl(ds, stage_rows, without, pos) <= _stage_dl(ds, stage_rows, result, pos):
             result = without
         i -= 1
     return result
 
 
-def train_ripper_encoded(
-    enc: EncodedDataset, rows: np.ndarray, params: RipperParams = RipperParams()
+def train_ripper(
+    ds: PreparedDataset, params: RipperParams = RipperParams(), rows: np.ndarray | None = None
 ) -> RuleList:
+    """Learn a rule list from ``rows`` of ``ds`` (every row when None)."""
+    rows = ds.all_rows() if rows is None else rows
     if len(rows) == 0:
         raise DegenerateDatasetError("cannot train a rule list on 0 instances")
-    counts = class_counts(enc, rows)
+    counts = class_counts(ds, rows)
     order = sorted(
-        (c for c in range(enc.n_classes) if counts[c] > 0),
+        (c for c in range(ds.n_classes) if counts[c] > 0),
         key=lambda c: (counts[c], c),
     )
     rng = random.Random(params.seed)
     rules: list[Rule] = []
     data = rows
     for ci in order[:-1]:
-        if not (enc.y[data] == ci).any():
+        if not (ds.y[data] == ci).any():
             continue
-        ruleset = _build_stage(enc, data, ci, params, rng)
+        ruleset = _build_stage(ds, data, ci, params, rng)
         for _ in range(params.optimization_runs):
             if not ruleset:
                 break
-            ruleset = _optimize_stage(enc, data, ruleset, ci, params, rng)
-            ruleset = _build_stage(enc, data, ci, params, rng, ruleset=ruleset)
-        ruleset = _sweep_deletions(enc, data, ruleset, ci)
+            ruleset = _optimize_stage(ds, data, ruleset, ci, params, rng)
+            ruleset = _build_stage(ds, data, ci, params, rng, ruleset=ruleset)
+        ruleset = _sweep_deletions(ds, data, ruleset, ci)
         for conds in ruleset:
-            named = tuple((enc.names[a], enc.domains[a][v]) for a, v in conds)
-            rules.append(Rule(conditions=named, klass=enc.target_domain[ci]))
+            named = tuple((ds.names[a], ds.domains[a][v]) for a, v in conds)
+            rules.append(Rule(conditions=named, klass=ds.target_domain[ci]))
         if ruleset:
-            data = data[~_union_coverage(enc, data, ruleset)]
-    default_class = enc.target_domain[order[-1]]
-    rule_list = RuleList(target=enc.target_name, rules=tuple(rules), default_class=default_class)
-    recount_encoded(rule_list, enc, rows)
+            data = data[~_union_coverage(ds, data, ruleset)]
+    default_class = ds.target_domain[order[-1]]
+    rule_list = RuleList(target=ds.target, rules=tuple(rules), default_class=default_class)
+    recount_encoded(rule_list, ds, rows)
     return rule_list
 
 
-def recount_encoded(rule_list: RuleList, enc: EncodedDataset, rows: np.ndarray) -> None:
+def recount_encoded(rule_list: RuleList, ds: PreparedDataset, rows: np.ndarray) -> None:
     """Refresh (N/E) annotations with first-match counts over ``rows``."""
-    fired = first_match(rule_list, enc, rows)
-    class_codes = rule_class_codes(rule_list, enc)
+    fired = first_match(rule_list, ds, rows)
+    class_codes = rule_class_codes(rule_list, ds)
     slots = len(class_codes)
     covered = np.bincount(fired, minlength=slots)
-    correct = np.bincount(fired[enc.y[rows] == class_codes[fired]], minlength=slots)
+    correct = np.bincount(fired[ds.y[rows] == class_codes[fired]], minlength=slots)
     errors = covered - correct
     rule_list.rules = tuple(
         Rule(rule.conditions, rule.klass, int(covered[i]), int(errors[i]))
@@ -326,8 +328,3 @@ def recount_encoded(rule_list: RuleList, enc: EncodedDataset, rows: np.ndarray) 
     )
     rule_list.default_count = int(covered[-1])
     rule_list.default_errors = int(errors[-1])
-
-
-def train_ripper(dataset: PreparedDataset, params: RipperParams = RipperParams()) -> RuleList:
-    enc = EncodedDataset(dataset)
-    return train_ripper_encoded(enc, enc.all_rows(), params)

@@ -11,7 +11,8 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass, replace
-from functools import cached_property
+from operator import itemgetter
+from typing import Sequence
 
 import numpy as np
 
@@ -85,22 +86,24 @@ class EncodedTable:
         raise UnknownTargetError(f"{name!r} is not a target attribute of this table")
 
 
-def encode_table(table: InstanceTable) -> EncodedTable:
-    """Encode every attribute of ``table`` against its domain, one column
-    at a time."""
-    n = len(table.instances)
-    inputs, targets = table.inputs(), table.targets()
+def encode_table(table: InstanceTable, keep: Sequence[int] | None = None) -> EncodedTable:
+    """Encode the attributes of ``table`` at positions ``keep`` (all of them
+    by default) against their domains, one column at a time."""
+    keep = range(len(table.schema)) if keep is None else keep
+    rows = [inst.values for inst in table.instances]
+    n = len(rows)
+    schema = [table.schema[i] for i in keep]
+    inputs = tuple(a for a in schema if a.role is Role.INPUT)
+    targets = tuple(a for a in schema if a.role is Role.TARGET)
     X = np.empty((n, len(inputs)), dtype=np.int32, order="F")
     Y = np.empty((n, len(targets)), dtype=np.int32, order="F")
-    columns = list(zip(*(inst.values for inst in table.instances))) or [()] * len(table.schema)
     input_codes = []
-    x_col = y_col = 0
-    for attr, column in zip(table.schema, columns):
-        code_of = {value: i for i, value in enumerate(attr.domain)}
-        codes = np.fromiter(map(code_of.__getitem__, column), dtype=np.int32, count=n)
+    y_col = 0
+    for i, attr in zip(keep, schema):
+        code_of = {value: c for c, value in enumerate(attr.domain)}
+        codes = np.fromiter(map(code_of.__getitem__, map(itemgetter(i), rows)), dtype=np.int32, count=n)
         if attr.role is Role.INPUT:
-            X[:, x_col] = codes
-            x_col += 1
+            X[:, len(input_codes)] = codes
             input_codes.append(code_of)
         else:
             Y[:, y_col] = codes
@@ -109,66 +112,37 @@ def encode_table(table: InstanceTable) -> EncodedTable:
 
 
 class PreparedDataset:
-    """All input attributes plus exactly one target attribute.
+    """All input attributes plus exactly one target: one target column of
+    an ``EncodedTable``.
 
-    ``source`` may hold other targets as well: the datasets of one
-    ``prepare_all`` share it and its ``encoded`` form, and ``table``, the
-    one-target projection, is built only when read.  A dataset built by
-    hand encodes its source the first time ``encoded`` is read.
+    Column j of ``X`` holds indices into ``domains[j]`` (``codes[j]`` maps
+    each value to its index); ``y`` holds indices into ``target_domain``.
+    ``X`` is the table's own array and ``y`` one column of its ``Y``, so
+    the datasets of one table copy nothing.  Every field is a plain
+    attribute, bound once: the learners read them in their inner loops.
     """
 
-    def __init__(
-        self,
-        table: InstanceTable,
-        target: str,
-        provenance: tuple[Removal, ...] = (),
-        encoded: EncodedTable | None = None,
-    ):
-        if table.attribute(target).role is not Role.TARGET:
-            raise UnknownTargetError(f"{target!r} is not a target attribute")
-        self.source = table
-        self.target = target
+    def __init__(self, table: EncodedTable, target: int, provenance: tuple[Removal, ...] = ()):
+        attr = table.targets[target]
+        self.target = attr.name
+        self.target_domain: tuple[str, ...] = attr.domain
+        self.n_classes = len(attr.domain)
+        self.input_attributes = table.inputs
+        self.names: tuple[str, ...] = tuple(a.name for a in table.inputs)
+        self.domains: tuple[tuple[str, ...], ...] = tuple(a.domain for a in table.inputs)
+        self.codes: tuple[dict[str, int], ...] = table.input_codes
+        self.X = table.X
+        self.y = table.Y[:, target]
         self.provenance = provenance
-        self._encoded = encoded
-
-    @property
-    def encoded(self) -> EncodedTable:
-        if self._encoded is None:
-            self._encoded = encode_table(self.source)
-        return self._encoded
-
-    @property
-    def target_index(self) -> int:
-        """This dataset's column of ``encoded.Y``."""
-        return self.encoded.target_index(self.target)
-
-    @cached_property
-    def table(self) -> InstanceTable:
-        """The inputs plus this dataset's target, as strings."""
-        keep = [
-            i for i, a in enumerate(self.source.schema)
-            if a.role is Role.INPUT or a.name == self.target
-        ]
-        if len(keep) == len(self.source.schema):
-            return self.source
-        return InstanceTable(
-            schema=tuple(self.source.schema[i] for i in keep),
-            instances=tuple(
-                Instance(values=tuple(inst.values[i] for i in keep), transaction_id=inst.transaction_id)
-                for inst in self.source.instances
-            ),
-        )
-
-    @property
-    def target_attribute(self) -> Attribute:
-        return self.source.attribute(self.target)
-
-    @property
-    def input_attributes(self) -> tuple[Attribute, ...]:
-        return self.source.inputs()
 
     def __len__(self) -> int:
-        return len(self.source.instances)
+        return len(self.y)
+
+    def all_rows(self) -> np.ndarray:
+        return np.arange(len(self.y), dtype=np.intp)
+
+    def total_conditions(self) -> int:
+        return sum(len(d) for d in self.domains)
 
 
 def coerce_to_nominal(table: InstanceTable) -> InstanceTable:
@@ -181,14 +155,10 @@ def coerce_to_nominal(table: InstanceTable) -> InstanceTable:
     return InstanceTable(schema=schema, instances=table.instances)
 
 
-def prune_targets(
-    table: InstanceTable, config: PrepConfig = PrepConfig()
-) -> tuple[InstanceTable, tuple[Removal, ...]]:
-    """Drop unary and high-cardinality targets (and, when configured,
-    single-valued inputs).  Returns the reduced table and the removal
-    report."""
-    n = len(table.instances)
-    limit = config.cardinality_limit(n)
+def _prune(table: InstanceTable, config: PrepConfig) -> tuple[list[int], tuple[Removal, ...]]:
+    """Positions of the attributes that survive pruning, judged by their
+    domains, and the removal report."""
+    limit = config.cardinality_limit(len(table.instances))
     removals: list[Removal] = []
     kept: list[int] = []
     for i, attr in enumerate(table.schema):
@@ -211,13 +181,22 @@ def prune_targets(
                 )
                 continue
         kept.append(i)
+    return kept, tuple(removals)
 
+
+def prune_targets(
+    table: InstanceTable, config: PrepConfig = PrepConfig()
+) -> tuple[InstanceTable, tuple[Removal, ...]]:
+    """Drop unary and high-cardinality targets (and, when configured,
+    single-valued inputs).  Returns the reduced table and the removal
+    report."""
+    kept, removals = _prune(table, config)
     schema = tuple(table.schema[i] for i in kept)
     instances = tuple(
         Instance(values=tuple(inst.values[i] for i in kept), transaction_id=inst.transaction_id)
         for inst in table.instances
     )
-    return InstanceTable(schema=schema, instances=instances), tuple(removals)
+    return InstanceTable(schema=schema, instances=instances), removals
 
 
 def project_for_target(
@@ -225,23 +204,27 @@ def project_for_target(
     target: str,
     removals: tuple[Removal, ...] = (),
 ) -> PreparedDataset:
-    """The dataset of a pruned table's inputs plus the named target."""
+    """The dataset of a pruned table's inputs plus the named target; the
+    whole table is encoded."""
     for removal in removals:
         if removal.attribute == target:
             raise PrunedTargetError(f"target {target!r} was removed ({removal.reason})")
-    names = {a.name: a for a in table.schema}
-    if target not in names or names[target].role is not Role.TARGET:
-        raise UnknownTargetError(f"{target!r} is not a target attribute of this table")
-    return PreparedDataset(table, target, removals)
+    encoded = encode_table(table)
+    return PreparedDataset(encoded, encoded.target_index(target), removals)
 
 
 def prepare_all(
     table: InstanceTable, config: PrepConfig = PrepConfig()
 ) -> tuple[list[PreparedDataset], tuple[Removal, ...]]:
-    """Coerce, prune, and encode once; one dataset per surviving target,
-    all sharing the pruned table and its encoded form."""
-    coerced = coerce_to_nominal(table)
-    pruned, removals = prune_targets(coerced, config)
-    encoded = encode_table(pruned)
-    datasets = [PreparedDataset(pruned, attr.name, removals, encoded) for attr in encoded.targets]
+    """Prune, then encode the kept columns once; one dataset per surviving
+    target, each a view of that one encoded table.
+
+    ``table`` must carry its domains: each attribute's observed values in
+    ``nominal_sort`` order, as ``extract_table`` builds them.  Pruning
+    reads those domains and encoding indexes into them, so a table built
+    by hand goes through ``coerce_to_nominal`` first.
+    """
+    kept, removals = _prune(table, config)
+    encoded = encode_table(table, kept)
+    datasets = [PreparedDataset(encoded, t, removals) for t in range(len(encoded.targets))]
     return datasets, removals

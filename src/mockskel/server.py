@@ -13,6 +13,7 @@ from __future__ import annotations
 import json
 import logging
 import threading
+from collections import OrderedDict
 from dataclasses import dataclass, field
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 
@@ -32,6 +33,10 @@ log = logging.getLogger(__name__)
 #: number of striped per-resource locks in a MockService
 LOCK_STRIPES = 64
 
+#: most resource states a ServeState holds; past it, the least recently
+#: served resource is forgotten
+MAX_RESOURCES = 65_536
+
 
 @dataclass
 class SynthesizedResponse:
@@ -44,10 +49,13 @@ class SynthesizedResponse:
 class ServeState:
     """Folded state of each served resource plus counters.
 
-    ``lock`` guards the counters, which requests for any resource update.
+    ``per_resource`` runs from the least to the most recently served
+    resource and holds at most ``MAX_RESOURCES`` of them.  ``lock`` guards
+    changes to it and the counters, which requests for any resource
+    update.
     """
 
-    per_resource: dict[str, ResourceState] = field(default_factory=dict)
+    per_resource: OrderedDict[str, ResourceState] = field(default_factory=OrderedDict)
     requests_served: int = 0
     unmatched_features: int = 0
     lock: threading.Lock = field(default_factory=threading.Lock, repr=False, compare=False)
@@ -55,6 +63,15 @@ class ServeState:
     def history(self, key: str) -> ResourceState:
         """The folded history of resource ``key``."""
         return self.per_resource.get(key, ResourceState())
+
+    def record(self, key: str, state: ResourceState) -> None:
+        """Set the state of resource ``key``, now the most recently served,
+        dropping the least recently served resource past the cap."""
+        with self.lock:
+            self.per_resource[key] = state
+            self.per_resource.move_to_end(key)
+            if len(self.per_resource) > MAX_RESOURCES:
+                self.per_resource.popitem(last=False)
 
     def count(self, unmatched: int) -> None:
         """Count one served request that presented ``unmatched`` features."""
@@ -168,9 +185,9 @@ def synthesize_response(
         if not any(n.lower() == "content-type" for n in deduped):
             deduped["Content-Type"] = "application/json"
 
-    state.per_resource[key] = resource.after(
+    state.record(key, resource.after(
         request.method, status, crud_class(request, skeleton.config.resource)
-    )
+    ))
     return SynthesizedResponse(
         status_code=status, headers=tuple(deduped.items()), body=body
     )

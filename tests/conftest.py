@@ -1,7 +1,7 @@
 import pytest
 
 from mockskel.features import Attribute, Instance, InstanceTable, Role
-from mockskel.prep import PreparedDataset, coerce_to_nominal
+from mockskel.prep import coerce_to_nominal, project_for_target
 from mockskel.synth import generate_synthetic_log
 
 
@@ -27,4 +27,16 @@ def make_dataset(rows, input_names, target_name="statusCode"):
             Instance(tuple(str(v) for v in row), f"t{i}") for i, row in enumerate(rows)
         ),
     )
-    return PreparedDataset(coerce_to_nominal(table), target_name)
+    return project_for_target(coerce_to_nominal(table), target_name)
+
+
+def row_mapping(ds, i):
+    """Row ``i`` of a prepared dataset as name -> value, decoded from its codes."""
+    row = {name: domain[code] for name, domain, code in zip(ds.names, ds.domains, ds.X[i])}
+    row[ds.target] = ds.target_domain[ds.y[i]]
+    return row
+
+
+def target_labels(ds):
+    """The target column of a prepared dataset, decoded from its codes."""
+    return [ds.target_domain[code] for code in ds.y]

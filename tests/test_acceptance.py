@@ -169,7 +169,7 @@ def test_criterion_4_rule_list_semantics():
             ds = dataset_from_rows(rows, attrs)
             model = (train_ripper if i % 2 == 0 else train_part)(ds)
             assert sum(r.train_count for r in model.rules) + model.default_count == n
-            domain = set(ds.target_attribute.domain)
+            domain = set(ds.target_domain)
             instance = {a: "never-seen-value" for a in attrs}
             assert classify(model, instance) in domain
 

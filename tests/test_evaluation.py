@@ -4,7 +4,7 @@ from collections import Counter
 import numpy as np
 import pytest
 
-from conftest import make_dataset
+from conftest import make_dataset, target_labels
 from mockskel.evaluation import (
     TargetMetrics,
     aggregate,
@@ -15,6 +15,7 @@ from mockskel.evaluation import (
     stratified_folds,
     weighted_precision_recall,
 )
+from mockskel.learners import C45Params, LearnerParams, model_size, train
 
 
 def imbalanced_rows(n=1000, share=0.635, seed=3):
@@ -33,7 +34,7 @@ class TestStratifiedFolds:
         rows = [["x", "200"]] * 80 + [["x", "404"]] * 20
         ds = make_dataset(rows, ["a"])
         folds = stratified_folds(ds, k=10, seed=1)
-        labels = ds.table.column("statusCode")
+        labels = target_labels(ds)
         for fold in folds:
             counts = Counter(labels[i] for i in fold)
             assert counts["200"] == 8
@@ -66,6 +67,25 @@ class TestStratifiedFolds:
         folds = stratified_folds(ds, k=10, seed=1)
         assert len(folds) == 3
         assert all(len(f) == 1 for f in folds)
+
+    def test_folds_are_the_ones_cross_validation_trains_on(self):
+        # the labels sort 9 < 10 < 200 in the domain but "10" < "200" < "9"
+        # as strings, so folds dealt in label-string order would differ
+        rng = random.Random(0)
+        rows = [
+            [rng.choice("xyz"), rng.choice("pq"), rng.choice("uvw"), rng.choice(["9", "10", "200"])]
+            for _ in range(60)
+        ]
+        ds = make_dataset(rows, ["a", "b", "c"])
+        assert ds.target_domain == ("9", "10", "200")
+        params = LearnerParams(c45=C45Params(min_leaf_instances=1))
+        metrics = cross_validate(ds, "c45", params, k=10, seed=1)
+        expected = [
+            model_size(train("c45", ds, params, rows=np.setdiff1d(ds.all_rows(), fold)))
+            for fold in stratified_folds(ds, k=10, seed=1)
+        ]
+        assert len(set(expected)) > 1  # the sizes tell the folds apart
+        assert [f.model_size for f in metrics.per_fold] == expected
 
 
 class TestWeightedMetrics:

@@ -7,7 +7,7 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from conftest import make_dataset
+from conftest import make_dataset, row_mapping
 from mockskel.errors import DegenerateDatasetError
 from mockskel.evaluation import stratified_fold_indices
 from mockskel.features import extract_table
@@ -15,7 +15,6 @@ from mockskel.learners import (
     LEARNER_ORDER,
     C45Params,
     DecisionTree,
-    EncodedDataset,
     Leaf,
     Rule,
     RuleList,
@@ -27,8 +26,8 @@ from mockskel.learners import (
     model_size,
     predict_encoded,
     render_model,
+    train,
     train_c45,
-    train_encoded,
     train_part,
     train_ripper,
 )
@@ -167,7 +166,7 @@ class TestC45:
         tree = train_c45(ds)
         assert model_size(tree) <= 7
         errors = sum(
-            classify(tree, ds.table.row_mapping(i)) != rows[i][2] for i in range(len(rows))
+            classify(tree, row_mapping(ds, i)) != rows[i][2] for i in range(len(rows))
         )
         assert errors == 0
 
@@ -185,12 +184,8 @@ class TestC45:
 
     def test_empty_dataset_raises(self):
         ds = make_dataset([["GET", "200"]], ["method"])
-        import numpy as np
-
-        from mockskel.learners import EncodedDataset, train_c45_encoded
-
         with pytest.raises(DegenerateDatasetError):
-            train_c45_encoded(EncodedDataset(ds), np.array([], dtype=np.intp))
+            train_c45(ds, rows=np.array([], dtype=np.intp))
 
     def test_deterministic_bit_for_bit(self):
         rng = random.Random(3)
@@ -314,7 +309,7 @@ class TestRipper:
         ds = make_dataset(rows, ["method", "everCreated", "hasValidPayload"])
         model = train_ripper(ds)
         errors = sum(
-            classify(model, ds.table.row_mapping(i)) != rows[i][3] for i in range(len(rows))
+            classify(model, row_mapping(ds, i)) != rows[i][3] for i in range(len(rows))
         )
         assert errors / len(rows) <= 0.01
         assert model_size(model) <= 8
@@ -363,7 +358,7 @@ class TestPart:
         ds = make_dataset(rows, ["method", "everCreated", "hasValidPayload"])
         model = train_part(ds)
         errors = sum(
-            classify(model, ds.table.row_mapping(i)) != rows[i][3] for i in range(len(rows))
+            classify(model, row_mapping(ds, i)) != rows[i][3] for i in range(len(rows))
         )
         assert errors / len(rows) <= 0.01
         assert model_size(model) <= 9
@@ -381,7 +376,7 @@ class TestPart:
         model = train_part(ds)
         assert model_size(model) <= 4
         errors = sum(
-            classify(model, ds.table.row_mapping(i)) != rows[i][2] for i in range(len(rows))
+            classify(model, row_mapping(ds, i)) != rows[i][2] for i in range(len(rows))
         )
         assert errors == 0
 
@@ -409,18 +404,20 @@ class TestCoverageInvariant:
         rows = random_rows(rng, 50, ["a", "b"], [3, 3], 2)
         ds = dataset_from_rows(rows, ["a", "b"])
         model = train_fn(ds)
-        domain = set(ds.target_attribute.domain)
+        domain = set(ds.target_domain)
         for _ in range(50):
             instance = {"a": rng.choice(["v0", "weird", "?"]), "b": rng.choice(["v1", "zz"])}
             assert classify(model, instance) in domain
 
 
-def assert_predictions_match_classify(model, ds, enc, rows):
+def assert_predictions_match_classify(model, ds, rows, table=None):
     """The class predicted from each row's codes is the one ``classify``
-    gives for its name->value mapping."""
-    predicted = predict_encoded(model, enc, rows)
-    expected = [classify(model, ds.table.row_mapping(int(i))) for i in rows]
-    assert [enc.target_domain[c] for c in predicted] == expected
+    gives for its name->value mapping: the string row of ``table`` when
+    given, else the row decoded from its codes."""
+    predicted = predict_encoded(model, ds, rows)
+    row_of = table.row_mapping if table is not None else (lambda i: row_mapping(ds, i))
+    expected = [classify(model, row_of(int(i))) for i in rows]
+    assert [ds.target_domain[c] for c in predicted] == expected
 
 
 def _has_empty_leaf(node) -> bool:
@@ -437,31 +434,28 @@ class TestEncodedPrediction:
         table, _ = extract_table(generate_synthetic_log(n_transactions, 8, seed=seed))
         datasets, _ = prepare_all(table)
         for ds in datasets:
-            enc = EncodedDataset(ds)
-            held_out = stratified_fold_indices(enc.y.tolist(), 5, seed)[fold]
-            train_rows = np.setdiff1d(enc.all_rows(), held_out)
+            held_out = stratified_fold_indices(ds.y.tolist(), 5, seed)[fold]
+            train_rows = np.setdiff1d(ds.all_rows(), held_out)
             if len(train_rows) == 0:
                 continue
-            model = train_encoded(learner, enc, train_rows)
-            assert_predictions_match_classify(model, ds, enc, held_out)
-            assert_predictions_match_classify(model, ds, enc, enc.all_rows())
+            model = train(learner, ds, rows=train_rows)
+            assert_predictions_match_classify(model, ds, held_out, table)
+            assert_predictions_match_classify(model, ds, ds.all_rows(), table)
 
     def test_tree_routes_rows_to_an_empty_branch(self):
         # "c" never occurs in training, so its branch is a leaf with count 0
         rows = [["a", "x", "200"]] * 6 + [["b", "y", "404"]] * 6 + [["c", "x", "500"]] * 2
         ds = make_dataset(rows, ["k", "j"])
-        enc = EncodedDataset(ds)
-        tree = train_encoded("c45", enc, enc.all_rows()[:12])
+        tree = train("c45", ds, rows=ds.all_rows()[:12])
         assert _has_empty_leaf(tree.root)
-        assert_predictions_match_classify(tree, ds, enc, enc.all_rows())
+        assert_predictions_match_classify(tree, ds, ds.all_rows())
 
     def test_tree_without_a_branch_takes_the_missing_value_branch(self):
         ds = make_dataset([["a", "200"], ["b", "404"], ["c", "500"], ["c", "500"]], ["k"])
-        enc = EncodedDataset(ds)
         tree = DecisionTree("statusCode", Split("k", {"a": Leaf("200", 1), "b": Leaf("404", 5)}))
         assert tree.root.missing_value == "b"
-        assert_predictions_match_classify(tree, ds, enc, enc.all_rows())
-        assert [enc.target_domain[c] for c in predict_encoded(tree, enc, enc.all_rows())] == [
+        assert_predictions_match_classify(tree, ds, ds.all_rows())
+        assert [ds.target_domain[c] for c in predict_encoded(tree, ds, ds.all_rows())] == [
             "200", "404", "404", "404"]
 
     def test_rule_list_default_and_unknown_tests(self):
@@ -470,7 +464,6 @@ class TestEncodedPrediction:
              ["DELETE", "true", "204"]],
             ["method", "everCreated"],
         )
-        enc = EncodedDataset(ds)
         model = RuleList(
             target="statusCode",
             rules=(
@@ -481,9 +474,9 @@ class TestEncodedPrediction:
             ),
             default_class="201",
         )
-        assert_predictions_match_classify(model, ds, enc, enc.all_rows())
-        predicted = predict_encoded(model, enc, np.array([3, 0, 2], dtype=np.intp))
-        assert [enc.target_domain[c] for c in predicted] == ["201", "200", "201"]
+        assert_predictions_match_classify(model, ds, ds.all_rows())
+        predicted = predict_encoded(model, ds, np.array([3, 0, 2], dtype=np.intp))
+        assert [ds.target_domain[c] for c in predicted] == ["201", "200", "201"]
 
 
     @pytest.mark.parametrize("train_fn", [train_ripper, train_part])
@@ -524,7 +517,7 @@ class TestTreeCounts:
         ds = make_dataset(rows, ["x", "y", "z"])
         tree = train_c45(ds, params=C45Params(min_leaf_instances=1), prune=False)
         errors = sum(
-            classify(tree, ds.table.row_mapping(i)) != rows[i][3] for i in range(len(rows))
+            classify(tree, row_mapping(ds, i)) != rows[i][3] for i in range(len(rows))
         )
         assert errors == 0
 

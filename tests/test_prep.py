@@ -3,12 +3,11 @@ import random
 import numpy as np
 import pytest
 
+from conftest import row_mapping, target_labels
 from mockskel.errors import PrunedTargetError, UnknownTargetError
 from mockskel.features import Attribute, Instance, InstanceTable, Role
-from mockskel.learners import EncodedDataset
 from mockskel.prep import (
     PrepConfig,
-    PreparedDataset,
     coerce_to_nominal,
     encode_table,
     prepare_all,
@@ -150,7 +149,7 @@ class TestProjection:
         assert len(datasets) == 17
         for ds in datasets:
             assert len(ds.input_attributes) == 42
-            assert len(ds.table.targets()) == 1
+            assert ds.X.shape == (40, 42) and ds.y.shape == (40,)
 
     def test_no_foreign_target_appears_as_predictor(self):
         table = self.wide_table(n_inputs=3, n_targets=4)
@@ -208,10 +207,10 @@ def reference_codes(table: InstanceTable, role: Role) -> np.ndarray:
 class TestEncodedTable:
     def test_datasets_share_one_encoded_table(self):
         datasets, _ = prepare_all(TestProjection().wide_table(n_inputs=5, n_targets=3))
-        a, b = (EncodedDataset(ds) for ds in datasets[:2])
+        a, b = datasets[:2]
         assert np.shares_memory(a.X, b.X)
-        Y = datasets[0].encoded.Y
-        assert np.shares_memory(a.y, Y) and np.shares_memory(b.y, Y)
+        Y = a.y.base
+        assert Y is not None and b.y.base is Y and Y.shape == (40, 3)
         assert a.y.flags.c_contiguous and a.X[:, 0].flags.c_contiguous
 
     def test_target_column_is_the_datasets_target(self):
@@ -224,9 +223,7 @@ class TestEncodedTable:
         )
         datasets, _ = prepare_all(table)
         for ds in datasets:
-            enc = EncodedDataset(ds)
-            assert enc.target_name == ds.target
-            assert [enc.target_domain[c] for c in enc.y] == ds.table.column(ds.target)
+            assert target_labels(ds) == table.column(ds.target)
 
     def test_codes_match_per_cell_reference(self):
         rng = random.Random(5)
@@ -247,6 +244,30 @@ class TestEncodedTable:
             for attr, codes in zip(encoded.inputs, encoded.input_codes):
                 assert [attr.domain[c] for c in codes.values()] == list(codes)
 
+    def test_prepare_all_encodes_the_pruned_table(self):
+        rng = random.Random(9)
+        n = 40
+        table = table_from_columns(
+            {
+                "host": (Role.INPUT, ["a.ex"] * n),
+                "m": (Role.INPUT, [rng.choice(["GET", "POST", "PUT"]) for _ in range(n)]),
+                "q": (Role.INPUT, [str(rng.randrange(12)) for _ in range(n)]),
+                "statusCode": (Role.TARGET, [rng.choice(["9", "10", "200"]) for _ in range(n)]),
+                "responseheader:Server": (Role.TARGET, ["nginx"] * n),
+                "responsejson:id": (Role.TARGET, [str(i) for i in range(n)]),
+                "responsejson:ok": (Role.TARGET, [rng.choice(["true", "false"]) for _ in range(n)]),
+            }
+        )
+        datasets, removals = prepare_all(table)
+        pruned, pruned_removals = prune_targets(table)
+        assert removals == pruned_removals
+        assert [ds.target for ds in datasets] == [a.name for a in pruned.targets()]
+        targets = reference_codes(pruned, Role.TARGET)
+        for t, ds in enumerate(datasets):
+            assert ds.input_attributes == pruned.inputs()
+            np.testing.assert_array_equal(ds.X, reference_codes(pruned, Role.INPUT))
+            np.testing.assert_array_equal(ds.y, targets[:, t])
+
     def test_hand_built_dataset_encodes_its_own_table(self):
         table = table_from_columns(
             {
@@ -254,12 +275,10 @@ class TestEncodedTable:
                 "statusCode": (Role.TARGET, ["200", "201", "200"]),
             }
         )
-        ds = PreparedDataset(table, "statusCode")
-        assert ds.table is table
-        enc = EncodedDataset(ds)
-        assert enc.X[:, 0].tolist() == [0, 1, 0]
-        assert enc.y.tolist() == [0, 1, 0]
-        assert np.shares_memory(enc.X, EncodedDataset(ds).X)
+        ds = project_for_target(table, "statusCode")
+        assert ds.X[:, 0].tolist() == [0, 1, 0]
+        assert ds.y.tolist() == [0, 1, 0]
+        assert [row_mapping(ds, i) for i in range(3)] == [table.row_mapping(i) for i in range(3)]
 
 
 class TestPruningMonotonicity:

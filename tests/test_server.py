@@ -16,7 +16,7 @@ from mockskel.cli import RunConfig, choose_models, run_pipeline
 from mockskel.features import ResourceState
 from mockskel.server import MockService, ServeState, serve_skeleton, synthesize_response
 from mockskel.skeleton import build_skeleton, emit_skeleton, parse_skeleton
-from mockskel.traffic import HttpRequest
+from mockskel.traffic import HttpRequest, resource_key
 
 
 @pytest.fixture(scope="module")
@@ -125,6 +125,46 @@ class TestSynthesis:
         for i in range(200):
             service.handle("GET", f"{HOST}/tasks/{10_000 + i}")
         assert service._locks is locks and len(locks) < 200
+
+    def test_state_holds_the_most_recently_served_resources(self, skeleton, monkeypatch):
+        monkeypatch.setattr(server_module, "MAX_RESOURCES", 4)
+        service = MockService(skeleton)
+        uris = [f"{HOST}/tasks/{20_000 + i}" for i in range(6)]
+        keys = [resource_key(HttpRequest("GET", uri), skeleton.config.resource) for uri in uris]
+        for uri in uris[:4]:
+            service.handle("GET", uri)
+        service.handle("GET", uris[0])  # served again, so now the most recent
+        for uri in uris[4:]:
+            service.handle("GET", uri)
+        state = service.state
+        assert list(state.per_resource) == [keys[3], keys[0], keys[4], keys[5]]
+        assert all(len(h) == len(ResourceState()) for h in state.per_resource.values())
+        assert state.history(keys[1]) == state.history(keys[2]) == ResourceState()
+        assert state.history(keys[0]).prev_method == "GET"
+        assert service.stats()["resources"] == 4
+
+    def test_cap_holds_under_concurrent_new_resources(self, skeleton, monkeypatch):
+        monkeypatch.setattr(server_module, "MAX_RESOURCES", 16)
+        service = MockService(skeleton)
+        threads, per_thread = 8, 40
+
+        def hit(worker):
+            for i in range(per_thread):
+                service.handle("GET", f"{HOST}/tasks/{30_000 + worker * 1000 + i}")
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            workers = [threading.Thread(target=hit, args=(w,)) for w in range(threads)]
+            for w in workers:
+                w.start()
+            for w in workers:
+                w.join(timeout=30)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(w.is_alive() for w in workers)
+        assert len(service.state.per_resource) == 16
+        assert service.stats()["requests"] == threads * per_thread
 
 
 class TestReset:
