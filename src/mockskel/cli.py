@@ -263,13 +263,27 @@ def _load_input(config: RunConfig) -> TrafficLog:
     return load_traffic(config.input, config.format)
 
 
-def cmd_evaluate(args: argparse.Namespace) -> int:
+def _run_and_report(args: argparse.Namespace, training: bool) -> int:
+    """The body of ``train`` and ``evaluate``: run the pipeline, then write
+    the skeleton (``train`` only), the report and the optional CSV, in
+    that order, and print the aggregate table and what was written."""
     from .evaluation import metrics_csv, render_aggregate_table, report_json
 
     config = resolve_run_config(args)
-    traffic_log = _load_input(config)
-    result = run_pipeline(traffic_log, config)
+    result = run_pipeline(_load_input(config), config)
     aggregates = result.aggregates(config.service_name)
+    if training:
+        removed = {r.attribute for r in result.removals}
+        skeleton = build_skeleton(
+            service_name=config.service_name,
+            seed=config.seed,
+            inputs=tuple(a.name for a in result.table.inputs() if a.name not in removed),
+            chosen=choose_models(result, config.learners),
+            removals=result.removals,
+            config=config.extraction_config(),
+            profile=result.profile,
+        )
+        Path(config.out_skeleton).write_text(emit_skeleton(skeleton), encoding="utf-8")
     report = report_json(
         config.service_name, config.seed, config.folds, result.metrics, aggregates, result.removals
     )
@@ -277,40 +291,18 @@ def cmd_evaluate(args: argparse.Namespace) -> int:
     if config.out_csv:
         Path(config.out_csv).write_text(metrics_csv(result.metrics))
     print(render_aggregate_table(aggregates))
+    if training:
+        print(f"skeleton written to {config.out_skeleton}")
     print(f"report written to {config.out_report}")
     return EXIT_OK
+
+
+def cmd_evaluate(args: argparse.Namespace) -> int:
+    return _run_and_report(args, training=False)
 
 
 def cmd_train(args: argparse.Namespace) -> int:
-    from .evaluation import metrics_csv, render_aggregate_table, report_json
-
-    config = resolve_run_config(args)
-    traffic_log = _load_input(config)
-    result = run_pipeline(traffic_log, config)
-    aggregates = result.aggregates(config.service_name)
-    chosen = choose_models(result, config.learners)
-    skeleton = build_skeleton(
-        service_name=config.service_name,
-        seed=config.seed,
-        inputs=tuple(a.name for a in result.table.inputs() if a.name not in
-                     {r.attribute for r in result.removals}),
-        chosen=chosen,
-        removals=result.removals,
-        config=config.extraction_config(),
-        profile=result.profile,
-    )
-    text = emit_skeleton(skeleton)
-    report = report_json(
-        config.service_name, config.seed, config.folds, result.metrics, aggregates, result.removals
-    )
-    Path(config.out_skeleton).write_text(text, encoding="utf-8")
-    Path(config.out_report).write_text(report)
-    if config.out_csv:
-        Path(config.out_csv).write_text(metrics_csv(result.metrics))
-    print(render_aggregate_table(aggregates))
-    print(f"skeleton written to {config.out_skeleton}")
-    print(f"report written to {config.out_report}")
-    return EXIT_OK
+    return _run_and_report(args, training=True)
 
 
 def cmd_emit(args: argparse.Namespace) -> int:

@@ -142,10 +142,6 @@ class InstanceTable:
         i = self.index_of(name)
         return [inst.values[i] for inst in self.instances]
 
-    def row_mapping(self, i: int) -> dict[str, str]:
-        inst = self.instances[i]
-        return {a.name: v for a, v in zip(self.schema, inst.values)}
-
 
 def nominal_sort(values: Iterable[str]) -> tuple[str, ...]:
     """Deterministic domain order: numeric when all values are finite

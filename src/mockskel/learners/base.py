@@ -13,7 +13,7 @@ import numpy as np
 
 from ..errors import DegenerateDatasetError, SchemaMismatchError, UnknownAttributeError
 from ..prep import PreparedDataset
-from .model import DecisionTree, Leaf, Model, Node, RuleList
+from .model import DecisionTree, Leaf, Model, Node, Rule, RuleList
 
 
 @dataclass(frozen=True)
@@ -45,35 +45,56 @@ class LearnerParams:
 
 
 # ---------------------------------------------------------------------------
-# Classification of encoded rows: ``classify`` over codes, a block at a time
+# Coded rules and the classification of encoded rows
+
+#: a rule body, a conjunction of coded tests: ((input column, value code), ...)
+Conjunction = tuple[tuple[int, int], ...]
 
 
-def first_match(rule_list: RuleList, ds: PreparedDataset, rows: np.ndarray) -> np.ndarray:
-    """Per encoded row, the index of the first rule it satisfies, or
-    ``len(rule_list.rules)`` where the default fires."""
-    column_of = {name: j for j, name in enumerate(ds.names)}
-    fired = np.full(len(rows), len(rule_list.rules), dtype=np.intp)
+def covers(ds: PreparedDataset, rows: np.ndarray, conds: Conjunction) -> np.ndarray:
+    """Per row of ``rows``, whether it satisfies every test of ``conds``."""
+    mask = np.ones(len(rows), dtype=bool)
+    for attr, value in conds:
+        mask &= ds.X[rows, attr] == value
+    return mask
+
+
+def first_match(ds: PreparedDataset, rows: np.ndarray, rules: list[Conjunction]) -> np.ndarray:
+    """Per row, the index of the first rule it satisfies, or ``len(rules)``
+    where the default fires."""
+    fired = np.full(len(rows), len(rules), dtype=np.intp)
     undecided = np.ones(len(rows), dtype=bool)
-    for i, rule in enumerate(rule_list.rules):
-        mask = undecided.copy()
-        for attr, value in rule.conditions:
-            j = column_of.get(attr)
-            code = None if j is None else ds.codes[j].get(value)
-            if code is None:  # a test no encoded row can pass
-                mask[:] = False
-                break
-            mask &= ds.X[rows, j] == code
+    for i, conds in enumerate(rules):
+        mask = undecided & covers(ds, rows, conds)
         fired[mask] = i
         undecided &= ~mask
     return fired
 
 
-def rule_class_codes(rule_list: RuleList, ds: PreparedDataset) -> np.ndarray:
-    """Index into ``ds.target_domain`` of each rule's class, then of the
-    default class (-1 for a class outside that domain)."""
-    code_of = {value: i for i, value in enumerate(ds.target_domain)}
-    classes = [rule.klass for rule in rule_list.rules] + [rule_list.default_class]
-    return np.array([code_of.get(klass, -1) for klass in classes], dtype=np.intp)
+def counted_rule_list(
+    ds: PreparedDataset,
+    rows: np.ndarray,
+    rules: list[Conjunction],
+    classes: list[int],
+    default: int,
+) -> RuleList:
+    """The rule list of coded ``rules`` predicting class codes ``classes``,
+    then ``default``, named and annotated with (N/E) first-match counts
+    over ``rows``."""
+    fired = first_match(ds, rows, rules)
+    class_codes = np.array([*classes, default], dtype=np.intp)
+    slots = len(class_codes)
+    covered = np.bincount(fired, minlength=slots)
+    correct = np.bincount(fired[ds.y[rows] == class_codes[fired]], minlength=slots)
+    errors = covered - correct
+    named = tuple(
+        Rule(tuple((ds.names[a], ds.domains[a][v]) for a, v in conds), ds.target_domain[ci],
+             int(covered[i]), int(errors[i]))
+        for i, (conds, ci) in enumerate(zip(rules, classes))
+    )
+    return RuleList(
+        ds.target, named, ds.target_domain[default], int(covered[-1]), int(errors[-1])
+    )
 
 
 def predict_encoded(model: Model, ds: PreparedDataset, rows: np.ndarray) -> np.ndarray:
@@ -83,12 +104,25 @@ def predict_encoded(model: Model, ds: PreparedDataset, rows: np.ndarray) -> np.n
     Trees route whole blocks of rows down each branch; rule lists take
     the first matching rule's class.
     """
-    if isinstance(model, RuleList):
-        return rule_class_codes(model, ds)[first_match(model, ds, rows)]
-    if not isinstance(model, DecisionTree):
-        raise SchemaMismatchError(f"cannot classify with {type(model).__name__}")
     code_of = {value: i for i, value in enumerate(ds.target_domain)}
     column_of = {name: j for j, name in enumerate(ds.names)}
+    if isinstance(model, RuleList):
+        rules, classes = [], []
+        for rule in model.rules:
+            conds = []
+            for attr, value in rule.conditions:
+                j = column_of.get(attr)
+                code = None if j is None else ds.codes[j].get(value)
+                if code is None:  # a test no encoded row can pass
+                    break
+                conds.append((j, code))
+            else:
+                rules.append(tuple(conds))
+                classes.append(code_of.get(rule.klass, -1))
+        classes.append(code_of.get(model.default_class, -1))
+        return np.array(classes, dtype=np.intp)[first_match(ds, rows, rules)]
+    if not isinstance(model, DecisionTree):
+        raise SchemaMismatchError(f"cannot classify with {type(model).__name__}")
     out = np.empty(len(rows), dtype=np.intp)
     stack: list[tuple[Node, np.ndarray]] = [(model.root, np.arange(len(rows)))]
     while stack:
@@ -129,13 +163,6 @@ def entropy(class_counts: Iterable[float]) -> float:
 def _xlogx_sum(counts: np.ndarray) -> float:
     positive = counts[counts > 0].astype(np.float64)
     return float((positive * np.log2(positive)).sum())
-
-
-def _entropy_np(counts: np.ndarray) -> float:
-    total = float(counts.sum())
-    if total <= 0:
-        return 0.0
-    return math.log2(total) - _xlogx_sum(counts) / total
 
 
 def contingency(ds: PreparedDataset, rows: np.ndarray, attr_index: int) -> np.ndarray:

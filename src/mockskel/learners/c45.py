@@ -5,9 +5,14 @@ ratio (positive information gain, at least two branches holding
 ``min_leaf_instances``); bottom-up pessimistic-error pruning replaces
 subtrees by leaves when that does not increase the estimated error.
 Ties break toward the lower schema index, so training is deterministic.
+
+``grow`` grows both the whole trees of ``train_c45`` and the partial
+trees of PART.
 """
 
 from __future__ import annotations
+
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -15,7 +20,9 @@ from ..errors import DegenerateDatasetError
 from ..prep import PreparedDataset
 from .base import (
     C45Params,
+    PartParams,
     added_errors,
+    branch_entropies,
     class_counts,
     contingency,
     gain_and_ratio,
@@ -26,10 +33,27 @@ from .model import DecisionTree, Leaf, Node, Split
 _GAIN_EPS = 1e-12
 
 
-def _estimated_errors(node: Node, cf: float) -> float:
-    if isinstance(node, Leaf):
-        return node.error_count + added_errors(node.train_count, node.error_count, cf)
-    return sum(_estimated_errors(child, cf) for child in node.branches.values())
+@dataclass
+class GrownLeaf:
+    ci: int  # class code
+    n: int
+    e: int
+
+
+@dataclass
+class GrownSplit:
+    attr: int  # input column
+    #: value code -> child; None marks a branch a partial tree left unexpanded
+    children: dict[int, GrownSplit | GrownLeaf | None]
+
+
+Grown = GrownLeaf | GrownSplit
+
+
+def _estimated_errors(node: Grown, cf: float) -> float:
+    if isinstance(node, GrownLeaf):
+        return node.e + added_errors(node.n, node.e, cf)
+    return sum(_estimated_errors(child, cf) for child in node.children.values())
 
 
 def best_split(
@@ -50,18 +74,26 @@ def best_split(
     return best_attr, best_ratio
 
 
-def _build(
+def grow(
     ds: PreparedDataset,
     rows: np.ndarray,
     available: np.ndarray,
-    params: C45Params,
-    prune: bool,
-) -> Node:
+    params: C45Params | PartParams,
+    prune: bool = True,
+    partial: bool = False,
+) -> Grown:
+    """Grow a tree on ``rows`` over the ``available`` input columns.
+
+    A partial tree (PART) expands the children in order of increasing
+    branch entropy and returns the node as soon as one child stays a
+    subtree, leaving the later branches None; only a node whose children
+    all became leaves is considered for collapse.
+    """
     counts = class_counts(ds, rows)
     total = len(rows)
     maj = majority_class(counts)
     errors = total - int(counts[maj])
-    leaf = Leaf(ds.target_domain[maj], total, errors)
+    leaf = GrownLeaf(maj, total, errors)
     if errors == 0 or total < 2 * params.min_leaf_instances or not available.any():
         return leaf
 
@@ -72,14 +104,19 @@ def _build(
     child_available = available.copy()
     child_available[attr] = False
     column = ds.X[rows, attr]
-    branches: dict[str, Node] = {}
-    for vi, value in enumerate(ds.domains[attr]):
+    node = GrownSplit(attr, dict.fromkeys(range(len(ds.domains[attr]))))
+    order = list(node.children)
+    if partial:
+        entropies = branch_entropies(contingency(ds, rows, attr))
+        order.sort(key=lambda vi: (entropies[vi], vi))
+    for vi in order:
         sub = rows[column == vi]
-        if len(sub) == 0:
-            branches[value] = Leaf(ds.target_domain[maj], 0, 0)
-        else:
-            branches[value] = _build(ds, sub, child_available, params, prune)
-    node = Split(ds.names[attr], branches)
+        child = GrownLeaf(maj, 0, 0)  # an empty branch predicts the parent's majority
+        if len(sub):
+            child = grow(ds, sub, child_available, params, prune, partial)
+        node.children[vi] = child
+        if partial and isinstance(child, GrownSplit):
+            return node  # further siblings stay unexpanded
 
     if prune:
         subtree_est = _estimated_errors(node, params.confidence_factor)
@@ -87,6 +124,16 @@ def _build(
         if leaf_est <= subtree_est + 0.1:
             return leaf
     return node
+
+
+def _named(ds: PreparedDataset, node: Grown) -> Node:
+    if isinstance(node, GrownLeaf):
+        return Leaf(ds.target_domain[node.ci], node.n, node.e)
+    domain = ds.domains[node.attr]
+    return Split(
+        ds.names[node.attr],
+        {domain[vi]: _named(ds, child) for vi, child in node.children.items()},
+    )
 
 
 def train_c45(
@@ -100,5 +147,5 @@ def train_c45(
     if len(rows) == 0:
         raise DegenerateDatasetError("cannot train a tree on 0 instances")
     available = np.ones(len(ds.names), dtype=bool)
-    root = _build(ds, rows, available, params, prune)
-    return DecisionTree(target=ds.target, root=root)
+    root = grow(ds, rows, available, params, prune)
+    return DecisionTree(target=ds.target, root=_named(ds, root))

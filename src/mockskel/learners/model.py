@@ -38,16 +38,20 @@ class Split:
 Node = Union[Leaf, Split]
 
 
-def _node_total(node: Node) -> int:
-    if isinstance(node, Leaf):
-        return node.train_count
-    return sum(_node_total(child) for child in node.branches.values())
+def _nodes(node: Node) -> Iterator[Node]:
+    """``node`` and every node below it, in pre-order."""
+    stack = [node]
+    while stack:
+        node = stack.pop()
+        yield node
+        if isinstance(node, Split):
+            stack.extend(reversed(node.branches.values()))
 
 
 def _heaviest_branch(branches: dict[str, Node]) -> str:
     best_value, best_total = None, -1
     for value, child in branches.items():
-        total = _node_total(child)
+        total = sum(n.train_count for n in _nodes(child) if isinstance(n, Leaf))
         if total > best_total:
             best_value, best_total = value, total
     return best_value
@@ -59,26 +63,7 @@ class DecisionTree:
     root: Node
 
     def leaves(self) -> Iterator[Leaf]:
-        def walk(node: Node) -> Iterator[Leaf]:
-            if isinstance(node, Leaf):
-                yield node
-            else:
-                for child in node.branches.values():
-                    yield from walk(child)
-
-        return walk(self.root)
-
-    def split_attributes(self) -> set[str]:
-        out: set[str] = set()
-
-        def walk(node: Node) -> None:
-            if isinstance(node, Split):
-                out.add(node.attribute)
-                for child in node.branches.values():
-                    walk(child)
-
-        walk(self.root)
-        return out
+        return (node for node in _nodes(self.root) if isinstance(node, Leaf))
 
 
 @dataclass(frozen=True)
@@ -103,9 +88,6 @@ class RuleList:
     default_class: str
     default_count: int = 0
     default_errors: int = 0
-
-    def condition_attributes(self) -> set[str]:
-        return {attr for rule in self.rules for attr, _ in rule.conditions}
 
 
 Model = Union[DecisionTree, RuleList]
@@ -134,12 +116,7 @@ def classify(model: Model, values: Mapping[str, str]) -> str:
 def model_size(model: Model) -> int:
     """Tree: total node count.  Rule list: rule count including the default."""
     if isinstance(model, DecisionTree):
-        def count(node: Node) -> int:
-            if isinstance(node, Leaf):
-                return 1
-            return 1 + sum(count(c) for c in node.branches.values())
-
-        return count(model.root)
+        return sum(1 for _ in _nodes(model.root))
     return len(model.rules) + 1
 
 

@@ -17,15 +17,12 @@ import numpy as np
 
 from ..errors import DegenerateDatasetError
 from ..prep import PreparedDataset
-from .base import RipperParams, class_counts, first_match, rule_class_codes
-from .model import Rule, RuleList
+from .base import Conjunction, RipperParams, class_counts, counted_rule_list, covers
+from .model import RuleList
 
 MDL_SURPLUS_BITS = 64.0
 _EXPECTED_FP_SHARE = 0.5  # expected share of false positives among coding errors
 _THEORY_WEIGHT = 0.5  # redundancy discount on rule-theory bits
-
-Conds = tuple[tuple[int, int], ...]  # ((attribute index, value index), ...)
-
 
 def _log2(x: float) -> float:
     return math.log2(x) if x > 0 else 0.0
@@ -67,21 +64,16 @@ def _data_dl(cover: int, uncover: int, fp: int, fn: int) -> float:
     return bits
 
 
-def _match_mask(ds: PreparedDataset, rows: np.ndarray, conds: Conds) -> np.ndarray:
-    mask = np.ones(len(rows), dtype=bool)
-    for attr, value in conds:
-        mask &= ds.X[rows, attr] == value
-    return mask
-
-
-def _union_coverage(ds: PreparedDataset, rows: np.ndarray, ruleset: list[Conds]) -> np.ndarray:
+def _union_coverage(
+    ds: PreparedDataset, rows: np.ndarray, ruleset: list[Conjunction]
+) -> np.ndarray:
     mask = np.zeros(len(rows), dtype=bool)
     for conds in ruleset:
-        mask |= _match_mask(ds, rows, conds)
+        mask |= covers(ds, rows, conds)
     return mask
 
 
-def _stage_dl(ds: PreparedDataset, rows: np.ndarray, ruleset: list[Conds], pos: int) -> float:
+def _stage_dl(ds: PreparedDataset, rows: np.ndarray, ruleset: list[Conjunction], pos: int) -> float:
     covered = _union_coverage(ds, rows, ruleset)
     is_pos = ds.y[rows] == pos
     cover = int(covered.sum())
@@ -95,13 +87,13 @@ def _stage_dl(ds: PreparedDataset, rows: np.ndarray, ruleset: list[Conds], pos: 
 
 
 def _grow_rule(
-    ds: PreparedDataset, grow_rows: np.ndarray, pos: int, start: Conds = ()
-) -> Conds:
+    ds: PreparedDataset, grow_rows: np.ndarray, pos: int, start: Conjunction = ()
+) -> Conjunction:
     """Add attribute=value conditions maximizing FOIL information gain
     until no covered negatives remain (or no condition helps)."""
     conds = list(start)
     used = {attr for attr, _ in conds}
-    covered = grow_rows[_match_mask(ds, grow_rows, tuple(conds))]
+    covered = grow_rows[covers(ds, grow_rows, tuple(conds))]
     while True:
         is_pos = ds.y[covered] == pos
         p0 = int(is_pos.sum())
@@ -135,7 +127,9 @@ def _prune_value(p: int, n: int) -> float:
     return (p - n) / (p + n) if p + n > 0 else 0.0
 
 
-def _prune_rule(ds: PreparedDataset, prune_rows: np.ndarray, conds: Conds, pos: int) -> Conds:
+def _prune_rule(
+    ds: PreparedDataset, prune_rows: np.ndarray, conds: Conjunction, pos: int
+) -> Conjunction:
     """Keep the condition prefix maximizing (p-n)/(p+n) on the prune set
     (ties prefer the shorter rule).  At least one condition is kept."""
     if len(conds) <= 1 or len(prune_rows) == 0:
@@ -170,8 +164,10 @@ def _grow_prune_split(
     return np.sort(np.array(grow, dtype=np.intp)), np.sort(np.array(prune, dtype=np.intp))
 
 
-def _acceptable(ds: PreparedDataset, remaining: np.ndarray, conds: Conds, pos: int, params: RipperParams) -> bool:
-    mask = _match_mask(ds, remaining, conds)
+def _acceptable(
+    ds: PreparedDataset, remaining: np.ndarray, conds: Conjunction, pos: int, params: RipperParams
+) -> bool:
+    mask = covers(ds, remaining, conds)
     p = int((ds.y[remaining[mask]] == pos).sum())
     n = int(mask.sum()) - p
     return p > 0 and n < p and (p + n) >= params.min_rule_coverage
@@ -183,8 +179,8 @@ def _build_stage(
     pos: int,
     params: RipperParams,
     rng: random.Random,
-    ruleset: list[Conds] | None = None,
-) -> list[Conds]:
+    ruleset: list[Conjunction] | None = None,
+) -> list[Conjunction]:
     """Grow rules for one class until positives run out or MDL says stop."""
     ruleset = list(ruleset or [])
     remaining = stage_rows[~_union_coverage(ds, stage_rows, ruleset)]
@@ -202,12 +198,12 @@ def _build_stage(
         if not _acceptable(ds, remaining, conds, pos, params):
             break
         ruleset.append(conds)
-        remaining = remaining[~_match_mask(ds, remaining, conds)]
+        remaining = remaining[~covers(ds, remaining, conds)]
     return ruleset
 
 
 def _whole_list_error(
-    ds: PreparedDataset, rows: np.ndarray, ruleset: list[Conds], pos: int
+    ds: PreparedDataset, rows: np.ndarray, ruleset: list[Conjunction], pos: int
 ) -> int:
     covered = _union_coverage(ds, rows, ruleset)
     is_pos = ds.y[rows] == pos
@@ -217,10 +213,10 @@ def _whole_list_error(
 def _prune_for_list(
     ds: PreparedDataset,
     prune_rows: np.ndarray,
-    others: list[Conds],
-    conds: Conds,
+    others: list[Conjunction],
+    conds: Conjunction,
     pos: int,
-) -> Conds:
+) -> Conjunction:
     """Prune a candidate by the error of the whole ruleset on the prune set."""
     if len(conds) <= 1 or len(prune_rows) == 0:
         return conds
@@ -235,11 +231,11 @@ def _prune_for_list(
 def _optimize_stage(
     ds: PreparedDataset,
     stage_rows: np.ndarray,
-    ruleset: list[Conds],
+    ruleset: list[Conjunction],
     pos: int,
     params: RipperParams,
     rng: random.Random,
-) -> list[Conds]:
+) -> list[Conjunction]:
     """One replacement/revision pass over the ruleset."""
     result = list(ruleset)
     for i in range(len(result)):
@@ -265,8 +261,8 @@ def _optimize_stage(
 
 
 def _sweep_deletions(
-    ds: PreparedDataset, stage_rows: np.ndarray, ruleset: list[Conds], pos: int
-) -> list[Conds]:
+    ds: PreparedDataset, stage_rows: np.ndarray, ruleset: list[Conjunction], pos: int
+) -> list[Conjunction]:
     """Drop rules whose removal does not increase the description length."""
     result = list(ruleset)
     i = len(result) - 1
@@ -291,7 +287,8 @@ def train_ripper(
         key=lambda c: (counts[c], c),
     )
     rng = random.Random(params.seed)
-    rules: list[Rule] = []
+    rules: list[Conjunction] = []
+    classes: list[int] = []
     data = rows
     for ci in order[:-1]:
         if not (ds.y[data] == ci).any():
@@ -303,28 +300,8 @@ def train_ripper(
             ruleset = _optimize_stage(ds, data, ruleset, ci, params, rng)
             ruleset = _build_stage(ds, data, ci, params, rng, ruleset=ruleset)
         ruleset = _sweep_deletions(ds, data, ruleset, ci)
-        for conds in ruleset:
-            named = tuple((ds.names[a], ds.domains[a][v]) for a, v in conds)
-            rules.append(Rule(conditions=named, klass=ds.target_domain[ci]))
+        rules += ruleset
+        classes += [ci] * len(ruleset)
         if ruleset:
             data = data[~_union_coverage(ds, data, ruleset)]
-    default_class = ds.target_domain[order[-1]]
-    rule_list = RuleList(target=ds.target, rules=tuple(rules), default_class=default_class)
-    recount_encoded(rule_list, ds, rows)
-    return rule_list
-
-
-def recount_encoded(rule_list: RuleList, ds: PreparedDataset, rows: np.ndarray) -> None:
-    """Refresh (N/E) annotations with first-match counts over ``rows``."""
-    fired = first_match(rule_list, ds, rows)
-    class_codes = rule_class_codes(rule_list, ds)
-    slots = len(class_codes)
-    covered = np.bincount(fired, minlength=slots)
-    correct = np.bincount(fired[ds.y[rows] == class_codes[fired]], minlength=slots)
-    errors = covered - correct
-    rule_list.rules = tuple(
-        Rule(rule.conditions, rule.klass, int(covered[i]), int(errors[i]))
-        for i, rule in enumerate(rule_list.rules)
-    )
-    rule_list.default_count = int(covered[-1])
-    rule_list.default_errors = int(errors[-1])
+    return counted_rule_list(ds, rows, rules, classes, order[-1])

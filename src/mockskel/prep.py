@@ -9,7 +9,6 @@ model.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass, replace
 from operator import itemgetter
 from typing import Sequence
@@ -56,10 +55,6 @@ class Removal:
             "reason": self.reason,
             "distinctCount": self.distinct_count,
         }
-
-
-def removal_report_json(removals: tuple[Removal, ...]) -> str:
-    return json.dumps([r.to_json_dict() for r in removals], indent=2)
 
 
 @dataclass(frozen=True, eq=False)

@@ -231,9 +231,6 @@ class MockService:
         with self._lock_for(key):
             return synthesize_response(self.skeleton, request, self.state)
 
-    def handle_request(self, request: HttpRequest) -> SynthesizedResponse:
-        return self.handle(request.method, request.uri, request.headers, request.body)
-
     def reset(self) -> None:
         with self._master:
             self.state.reset()

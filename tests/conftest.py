@@ -30,7 +30,12 @@ def make_dataset(rows, input_names, target_name="statusCode"):
     return project_for_target(coerce_to_nominal(table), target_name)
 
 
-def row_mapping(ds, i):
+def table_row(table, i):
+    """Row ``i`` of an instance table as name -> value."""
+    return dict(zip(table.names, table.instances[i].values))
+
+
+def dataset_row(ds, i):
     """Row ``i`` of a prepared dataset as name -> value, decoded from its codes."""
     row = {name: domain[code] for name, domain, code in zip(ds.names, ds.domains, ds.X[i])}
     row[ds.target] = ds.target_domain[ds.y[i]]

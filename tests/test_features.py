@@ -6,6 +6,7 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
+from conftest import table_row
 from mockskel.features import (
     SENTINEL_NO_EXIST,
     SENTINEL_NULL,
@@ -441,7 +442,7 @@ class TestServeMatchesTraining:
             key = resource_key(t.request, config.resource)
             state = states.get(key, ResourceState())
             values, _ = serve_input_values(input_names, t.request, state, config)
-            row = table.row_mapping(i)
+            row = table_row(table, i)
             assert values == {name: row[name] for name in input_names}
             states[key] = state.after(
                 t.request.method, t.response.status_code, crud_class(t.request, config.resource)

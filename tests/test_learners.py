@@ -7,7 +7,7 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from conftest import make_dataset, row_mapping
+from conftest import dataset_row, make_dataset, table_row
 from mockskel.errors import DegenerateDatasetError
 from mockskel.evaluation import stratified_fold_indices
 from mockskel.features import extract_table
@@ -31,7 +31,8 @@ from mockskel.learners import (
     train_part,
     train_ripper,
 )
-from mockskel.learners.base import added_errors
+from mockskel.learners.base import PartParams, added_errors
+from mockskel.learners.c45 import GrownSplit, grow
 from mockskel.prep import prepare_all
 from mockskel.synth import generate_synthetic_log
 
@@ -166,7 +167,7 @@ class TestC45:
         tree = train_c45(ds)
         assert model_size(tree) <= 7
         errors = sum(
-            classify(tree, row_mapping(ds, i)) != rows[i][2] for i in range(len(rows))
+            classify(tree, dataset_row(ds, i)) != rows[i][2] for i in range(len(rows))
         )
         assert errors == 0
 
@@ -208,7 +209,11 @@ class TestC45:
         assert render_model(t1) == render_model(t2)
 
     def test_pruning_never_grows_tree_or_estimated_error(self):
-        from mockskel.learners.c45 import _estimated_errors
+        def estimated_errors(tree):
+            return sum(
+                leaf.error_count + added_errors(leaf.train_count, leaf.error_count, 0.25)
+                for leaf in tree.leaves()
+            )
 
         rng = random.Random(6)
         for seed in range(20):
@@ -222,9 +227,7 @@ class TestC45:
             pruned = train_c45(ds, prune=True)
             unpruned = train_c45(ds, prune=False)
             assert model_size(pruned) <= model_size(unpruned)
-            assert _estimated_errors(pruned.root, 0.25) <= _estimated_errors(
-                unpruned.root, 0.25
-            ) + 1e-9
+            assert estimated_errors(pruned) <= estimated_errors(unpruned) + 1e-9
 
     def test_root_split_maximizes_gain_ratio_exhaustively(self):
         # datasets with <=4 binary inputs and <=64 instances: the chosen
@@ -309,7 +312,7 @@ class TestRipper:
         ds = make_dataset(rows, ["method", "everCreated", "hasValidPayload"])
         model = train_ripper(ds)
         errors = sum(
-            classify(model, row_mapping(ds, i)) != rows[i][3] for i in range(len(rows))
+            classify(model, dataset_row(ds, i)) != rows[i][3] for i in range(len(rows))
         )
         assert errors / len(rows) <= 0.01
         assert model_size(model) <= 8
@@ -358,7 +361,7 @@ class TestPart:
         ds = make_dataset(rows, ["method", "everCreated", "hasValidPayload"])
         model = train_part(ds)
         errors = sum(
-            classify(model, row_mapping(ds, i)) != rows[i][3] for i in range(len(rows))
+            classify(model, dataset_row(ds, i)) != rows[i][3] for i in range(len(rows))
         )
         assert errors / len(rows) <= 0.01
         assert model_size(model) <= 9
@@ -376,7 +379,7 @@ class TestPart:
         model = train_part(ds)
         assert model_size(model) <= 4
         errors = sum(
-            classify(model, row_mapping(ds, i)) != rows[i][2] for i in range(len(rows))
+            classify(model, dataset_row(ds, i)) != rows[i][2] for i in range(len(rows))
         )
         assert errors == 0
 
@@ -384,6 +387,32 @@ class TestPart:
         rows = TestRipper().stateful_rows(seed=29)
         ds = make_dataset(rows, ["method", "everCreated", "hasValidPayload"])
         assert render_model(train_part(ds)) == render_model(train_part(ds))
+
+    def test_partial_tree_stops_after_the_first_subtree(self):
+        # a=x is the purest branch (entropy 0.95) and b decides it; a=z
+        # (1.0) and a=y (1.58) are noise that b cannot split
+        rows = [["x", "p", "200"]] * 25 + [["x", "q", "404"]] * 15
+        rows += [["z", b, s] for b in "pq" for s in ("404", "500") for _ in range(5)]
+        rows += [["y", b, s] for b in "pq" for s in ("200", "404", "500") for _ in range(5)]
+        ds = make_dataset(rows, ["a", "b"])
+        available = np.ones(len(ds.names), dtype=bool)
+        root = grow(ds, ds.all_rows(), available, PartParams(), partial=True)
+
+        assert isinstance(root, GrownSplit)  # not collapsed into a leaf
+        assert ds.names[root.attr] == "a"
+        codes = ds.codes[root.attr]
+        branch_entropy = {
+            codes[value]: oracle_entropy(Counter(r[2] for r in rows if r[0] == value).values())
+            for value in codes
+        }
+        first, *later = sorted(branch_entropy, key=lambda code: (branch_entropy[code], code))
+        assert ds.domains[root.attr][first] == "x"
+        assert isinstance(root.children[first], GrownSplit)
+        assert [root.children[code] for code in later] == [None, None]
+
+        model = train_part(ds)
+        assert model.rules[0].conditions == (("a", "x"), ("b", "p"))
+        assert model.rules[0].klass == "200"
 
 
 class TestCoverageInvariant:
@@ -415,8 +444,8 @@ def assert_predictions_match_classify(model, ds, rows, table=None):
     gives for its name->value mapping: the string row of ``table`` when
     given, else the row decoded from its codes."""
     predicted = predict_encoded(model, ds, rows)
-    row_of = table.row_mapping if table is not None else (lambda i: row_mapping(ds, i))
-    expected = [classify(model, row_of(int(i))) for i in rows]
+    source, row_of = (ds, dataset_row) if table is None else (table, table_row)
+    expected = [classify(model, row_of(source, int(i))) for i in rows]
     assert [ds.target_domain[c] for c in predicted] == expected
 
 
@@ -517,7 +546,7 @@ class TestTreeCounts:
         ds = make_dataset(rows, ["x", "y", "z"])
         tree = train_c45(ds, params=C45Params(min_leaf_instances=1), prune=False)
         errors = sum(
-            classify(tree, row_mapping(ds, i)) != rows[i][3] for i in range(len(rows))
+            classify(tree, dataset_row(ds, i)) != rows[i][3] for i in range(len(rows))
         )
         assert errors == 0
 

@@ -1,9 +1,10 @@
+import json
 import random
 
 import numpy as np
 import pytest
 
-from conftest import row_mapping, target_labels
+from conftest import dataset_row, table_row, target_labels
 from mockskel.errors import PrunedTargetError, UnknownTargetError
 from mockskel.features import Attribute, Instance, InstanceTable, Role
 from mockskel.prep import (
@@ -13,7 +14,6 @@ from mockskel.prep import (
     prepare_all,
     project_for_target,
     prune_targets,
-    removal_report_json,
 )
 
 
@@ -126,9 +126,7 @@ class TestPruneTargets:
             }
         )
         _, removals = prune_targets(table)
-        import json
-
-        report = json.loads(removal_report_json(removals))
+        report = json.loads(json.dumps([r.to_json_dict() for r in removals]))
         assert report == [
             {"attribute": "host", "role": "input", "reason": "single-valued-input", "distinctCount": 1}
         ]
@@ -278,7 +276,7 @@ class TestEncodedTable:
         ds = project_for_target(table, "statusCode")
         assert ds.X[:, 0].tolist() == [0, 1, 0]
         assert ds.y.tolist() == [0, 1, 0]
-        assert [row_mapping(ds, i) for i in range(3)] == [table.row_mapping(i) for i in range(3)]
+        assert [dataset_row(ds, i) for i in range(3)] == [table_row(table, i) for i in range(3)]
 
 
 class TestPruningMonotonicity:

@@ -237,7 +237,8 @@ class TestReplayFidelity:
         service = MockService(skeleton)
         matches = 0
         for txn in small_synth_log.transactions:
-            response = service.handle_request(txn.request)
+            r = txn.request
+            response = service.handle(r.method, r.uri, r.headers, r.body)
             matches += response.status_code == txn.response.status_code
         assert matches / len(small_synth_log) >= 0.97
 

@@ -3,7 +3,7 @@ import random
 
 import pytest
 
-from conftest import make_dataset
+from conftest import make_dataset, table_row
 from mockskel.cli import RunConfig, choose_models, run_pipeline
 from mockskel.errors import SkeletonSyntaxError, UnknownAttributeError
 from mockskel.features import Role
@@ -90,7 +90,7 @@ class TestRoundTrip:
         reparsed = parse_skeleton(text)
         assert set(reparsed.targets) == set(skeleton.targets)
         table = result.table
-        rows = [table.row_mapping(i) for i in range(len(table.instances))]
+        rows = [table_row(table, i) for i in range(len(table.instances))]
         for name, entry in skeleton.targets.items():
             again = reparsed.targets[name]
             assert again.origin == "learned"
@@ -175,7 +175,7 @@ class TestHandEdits:
         lines.insert(marker + 1, "  (method = DELETE) => statusCode=503")
         edited = parse_skeleton("\n".join(lines) + "\n")
         table = result.table
-        rows = [table.row_mapping(i) for i in range(len(table.instances))]
+        rows = [table_row(table, i) for i in range(len(table.instances))]
         for name, entry in skeleton.targets.items():
             if name == "statusCode":
                 continue
