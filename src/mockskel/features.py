@@ -27,7 +27,7 @@ import re
 from dataclasses import dataclass
 from enum import Enum
 from functools import cached_property, lru_cache
-from typing import Iterable, Mapping, NamedTuple, Sequence
+from typing import Iterable, NamedTuple, Sequence
 from urllib.parse import parse_qsl
 
 from .errors import UnknownAttributeError
@@ -181,23 +181,6 @@ class ExtractionConfig:
         lname = name.lower()
         names, pattern = self._auth_matchers
         return lname in names or (pattern is not None and pattern.match(lname) is not None)
-
-    def to_json_dict(self) -> dict:
-        return {
-            "resourceKey": self.resource.to_json_dict(),
-            "authHeaderNames": list(self.auth_header_names),
-            "authHeaderPatterns": list(self.auth_header_patterns),
-            "maxPathDepth": self.max_path_depth,
-        }
-
-    @classmethod
-    def from_json_dict(cls, obj: Mapping) -> "ExtractionConfig":
-        return cls(
-            resource=ResourceKeyConfig.from_json_dict(obj.get("resourceKey", {})),
-            auth_header_names=tuple(obj.get("authHeaderNames", ("Authorization", "Cookie"))),
-            auth_header_patterns=tuple(obj.get("authHeaderPatterns", ("x-*-token",))),
-            max_path_depth=int(obj.get("maxPathDepth", 16)),
-        )
 
 
 @dataclass(frozen=True)

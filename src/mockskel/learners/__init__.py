@@ -19,9 +19,6 @@ from .model import (
     classify,
     leaf_count,
     model_size,
-    render_model,
-    render_rules,
-    render_tree,
 )
 
 #: the learners, each named after its module; ties between them break in this order
@@ -78,9 +75,6 @@ __all__ = [
     "leaf_count",
     "model_size",
     "predict_encoded",
-    "render_model",
-    "render_rules",
-    "render_tree",
     "train",
     "train_c45",
     "train_part",

@@ -1,13 +1,11 @@
 """Symbolic model forms: decision trees and ordered rule lists.
 
-Both forms classify nominal instances given as name->value mappings and
-render to the indented/parenthesised text that skeleton files embed.
+Both forms classify nominal instances given as name->value mappings;
+``mockskel.skeleton`` writes and reads their text form.
 """
 
 from __future__ import annotations
 
-import json
-import re
 from dataclasses import dataclass
 from typing import Iterator, Mapping, Union
 
@@ -123,68 +121,3 @@ def model_size(model: Model) -> int:
 def leaf_count(tree: DecisionTree) -> int:
     return sum(1 for _ in tree.leaves())
 
-
-# ---------------------------------------------------------------------------
-# Rendering (the exact text skeleton files embed)
-
-#: values that skeleton files write (and parse) without JSON quotes
-BARE_TOKEN = re.compile(r"[A-Za-z0-9_.\-{}/@+]+")
-
-
-def _quote(value: str) -> str:
-    if BARE_TOKEN.fullmatch(value):
-        return value
-    return json.dumps(value, ensure_ascii=False)
-
-
-def _counts(n: int, e: int, include: bool) -> str:
-    if not include:
-        return ""
-    return f" ({n})" if e == 0 else f" ({n}/{e})"
-
-
-def render_tree(tree: DecisionTree, indent: str = "", include_counts: bool = True) -> list[str]:
-    lines: list[str] = []
-
-    def walk(node: Node, pad: str) -> None:
-        for value, child in node.branches.items():
-            prefix = f"{pad}{node.attribute} = {_quote(value)}:"
-            if isinstance(child, Leaf):
-                lines.append(
-                    f"{prefix} {_quote(child.klass)}"
-                    f"{_counts(child.train_count, child.error_count, include_counts)}"
-                )
-            else:
-                lines.append(prefix)
-                walk(child, pad + "  ")
-
-    if isinstance(tree.root, Leaf):
-        leaf = tree.root
-        lines.append(
-            f"{indent}{_quote(leaf.klass)}"
-            f"{_counts(leaf.train_count, leaf.error_count, include_counts)}"
-        )
-    else:
-        walk(tree.root, indent)
-    return lines
-
-
-def render_rules(rules: RuleList, indent: str = "", include_counts: bool = True) -> list[str]:
-    lines: list[str] = []
-    for rule in rules.rules:
-        conds = " and ".join(f"{attr} = {_quote(value)}" for attr, value in rule.conditions)
-        lines.append(
-            f"{indent}({conds}) => {rules.target}={_quote(rule.klass)}"
-            f"{_counts(rule.train_count, rule.error_count, include_counts)}"
-        )
-    lines.append(
-        f"{indent}default: {_quote(rules.default_class)}"
-        f"{_counts(rules.default_count, rules.default_errors, include_counts)}"
-    )
-    return lines
-
-
-def render_model(model: Model, indent: str = "", include_counts: bool = True) -> list[str]:
-    if isinstance(model, DecisionTree):
-        return render_tree(model, indent, include_counts)
-    return render_rules(model, indent, include_counts)

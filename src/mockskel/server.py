@@ -261,15 +261,16 @@ def make_handler(service: MockService, skeleton_text: str):
             log.debug(fmt, *args)
 
         def _send(self, status: int, headers, body: bytes | None) -> None:
-            """Answer a HEAD with the body's length but no body, and a 204
-            with neither."""
+            """Answer a HEAD with the body's length but no body, and a 1xx,
+            204 or 304 (which end at their headers) with neither."""
             self.send_response(status)
             for name, value in headers:
                 self.send_header(name, value)
-            if status != 204:
+            bodiless = status < 200 or status in (204, 304)
+            if not bodiless:
                 self.send_header("Content-Length", str(len(body) if body else 0))
             self.end_headers()
-            if body and status != 204 and self.command != "HEAD":
+            if body and not bodiless and self.command != "HEAD":
                 self.wfile.write(body)
 
         def _control(self, path: str) -> None:
@@ -289,9 +290,13 @@ def make_handler(service: MockService, skeleton_text: str):
                 self._send(404, [], None)
 
         def _handle(self) -> None:
+            # where the body ends is unknown, so the connection cannot be reused:
+            # a chunked body is not decoded, and a bad Content-Length is a 400
+            if "Transfer-Encoding" in self.headers:
+                self._send(411, [("Connection", "close")], None)
+                return
             length = _content_length(self.headers.get("Content-Length"))
             if length is None:
-                # the body's end is unknown, so the connection cannot be reused
                 self._send(400, [("Connection", "close")], None)
                 return
             body = self.rfile.read(length) if length else None

@@ -38,12 +38,13 @@ import hashlib
 import json
 import logging
 import re
-from dataclasses import dataclass, field
-from typing import TYPE_CHECKING, Mapping
+from dataclasses import dataclass, field, fields, is_dataclass
+from functools import cache
+from typing import TYPE_CHECKING, Mapping, get_type_hints
 
 from .errors import SkeletonSyntaxError, UnknownAttributeError
 from .features import ExtractionConfig, ExtractionProfile
-from .learners.model import BARE_TOKEN, DecisionTree, Leaf, Model, Rule, RuleList, Split, render_model
+from .learners.model import DecisionTree, Leaf, Model, Rule, RuleList, Split
 
 if TYPE_CHECKING:  # training-side types; serving does not import them
     from .evaluation import TargetMetrics
@@ -150,55 +151,26 @@ def build_skeleton(
 
 
 # ---------------------------------------------------------------------------
-# Emission
+# Values, attribute tests and classes: the tokens every model line is made of
 
-
-def _config_json(skeleton: MockSkeleton) -> str:
-    obj = skeleton.config.to_json_dict()
-    obj["pathDepth"] = skeleton.profile.path_depth
-    obj["arrayPaths"] = list(skeleton.profile.array_paths)
-    obj["shapes"] = list(skeleton.profile.shapes)
-    obj["droppedInputs"] = list(skeleton.dropped_inputs)
-    return json.dumps(obj, separators=(", ", ": "))
-
-
-def emit_skeleton(skeleton: MockSkeleton) -> str:
-    """Render a skeleton to its editable text form."""
-    lines = [
-        "# mock skeleton v1",
-        f"service: {skeleton.service_name}",
-        f"schema-digest: {skeleton.computed_digest()}",
-        f"seed: {skeleton.seed}",
-        f"config: {_config_json(skeleton)}",
-        "",
-        "inputs:",
-    ]
-    lines += [f"  {name}" for name in skeleton.inputs]
-    for name, entry in skeleton.targets.items():
-        kind = "tree" if isinstance(entry.model, DecisionTree) else "rules"
-        lines.append("")
-        lines.append(f"target {name} {kind}:")
-        meta = [f"learner={entry.learner}"] if entry.learner else []
-        meta += [f"{key}={value}" for key, value in entry.metrics.items()]
-        learned = entry.origin == ORIGIN_LEARNED
-        if meta and learned:
-            lines.append("  # " + " ".join(meta))
-        # edited models stay count-free so their provenance survives re-emission
-        lines += render_model(entry.model, indent="  ", include_counts=learned)
-    if skeleton.unpredicted:
-        lines.append("")
-        lines.append("unpredicted:")
-        for item in skeleton.unpredicted:
-            default = json.dumps(item.default, ensure_ascii=False)
-            lines.append(f"  {item.attribute}  reason={item.reason}  default={default}")
-    return "\n".join(lines) + "\n"
-
-
-# ---------------------------------------------------------------------------
-# Parsing
-
+#: values that skeleton files write (and parse) without JSON quotes
+BARE_TOKEN = re.compile(r"[A-Za-z0-9_.\-{}/@+]+")
 _COUNTS = re.compile(r"\((\d+)(?:/(\d+))?\)\s*$")
 _DECODER = json.JSONDecoder()
+
+
+def _quote(value: str) -> str:
+    if BARE_TOKEN.fullmatch(value):
+        return value
+    return json.dumps(value, ensure_ascii=False)
+
+
+def _class_tail(klass: str, n: int, e: int, include: bool) -> str:
+    """The ``<class> (N/E)`` tail that ``_take_class`` reads, with the
+    counts left out unless ``include``."""
+    if not include:
+        return _quote(klass)
+    return f"{_quote(klass)} ({n})" if e == 0 else f"{_quote(klass)} ({n}/{e})"
 
 
 def _take_value(text: str, line_no: int) -> tuple[str, str]:
@@ -218,18 +190,76 @@ def _take_value(text: str, line_no: int) -> tuple[str, str]:
     return match.group(0), text[match.end():]
 
 
-def _take_counts(text: str, line_no: int) -> tuple[int, int, bool]:
-    """(train count, error count, counts present) from a line tail."""
-    match = _COUNTS.search(text)
-    if not match:
-        if text.strip():
-            raise SkeletonSyntaxError(f"unexpected trailing text {text.strip()!r}", line_no)
-        return 0, 0, False
-    if text[: match.start()].strip():
-        raise SkeletonSyntaxError(
-            f"unexpected text before counts: {text[: match.start()].strip()!r}", line_no
+def _take_test(text: str, line_no: int, target: str, inputs: set[str]) -> tuple[str, str, str]:
+    """Consume one ``<attr> = <value>`` test of a known input; returns
+    (attribute, value, rest)."""
+    attribute, sep, tail = text.partition(" = ")
+    if not sep:
+        raise SkeletonSyntaxError(f"expected '<attribute> = <value>', got {text!r}", line_no)
+    attribute = attribute.strip()
+    if attribute not in inputs:
+        raise UnknownAttributeError(
+            f"line {line_no}: unknown attribute {attribute!r} in the model for {target!r}"
         )
-    return int(match.group(1)), int(match.group(2) or 0), True
+    value, rest = _take_value(tail, line_no)
+    return attribute, value, rest.lstrip()
+
+
+def _take_class(text: str, line_no: int) -> tuple[str, int, int, bool]:
+    """A line's ``<class> (N/E)`` tail: (class, train count, error count,
+    counts present)."""
+    klass, rest = _take_value(text, line_no)
+    match = _COUNTS.search(rest)
+    if not match:
+        if rest.strip():
+            raise SkeletonSyntaxError(f"unexpected trailing text {rest.strip()!r}", line_no)
+        return klass, 0, 0, False
+    if rest[: match.start()].strip():
+        raise SkeletonSyntaxError(
+            f"unexpected text before counts: {rest[: match.start()].strip()!r}", line_no
+        )
+    return klass, int(match.group(1)), int(match.group(2) or 0), True
+
+
+# ---------------------------------------------------------------------------
+# Model bodies
+
+
+def render_tree(tree: DecisionTree, indent: str = "", include_counts: bool = True) -> list[str]:
+    def leaf(node: Leaf) -> str:
+        return _class_tail(node.klass, node.train_count, node.error_count, include_counts)
+
+    if isinstance(tree.root, Leaf):
+        return [f"{indent}{leaf(tree.root)}"]
+    lines: list[str] = []
+
+    def walk(node: Split, pad: str) -> None:
+        for value, child in node.branches.items():
+            prefix = f"{pad}{node.attribute} = {_quote(value)}:"
+            if isinstance(child, Leaf):
+                lines.append(f"{prefix} {leaf(child)}")
+            else:
+                lines.append(prefix)
+                walk(child, pad + "  ")
+
+    walk(tree.root, indent)
+    return lines
+
+
+def render_rules(rules: RuleList, indent: str = "", include_counts: bool = True) -> list[str]:
+    lines = []
+    for rule in rules.rules:
+        conds = " and ".join(f"{attr} = {_quote(value)}" for attr, value in rule.conditions)
+        tail = _class_tail(rule.klass, rule.train_count, rule.error_count, include_counts)
+        lines.append(f"{indent}({conds}) => {rules.target}={tail}")
+    tail = _class_tail(rules.default_class, rules.default_count, rules.default_errors, include_counts)
+    return lines + [f"{indent}default: {tail}"]
+
+
+def render_model(model: Model, indent: str = "", include_counts: bool = True) -> list[str]:
+    if isinstance(model, DecisionTree):
+        return render_tree(model, indent, include_counts)
+    return render_rules(model, indent, include_counts)
 
 
 @dataclass
@@ -259,57 +289,43 @@ def _model_lines(block: list[_Line]) -> tuple[list[_Line], dict[str, float]]:
 def _parse_tree(name: str, block: list[_Line], inputs: set[str]) -> tuple[DecisionTree, bool]:
     edited = False
 
-    def parse_leaf_tail(text: str, line_no: int) -> Leaf:
+    def leaf(text: str, line_no: int) -> Leaf:
         nonlocal edited
-        klass, rest = _take_value(text, line_no)
-        n, e, counted = _take_counts(rest, line_no)
-        if not counted:
-            edited = True
+        klass, n, e, counted = _take_class(text, line_no)
+        edited = edited or not counted
         return Leaf(klass, n, e)
 
-    def parse_level(start: int, indent: int) -> tuple[object, int]:
+    def parse_level(start: int, indent: int) -> tuple[Split, int]:
         """Parse the sibling branch group starting at ``start``."""
         branches: dict[str, object] = {}
         attribute = None
         i = start
         while i < len(block) and block[i].indent == indent:
             line = block[i]
-            head, sep, tail = line.text.partition(" = ")
-            if not sep:
-                raise SkeletonSyntaxError(f"expected '<attribute> = <value>:', got {line.text!r}", line.number)
+            tested, value, rest = _take_test(line.text, line.number, name, inputs)
             if attribute is None:
-                attribute = head.strip()
-                if attribute not in inputs:
-                    raise UnknownAttributeError(
-                        f"line {line.number}: unknown attribute {attribute!r} in tree for {name!r}"
-                    )
-            elif head.strip() != attribute:
+                attribute = tested
+            elif tested != attribute:
                 raise SkeletonSyntaxError(
-                    f"sibling branches must test one attribute ({attribute!r}), got {head.strip()!r}",
+                    f"sibling branches must test one attribute ({attribute!r}), got {tested!r}",
                     line.number,
                 )
-            value, rest = _take_value(tail, line.number)
-            rest = rest.lstrip()
             if not rest.startswith(":"):
                 raise SkeletonSyntaxError("expected ':' after branch value", line.number)
             rest = rest[1:].strip()
             if rest:
-                branches[value] = parse_leaf_tail(rest, line.number)
+                branches[value] = leaf(rest, line.number)
                 i += 1
             else:
                 if i + 1 >= len(block) or block[i + 1].indent <= indent:
-                    raise SkeletonSyntaxError("branch subtree is empty", block[i].number)
-                child, i = parse_level(i + 1, block[i + 1].indent)
-                branches[value] = child
-        if attribute is None:
-            raise SkeletonSyntaxError("empty tree body", block[start].number if block else 0)
+                    raise SkeletonSyntaxError("branch subtree is empty", line.number)
+                branches[value], i = parse_level(i + 1, block[i + 1].indent)
         return Split(attribute, branches), i
 
     if not block:
         raise SkeletonSyntaxError(f"target {name!r} has an empty model body")
     if len(block) == 1 and " = " not in block[0].text:
-        root = parse_leaf_tail(block[0].text, block[0].number)
-        return DecisionTree(target=name, root=root), edited
+        return DecisionTree(target=name, root=leaf(block[0].text, block[0].number)), edited
     root, end = parse_level(0, block[0].indent)
     if end != len(block):
         raise SkeletonSyntaxError("unexpected indentation", block[end].number)
@@ -325,8 +341,7 @@ def _parse_rules(name: str, block: list[_Line], inputs: set[str]) -> tuple[RuleL
         if text.startswith("default:"):
             if default is not None:
                 raise SkeletonSyntaxError("duplicate default line", line.number)
-            klass, rest = _take_value(text[len("default:"):], line.number)
-            n, e, counted = _take_counts(rest, line.number)
+            klass, n, e, counted = _take_class(text[len("default:"):], line.number)
             edited = edited or not counted
             default = (klass, n, e)
             continue
@@ -335,48 +350,137 @@ def _parse_rules(name: str, block: list[_Line], inputs: set[str]) -> tuple[RuleL
         rest = text[1:].lstrip()
         conditions: list[tuple[str, str]] = []
         while not rest.startswith(")"):
-            attr, sep, tail = rest.partition(" = ")
-            if not sep:
-                raise SkeletonSyntaxError("expected '<attribute> = <value>' in rule", line.number)
-            attr = attr.strip()
-            if attr not in inputs:
-                raise UnknownAttributeError(
-                    f"line {line.number}: unknown attribute {attr!r} in rule for {name!r}"
-                )
-            value, rest = _take_value(tail, line.number)
-            rest = rest.lstrip()
+            attribute, value, rest = _take_test(rest, line.number, name, inputs)
             if rest.startswith("and "):
                 rest = rest[4:].lstrip()
             elif not rest.startswith(")"):
                 raise SkeletonSyntaxError("expected 'and' or ')' in rule conditions", line.number)
-            conditions.append((attr, value))
+            conditions.append((attribute, value))
         rest = rest[1:].lstrip()
         if not rest.startswith("=>"):
             raise SkeletonSyntaxError("expected '=>' after rule conditions", line.number)
-        rest = rest[2:].lstrip()
-        target, sep, tail = rest.partition("=")
+        target, sep, tail = rest[2:].partition("=")
         if not sep:
             raise SkeletonSyntaxError("expected '<target>=<class>' after '=>'", line.number)
         if target.strip() != name:
             raise SkeletonSyntaxError(
                 f"rule assigns {target.strip()!r} inside target section {name!r}", line.number
             )
-        klass, rest = _take_value(tail, line.number)
-        n, e, counted = _take_counts(rest, line.number)
+        klass, n, e, counted = _take_class(tail, line.number)
         edited = edited or not counted
         rules.append(Rule(tuple(conditions), klass, n, e))
     if default is None:
         raise SkeletonSyntaxError(f"target {name!r} rules have no default line")
-    return (
-        RuleList(
-            target=name,
-            rules=tuple(rules),
-            default_class=default[0],
-            default_count=default[1],
-            default_errors=default[2],
-        ),
-        edited,
-    )
+    klass, n, e = default
+    return RuleList(name, tuple(rules), klass, default_count=n, default_errors=e), edited
+
+
+# ---------------------------------------------------------------------------
+# The config: line, one JSON key per field of ExtractionConfig (with its
+# ResourceKeyConfig under "resourceKey") and ExtractionProfile, plus
+# "droppedInputs"
+
+_STRINGS = tuple[str, ...]
+_PAIRS = tuple[tuple[str, str], ...]  # a JSON object of strings
+_JSON_TYPES = {int: "an integer", _STRINGS: "a list of strings", _PAIRS: "an object of strings"}
+_field_types = cache(get_type_hints)  # per config class; resolving the annotations is slow
+
+
+@cache
+def _config_key(field_name: str) -> str:
+    """A field's JSON key: ``resourceKey``, or the field's name in camelCase."""
+    if field_name == "resource":
+        return "resourceKey"
+    return re.sub(r"_([a-z])", lambda m: m[1].upper(), field_name)
+
+
+def _config_object(obj) -> dict:
+    """A config dataclass as JSON, one key per field in field order."""
+    hints = _field_types(type(obj))
+    out = {}
+    for f in fields(obj):
+        value = getattr(obj, f.name)
+        if is_dataclass(value):
+            value = _config_object(value)
+        elif hints[f.name] == _PAIRS:
+            value = dict(value)
+        out[_config_key(f.name)] = value
+    return out
+
+
+def _read_config(hint, value, key: str, line_no: int):
+    """The value of type ``hint`` that the JSON ``value`` under ``key``
+    gives; a dataclass field whose key is missing keeps its default."""
+    if is_dataclass(hint) and isinstance(value, dict):
+        hints = _field_types(hint)
+        return hint(**{
+            f.name: _read_config(hints[f.name], value[k], k, line_no)
+            for f in fields(hint)
+            if (k := _config_key(f.name)) in value
+        })
+    if hint is int and type(value) is int:
+        return value
+    if hint == _STRINGS and isinstance(value, list) and all(type(v) is str for v in value):
+        return tuple(value)
+    if hint == _PAIRS and isinstance(value, dict) and all(type(v) is str for v in value.values()):
+        return tuple(value.items())
+    raise SkeletonSyntaxError(f"{key} must be {_JSON_TYPES.get(hint, 'a JSON object')}", line_no)
+
+
+def _parse_config(
+    text: str, line_no: int
+) -> tuple[ExtractionConfig, ExtractionProfile, tuple[str, ...]]:
+    """The config, profile and dropped inputs of a ``config:`` line."""
+    try:
+        obj = json.loads(text)
+    except json.JSONDecodeError as exc:
+        raise SkeletonSyntaxError(f"bad config JSON: {exc}", line_no) from None
+    config = _read_config(ExtractionConfig, obj, "config", line_no)
+    try:
+        config.resource.is_identifier("")  # compiles the id patterns
+    except re.error as exc:
+        raise SkeletonSyntaxError(f"bad idPatterns: {exc}", line_no) from None
+    profile = _read_config(ExtractionProfile, obj, "config", line_no)
+    dropped = _read_config(_STRINGS, obj.get("droppedInputs", []), "droppedInputs", line_no)
+    return config, profile, dropped
+
+
+# ---------------------------------------------------------------------------
+# Documents
+
+
+def emit_skeleton(skeleton: MockSkeleton) -> str:
+    """Render a skeleton to its editable text form."""
+    config = _config_object(skeleton.config) | _config_object(skeleton.profile)
+    config["droppedInputs"] = skeleton.dropped_inputs
+    lines = [
+        "# mock skeleton v1",
+        f"service: {skeleton.service_name}",
+        f"schema-digest: {skeleton.computed_digest()}",
+        f"seed: {skeleton.seed}",
+        f"config: {json.dumps(config, separators=(', ', ': '))}",
+        "",
+        "inputs:",
+    ]
+    lines += [f"  {name}" for name in skeleton.inputs]
+    for name, entry in skeleton.targets.items():
+        kind = "tree" if isinstance(entry.model, DecisionTree) else "rules"
+        lines.append("")
+        lines.append(f"target {name} {kind}:")
+        meta = [f"learner={entry.learner}"] if entry.learner else []
+        meta += [f"{key}={value}" for key, value in entry.metrics.items()]
+        learned = entry.origin == ORIGIN_LEARNED
+        if meta and learned:
+            lines.append("  # " + " ".join(meta))
+        # edited models stay count-free so their provenance survives re-emission
+        lines += render_model(entry.model, indent="  ", include_counts=learned)
+    if skeleton.unpredicted:
+        lines.append("")
+        lines.append("unpredicted:")
+        for item in skeleton.unpredicted:
+            default = json.dumps(item.default, ensure_ascii=False)
+            lines.append(f"  {item.attribute}  reason={item.reason}  default={default}")
+    return "\n".join(lines) + "\n"
 
 
 _TARGET_HEADER = re.compile(r"target\s+(\S+)\s+(tree|rules):\s*$")
@@ -410,47 +514,33 @@ def parse_skeleton(text: str) -> MockSkeleton:
     i = 0
 
     def collect_block(start: int) -> tuple[list[_Line], int]:
-        block = []
-        j = start
-        while j < len(lines) and lines[j].indent > 0:
-            block.append(lines[j])
-            j += 1
-        return block, j
+        end = start
+        while end < len(lines) and lines[end].indent > 0:
+            end += 1
+        return lines[start:end], end
 
     while i < len(lines):
         line = lines[i]
+        i += 1
         if line.indent != 0:
             raise SkeletonSyntaxError(f"unexpected indented line {line.text!r}", line.number)
         if line.text.startswith("#"):
-            i += 1
             continue
         if line.text.startswith("service:"):
             service_name = line.text[len("service:"):].strip()
-            i += 1
         elif line.text.startswith("schema-digest:"):
             digest = line.text[len("schema-digest:"):].strip()
-            i += 1
         elif line.text.startswith("seed:"):
             try:
                 seed = int(line.text[len("seed:"):].strip())
             except ValueError:
                 raise SkeletonSyntaxError("seed must be an integer", line.number) from None
-            i += 1
         elif line.text.startswith("config:"):
-            try:
-                obj = json.loads(line.text[len("config:"):].strip())
-            except json.JSONDecodeError as exc:
-                raise SkeletonSyntaxError(f"bad config JSON: {exc}", line.number) from None
-            config = ExtractionConfig.from_json_dict(obj)
-            profile = ExtractionProfile(
-                path_depth=int(obj.get("pathDepth", 0)),
-                array_paths=tuple(obj.get("arrayPaths", ())),
-                shapes=tuple(obj.get("shapes", ())),
+            config, profile, dropped_inputs = _parse_config(
+                line.text[len("config:"):], line.number
             )
-            dropped_inputs = tuple(obj.get("droppedInputs", ()))
-            i += 1
         elif line.text == "inputs:":
-            block, i = collect_block(i + 1)
+            block, i = collect_block(i)
             inputs = [b.text for b in block]
         elif line.text.startswith("target "):
             match = _TARGET_HEADER.fullmatch(line.text)
@@ -461,13 +551,10 @@ def parse_skeleton(text: str) -> MockSkeleton:
             name, kind = match.group(1), match.group(2)
             if name in targets:
                 raise SkeletonSyntaxError(f"duplicate target section {name!r}", line.number)
-            block, i = collect_block(i + 1)
+            block, i = collect_block(i)
             body, meta = _model_lines(block)
-            known = set(inputs)
-            if kind == "tree":
-                model, edited = _parse_tree(name, body, known)
-            else:
-                model, edited = _parse_rules(name, body, known)
+            parse = _parse_tree if kind == "tree" else _parse_rules
+            model, edited = parse(name, body, set(inputs))
             learner = meta.pop("learner", None)
             targets[name] = TargetEntry(
                 model=model,
@@ -477,7 +564,7 @@ def parse_skeleton(text: str) -> MockSkeleton:
             )
             _warn_unknown_values(name, model)
         elif line.text == "unpredicted:":
-            block, i = collect_block(i + 1)
+            block, i = collect_block(i)
             for b in block:
                 unpredicted.append(_parse_unpredicted(b))
         else:

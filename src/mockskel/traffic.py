@@ -88,23 +88,6 @@ class ResourceKeyConfig:
     def crud_map(self) -> dict[str, str]:
         return dict(self.crud_token_classes)
 
-    def to_json_dict(self) -> dict:
-        return {
-            "idPatterns": list(self.id_patterns),
-            "stripTokens": list(self.strip_tokens),
-            "crudTokenClasses": dict(self.crud_token_classes),
-        }
-
-    @classmethod
-    def from_json_dict(cls, obj: Mapping) -> "ResourceKeyConfig":
-        return cls(
-            id_patterns=tuple(obj.get("idPatterns", DEFAULT_ID_PATTERNS)),
-            strip_tokens=tuple(obj.get("stripTokens", tuple(DEFAULT_CRUD_TOKEN_CLASSES))),
-            crud_token_classes=tuple(
-                obj.get("crudTokenClasses", DEFAULT_CRUD_TOKEN_CLASSES).items()
-            ),
-        )
-
 
 def _normalize_headers(headers: Iterable) -> tuple[tuple[str, str], ...]:
     out = []

@@ -12,7 +12,7 @@ import hashlib
 from pathlib import Path
 
 from mockskel import cli
-from mockskel.learners import render_model
+from mockskel.skeleton import render_model
 from mockskel.synth import generate_synthetic_log
 from mockskel.traffic import save_jsonl
 

@@ -25,7 +25,6 @@ from mockskel.learners import (
     leaf_count,
     model_size,
     predict_encoded,
-    render_model,
     train,
     train_c45,
     train_part,
@@ -34,6 +33,7 @@ from mockskel.learners import (
 from mockskel.learners.base import PartParams, added_errors
 from mockskel.learners.c45 import GrownSplit, grow
 from mockskel.prep import prepare_all
+from mockskel.skeleton import render_model, render_rules
 from mockskel.synth import generate_synthetic_log
 
 # ---------------------------------------------------------------------------
@@ -601,8 +601,6 @@ class TestRendering:
         assert any(" => statusCode=" in line for line in lines[:-1])
 
     def test_values_with_spaces_are_quoted(self):
-        from mockskel.learners.model import render_rules
-
         model = RuleList(
             "responseheader:Server",
             (Rule((("requestheader:Agent", "a b"),), "x y", 3, 0),),

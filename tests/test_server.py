@@ -1,3 +1,4 @@
+import contextlib
 import http.client
 import json
 import os
@@ -15,7 +16,13 @@ from mockskel import server as server_module
 from mockskel.cli import RunConfig, choose_models, run_pipeline
 from mockskel.features import ResourceState
 from mockskel.server import MockService, ServeState, serve_skeleton, synthesize_response
-from mockskel.skeleton import build_skeleton, emit_skeleton, parse_skeleton
+from mockskel.skeleton import (
+    MockSkeleton,
+    UnpredictedTarget,
+    build_skeleton,
+    emit_skeleton,
+    parse_skeleton,
+)
 from mockskel.traffic import HttpRequest, resource_key
 
 
@@ -292,15 +299,23 @@ class TestStrictMode:
         assert service.handle("BREW", f"{HOST}/tasks/1").status_code == 501
 
 
+@contextlib.contextmanager
+def running(skeleton):
+    srv = serve_skeleton(skeleton, port=0)
+    thread = threading.Thread(target=srv.serve_forever, daemon=True)
+    thread.start()
+    try:
+        yield srv
+    finally:
+        srv.shutdown()
+        srv.server_close()
+
+
 class TestHttpServer:
     @pytest.fixture()
     def server(self, skeleton):
-        srv = serve_skeleton(skeleton, port=0)
-        thread = threading.Thread(target=srv.serve_forever, daemon=True)
-        thread.start()
-        yield srv
-        srv.shutdown()
-        srv.server_close()
+        with running(skeleton) as srv:
+            yield srv
 
     def request(self, server, method, path, body=None, headers=None):
         conn = http.client.HTTPConnection("127.0.0.1", server.server_address[1], timeout=5)
@@ -391,3 +406,33 @@ class TestHttpServer:
             assert conn.getresponse().status == 200
         finally:
             conn.close()
+
+    def test_304_ends_at_its_headers(self):
+        # a 304 with a unary JSON field: its body would be read as the next answer
+        skeleton = MockSkeleton(
+            service_name="s",
+            seed=1,
+            inputs=("method",),
+            targets={},
+            unpredicted=(
+                UnpredictedTarget("statusCode", "unary", "304"),
+                UnpredictedTarget("responsejson:ok", "unary", "true"),
+            ),
+        )
+        get = b"GET /a HTTP/1.1\r\nHost: x\r\n"
+        with running(skeleton) as srv:
+            received = self.raw_exchange(srv, get + b"\r\n" + get + b"Connection: close\r\n\r\n")
+        *heads, tail = received.split(b"\r\n\r\n")
+        assert tail == b""
+        assert [head.split(b"\r\n")[0] for head in heads] == [b"HTTP/1.1 304 Not Modified"] * 2
+        assert not any(b"Content-Length" in head for head in heads)
+
+    def test_chunked_request_gets_411_and_close(self, server):
+        received = self.raw_exchange(
+            server,
+            b"POST /tasks/33 HTTP/1.1\r\nHost: x\r\nTransfer-Encoding: chunked\r\n\r\n"
+            b"5\r\n{\"a\":\r\n0\r\n\r\n"
+            b"GET /tasks/33 HTTP/1.1\r\nHost: x\r\n\r\n",
+        )
+        assert received.startswith(b"HTTP/1.1 411 ")
+        assert received.count(b"HTTP/1.1 ") == 1

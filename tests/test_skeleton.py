@@ -1,12 +1,14 @@
+import dataclasses
 import logging
 import random
 
 import pytest
 
 from conftest import make_dataset, table_row
+from mockskel import cli
 from mockskel.cli import RunConfig, choose_models, run_pipeline
 from mockskel.errors import SkeletonSyntaxError, UnknownAttributeError
-from mockskel.features import Role
+from mockskel.features import ExtractionConfig, ExtractionProfile, Role
 from mockskel.learners import classify, train_c45, train_part
 from mockskel.prep import Removal
 from mockskel.skeleton import (
@@ -18,6 +20,7 @@ from mockskel.skeleton import (
     emit_skeleton,
     parse_skeleton,
 )
+from mockskel.traffic import ResourceKeyConfig
 
 
 @pytest.fixture(scope="module")
@@ -134,6 +137,67 @@ class TestRoundTrip:
             assert "cv-accuracy" in entry.metrics
 
 
+class TestConfigLine:
+    @staticmethod
+    def bare_skeleton(**fields) -> MockSkeleton:
+        return MockSkeleton(
+            service_name="s", seed=1, inputs=("method",), targets={}, unpredicted=(), **fields
+        )
+
+    def test_non_default_config_round_trips(self):
+        skeleton = self.bare_skeleton(
+            config=ExtractionConfig(
+                resource=ResourceKeyConfig(
+                    id_patterns=("[a-z]{3}[0-9]+",),
+                    strip_tokens=("v1", "do"),
+                    crud_token_classes=(("do", "update"), ("make", "create")),
+                ),
+                auth_header_names=("X-Key",),
+                auth_header_patterns=("*-sig", "api-*"),
+                max_path_depth=5,
+            ),
+            profile=ExtractionProfile(
+                path_depth=3, array_paths=("responsejson:items",), shapes=("GET /a/{id}", "POST /a")
+            ),
+            dropped_inputs=("schema", "host"),
+        )
+        # every field differs from its default, so none round-trips by falling back to it
+        for obj in (skeleton.config, skeleton.config.resource, skeleton.profile):
+            for f in dataclasses.fields(obj):
+                assert getattr(obj, f.name) != f.default, f.name
+        text = emit_skeleton(skeleton)
+        parsed = parse_skeleton(text)
+        assert parsed.config == skeleton.config
+        assert parsed.profile == skeleton.profile
+        assert parsed.dropped_inputs == skeleton.dropped_inputs
+        assert emit_skeleton(parsed) == text
+
+    def test_missing_keys_take_their_defaults(self):
+        parsed = parse_skeleton("service: s\nconfig: {}\ninputs:\n  method\n")
+        assert parsed.config == ExtractionConfig()
+        assert parsed.profile == ExtractionProfile()
+        assert parsed.dropped_inputs == ()
+
+    @pytest.mark.parametrize(
+        "config",
+        [
+            "[]",
+            '{"maxPathDepth": "x"}',
+            '{"resourceKey": {"crudTokenClasses": ["a"]}}',
+            '{"shapes": 5}',
+            '{"resourceKey": {"idPatterns": ["("]}}',
+        ],
+    )
+    def test_malformed_config_is_a_parse_error_on_its_line(self, config, tmp_path):
+        text = f"service: s\nconfig: {config}\ninputs:\n  method\n"
+        with pytest.raises(SkeletonSyntaxError) as exc:
+            parse_skeleton(text)
+        assert exc.value.line == 2
+        path = tmp_path / "skeleton.txt"
+        path.write_text(text, encoding="utf-8")
+        assert cli.main(["emit", "--skeleton", str(path)]) == cli.EXIT_PARSE
+
+
 class TestHandEdits:
     def test_hand_prepended_rule_wins(self, trained_skeleton):
         skeleton, _ = trained_skeleton
@@ -242,6 +306,16 @@ class TestSyntaxErrors:
             "  everCreated = true: 404 (2)\n"
         )
         with pytest.raises(SkeletonSyntaxError):
+            parse_skeleton(text)
+
+    def test_unknown_attribute_on_a_later_branch_names_its_line(self):
+        text = (
+            "service: s\ninputs:\n  method\n"
+            "target statusCode tree:\n"
+            "  method = GET: 200 (3)\n"
+            "  nosuch = true: 404 (2)\n"
+        )
+        with pytest.raises(UnknownAttributeError, match="line 6: unknown attribute 'nosuch'"):
             parse_skeleton(text)
 
     def test_digest_mismatch_warns_but_parses(self, trained_skeleton, caplog):
