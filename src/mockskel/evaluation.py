@@ -162,8 +162,8 @@ def cross_validate(
     """k-fold cross-validation of one learner on one target.
 
     Accuracy, precision, and recall are computed from the confusion
-    matrix pooled over all held-out folds, whose rows are predicted from
-    their codes; model size is averaged over the per-fold models.
+    matrix pooled over all held-out folds, whose rows are predicted with
+    ``classify``; model size is averaged over the per-fold models.
     """
     folds = stratified_folds(dataset, k, seed)
     n_classes = dataset.n_classes

@@ -11,9 +11,9 @@ from typing import Iterable
 
 import numpy as np
 
-from ..errors import DegenerateDatasetError, SchemaMismatchError, UnknownAttributeError
+from ..errors import DegenerateDatasetError, UnknownAttributeError
 from ..prep import PreparedDataset
-from .model import DecisionTree, Leaf, Model, Node, Rule, RuleList
+from .model import Model, Rule, RuleList, classify, tested_attributes
 
 
 @dataclass(frozen=True)
@@ -101,47 +101,24 @@ def predict_encoded(model: Model, ds: PreparedDataset, rows: np.ndarray) -> np.n
     """Index into ``ds.target_domain`` of the class ``classify`` predicts
     for each encoded row (-1 for a class outside that domain).
 
-    Trees route whole blocks of rows down each branch; rule lists take
-    the first matching rule's class.
+    ``classify`` runs once per group of rows that agree on every input the
+    model tests, on one row of the group decoded.  This is exact because
+    ``classify`` reads only tested attributes; one that is not an input of
+    ``ds`` is absent, so it takes the missing-value branch or fails its rule.
     """
+    tested = tested_attributes(model)
+    columns = [j for j, name in enumerate(ds.names) if name in tested]
+    group = np.zeros(len(rows), dtype=np.intp)
+    for j in columns:
+        _, group = np.unique(group * len(ds.domains[j]) + ds.X[rows, j], return_inverse=True)
+    sample = np.empty(group.max(initial=-1) + 1, dtype=np.intp)
+    sample[group] = rows  # a row of each group
     code_of = {value: i for i, value in enumerate(ds.target_domain)}
-    column_of = {name: j for j, name in enumerate(ds.names)}
-    if isinstance(model, RuleList):
-        rules, classes = [], []
-        for rule in model.rules:
-            conds = []
-            for attr, value in rule.conditions:
-                j = column_of.get(attr)
-                code = None if j is None else ds.codes[j].get(value)
-                if code is None:  # a test no encoded row can pass
-                    break
-                conds.append((j, code))
-            else:
-                rules.append(tuple(conds))
-                classes.append(code_of.get(rule.klass, -1))
-        classes.append(code_of.get(model.default_class, -1))
-        return np.array(classes, dtype=np.intp)[first_match(ds, rows, rules)]
-    if not isinstance(model, DecisionTree):
-        raise SchemaMismatchError(f"cannot classify with {type(model).__name__}")
-    out = np.empty(len(rows), dtype=np.intp)
-    stack: list[tuple[Node, np.ndarray]] = [(model.root, np.arange(len(rows)))]
-    while stack:
-        node, at = stack.pop()
-        if isinstance(node, Leaf):
-            out[at] = code_of.get(node.klass, -1)
-            continue
-        j = column_of.get(node.attribute)
-        if j is None:
-            stack.append((node.branches[node.missing_value], at))
-            continue
-        keys = list(node.branches)
-        slot = {value: b for b, value in enumerate(keys)}
-        missing = slot[node.missing_value]
-        branch_of_code = np.array([slot.get(v, missing) for v in ds.domains[j]], dtype=np.intp)
-        branch = branch_of_code[ds.X[rows[at], j]]
-        for b in np.unique(branch):
-            stack.append((node.branches[keys[b]], at[branch == b]))
-    return out
+    predicted = []
+    for codes in ds.X[np.ix_(sample, columns)].tolist():
+        values = {ds.names[j]: ds.domains[j][c] for j, c in zip(columns, codes)}
+        predicted.append(code_of.get(classify(model, values), -1))
+    return np.array(predicted, dtype=np.intp)[group]
 
 
 def entropy(class_counts: Iterable[float]) -> float:

@@ -111,6 +111,13 @@ def classify(model: Model, values: Mapping[str, str]) -> str:
     raise SchemaMismatchError(f"cannot classify with {type(model).__name__}")
 
 
+def tested_attributes(model: Model) -> set[str]:
+    """The attributes ``model``'s splits or rule conditions test: all ``classify`` reads."""
+    if isinstance(model, DecisionTree):
+        return {node.attribute for node in _nodes(model.root) if isinstance(node, Split)}
+    return {attr for rule in model.rules for attr, _ in rule.conditions}
+
+
 def model_size(model: Model) -> int:
     """Tree: total node count.  Rule list: rule count including the default."""
     if isinstance(model, DecisionTree):

@@ -117,7 +117,7 @@ class PreparedDataset:
     attribute, bound once: the learners read them in their inner loops.
     """
 
-    def __init__(self, table: EncodedTable, target: int, provenance: tuple[Removal, ...] = ()):
+    def __init__(self, table: EncodedTable, target: int):
         attr = table.targets[target]
         self.target = attr.name
         self.target_domain: tuple[str, ...] = attr.domain
@@ -128,7 +128,6 @@ class PreparedDataset:
         self.codes: tuple[dict[str, int], ...] = table.input_codes
         self.X = table.X
         self.y = table.Y[:, target]
-        self.provenance = provenance
 
     def __len__(self) -> int:
         return len(self.y)
@@ -205,7 +204,7 @@ def project_for_target(
         if removal.attribute == target:
             raise PrunedTargetError(f"target {target!r} was removed ({removal.reason})")
     encoded = encode_table(table)
-    return PreparedDataset(encoded, encoded.target_index(target), removals)
+    return PreparedDataset(encoded, encoded.target_index(target))
 
 
 def prepare_all(
@@ -221,5 +220,5 @@ def prepare_all(
     """
     kept, removals = _prune(table, config)
     encoded = encode_table(table, kept)
-    datasets = [PreparedDataset(encoded, t, removals) for t in range(len(encoded.targets))]
+    datasets = [PreparedDataset(encoded, t) for t in range(len(encoded.targets))]
     return datasets, removals

@@ -10,6 +10,7 @@ active skeleton text.
 
 from __future__ import annotations
 
+import contextlib
 import json
 import logging
 import threading
@@ -36,6 +37,10 @@ LOCK_STRIPES = 64
 #: most resource states a ServeState holds; past it, the least recently
 #: served resource is forgotten
 MAX_RESOURCES = 65_536
+
+#: response headers that frame the message: the server writes its own, so
+#: recorded ones are not served
+FRAMING_HEADERS = frozenset({"content-length", "transfer-encoding", "connection", "keep-alive"})
 
 
 @dataclass
@@ -170,7 +175,9 @@ def synthesize_response(
             if nominal is None or nominal == SENTINEL_NO_EXIST:
                 continue
             if name.startswith("responseheader:"):
-                headers.append((name.split(":", 1)[1], unescape_literal(nominal)))
+                header = name.split(":", 1)[1]
+                if header.lower() not in FRAMING_HEADERS:
+                    headers.append((header, unescape_literal(nominal)))
             elif name.startswith("responsejson:"):
                 body_values[name.split(":", 1)[1]] = _json_value(nominal)
     # predictions override defaults for the same header name
@@ -232,8 +239,13 @@ class MockService:
             return synthesize_response(self.skeleton, request, self.state)
 
     def reset(self) -> None:
-        with self._master:
-            self.state.reset()
+        """Forget every resource's state once the requests in flight are done,
+        taking the locks in ``handle``'s order: stripes, then the state lock."""
+        with contextlib.ExitStack() as stack:
+            for lock in self._locks:
+                stack.enter_context(lock)
+            with self._master:
+                self.state.reset()
 
     def stats(self) -> dict:
         with self._master:

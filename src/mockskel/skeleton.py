@@ -410,13 +410,15 @@ def _config_object(obj) -> dict:
 
 def _read_config(hint, value, key: str, line_no: int):
     """The value of type ``hint`` that the JSON ``value`` under ``key``
-    gives; a dataclass field whose key is missing keeps its default."""
+    gives; a dataclass field whose key is missing keeps its default, and a
+    key that names no field is an error."""
     if is_dataclass(hint) and isinstance(value, dict):
         hints = _field_types(hint)
+        names = {_config_key(f.name): f.name for f in fields(hint)}
+        if unknown := sorted(value.keys() - names.keys()):
+            raise SkeletonSyntaxError(f"unknown {key} key {unknown[0]!r}", line_no)
         return hint(**{
-            f.name: _read_config(hints[f.name], value[k], k, line_no)
-            for f in fields(hint)
-            if (k := _config_key(f.name)) in value
+            names[k]: _read_config(hints[names[k]], v, k, line_no) for k, v in value.items()
         })
     if hint is int and type(value) is int:
         return value
@@ -435,13 +437,17 @@ def _parse_config(
         obj = json.loads(text)
     except json.JSONDecodeError as exc:
         raise SkeletonSyntaxError(f"bad config JSON: {exc}", line_no) from None
+    if not isinstance(obj, dict):
+        raise SkeletonSyntaxError("config must be a JSON object", line_no)
+    dropped = _read_config(_STRINGS, obj.pop("droppedInputs", []), "droppedInputs", line_no)
+    profile_keys = {_config_key(f.name) for f in fields(ExtractionProfile)}
+    profile_obj = {k: obj.pop(k) for k in list(obj) if k in profile_keys}
     config = _read_config(ExtractionConfig, obj, "config", line_no)
     try:
         config.resource.is_identifier("")  # compiles the id patterns
     except re.error as exc:
         raise SkeletonSyntaxError(f"bad idPatterns: {exc}", line_no) from None
-    profile = _read_config(ExtractionProfile, obj, "config", line_no)
-    dropped = _read_config(_STRINGS, obj.get("droppedInputs", []), "droppedInputs", line_no)
+    profile = _read_config(ExtractionProfile, profile_obj, "config", line_no)
     return config, profile, dropped
 
 

@@ -507,6 +507,28 @@ class TestEncodedPrediction:
         predicted = predict_encoded(model, ds, np.array([3, 0, 2], dtype=np.intp))
         assert [ds.target_domain[c] for c in predicted] == ["201", "200", "201"]
 
+    @pytest.mark.parametrize("model", [
+        DecisionTree("statusCode", Split("k", {
+            "a": Split("j", {"x": Leaf("200", 3), "y": Leaf("404", 1)}), "b": Leaf("500", 2)})),
+        RuleList("statusCode", (Rule((("k", "a"), ("j", "x")), "200"),
+                                Rule((("k", "b"),), "500")), "404"),
+    ])
+    def test_classify_runs_once_per_combination_of_tested_values(self, model, monkeypatch):
+        rng = random.Random(5)
+        rows = [[rng.choice("ab"), rng.choice("xy"), f"u{i}", rng.choice(["200", "404", "500"])]
+                for i in range(40)]
+        ds = make_dataset(rows, ["k", "j", "u"])
+        calls = []
+
+        def counting_classify(model, values):
+            calls.append(values)
+            return classify(model, values)
+
+        monkeypatch.setattr("mockskel.learners.base.classify", counting_classify)
+        assert_predictions_match_classify(model, ds, ds.all_rows())
+        # "u" is never tested, so its 40 distinct values make no more calls
+        assert len(calls) == len({(k, j) for k, j, _, _ in rows}) == 4
+
 
     @pytest.mark.parametrize("train_fn", [train_ripper, train_part])
     def test_rule_counts_match_first_match_reference(self, train_fn):

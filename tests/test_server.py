@@ -205,6 +205,32 @@ class TestReset:
         service.reset()
         assert service.stats()["requests"] == before
 
+    def test_reset_waits_for_a_request_in_flight(self, skeleton, monkeypatch):
+        service = MockService(skeleton)
+        headers, body = post_body()
+        assert service.handle("POST", f"{HOST}/tasks/7", headers, body).status_code == 201
+        entered, release = threading.Event(), threading.Event()
+        real = server_module.serve_input_values
+
+        def held(*args, **kwargs):
+            entered.set()
+            release.wait(timeout=10)
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(server_module, "serve_input_values", held)
+        get = threading.Thread(target=service.handle, args=("GET", f"{HOST}/tasks/7"))
+        get.start()
+        assert entered.wait(timeout=10)
+        reset = threading.Thread(target=service.reset)
+        reset.start()
+        reset.join(timeout=0.2)
+        assert reset.is_alive()  # the GET still holds its resource's lock
+        release.set()
+        get.join(timeout=10)
+        reset.join(timeout=10)
+        assert not get.is_alive() and not reset.is_alive()
+        assert service.handle("GET", f"{HOST}/tasks/7").status_code == 404
+
 
 class _YieldingCounterState(ServeState):
     """Serve state whose request counter yields the thread between reading
@@ -285,6 +311,31 @@ class TestStartup:
             capture_output=True, text=True, timeout=60, check=True,
         )
         assert out.stdout.strip() == "[]"
+
+
+#: a recording's framing headers, trained to unary defaults
+FRAMED = MockSkeleton(
+    service_name="s",
+    seed=1,
+    inputs=("method",),
+    targets={},
+    unpredicted=(
+        UnpredictedTarget("statusCode", "unary", "200"),
+        UnpredictedTarget("responseheader:Content-Length", "unary", "20"),
+        UnpredictedTarget("responseheader:transfer-encoding", "unary", "chunked"),
+        UnpredictedTarget("responseheader:Connection", "unary", "keep-alive"),
+        UnpredictedTarget("responseheader:KEEP-ALIVE", "unary", "timeout=5"),
+        UnpredictedTarget("responseheader:X-Kept", "unary", "yes"),
+        UnpredictedTarget("responsejson:ok", "unary", "true"),
+    ),
+)
+
+
+class TestFramingHeaders:
+    def test_recorded_framing_headers_are_not_served(self):
+        response = MockService(FRAMED).handle("GET", f"{HOST}/items/1")
+        assert response.headers == (("X-Kept", "yes"), ("Content-Type", "application/json"))
+        assert response.body == b'{"ok":true}'
 
 
 class TestStrictMode:
@@ -426,6 +477,16 @@ class TestHttpServer:
         assert tail == b""
         assert [head.split(b"\r\n")[0] for head in heads] == [b"HTTP/1.1 304 Not Modified"] * 2
         assert not any(b"Content-Length" in head for head in heads)
+
+    def test_one_content_length_equal_to_the_body(self):
+        with running(FRAMED) as srv:
+            received = self.raw_exchange(
+                srv, b"GET /items/1 HTTP/1.1\r\nHost: x\r\nConnection: close\r\n\r\n"
+            )
+        head, body = received.split(b"\r\n\r\n", 1)
+        lengths = [line for line in head.split(b"\r\n") if line.lower().startswith(b"content-length:")]
+        assert lengths == [b"Content-Length: %d" % len(body)]
+        assert body == b'{"ok":true}'
 
     def test_chunked_request_gets_411_and_close(self, server):
         received = self.raw_exchange(

@@ -186,6 +186,8 @@ class TestConfigLine:
             '{"resourceKey": {"crudTokenClasses": ["a"]}}',
             '{"shapes": 5}',
             '{"resourceKey": {"idPatterns": ["("]}}',
+            '{"maxPathdepth": 3}',
+            '{"resourceKey": {"idPattern": ["x"]}}',
         ],
     )
     def test_malformed_config_is_a_parse_error_on_its_line(self, config, tmp_path):
@@ -196,6 +198,14 @@ class TestConfigLine:
         path = tmp_path / "skeleton.txt"
         path.write_text(text, encoding="utf-8")
         assert cli.main(["emit", "--skeleton", str(path)]) == cli.EXIT_PARSE
+
+    @pytest.mark.parametrize("config, key", [
+        ('{"maxPathdepth": 3}', "'maxPathdepth'"),
+        ('{"resourceKey": {"idPattern": ["x"]}}', "'idPattern'"),
+    ])
+    def test_unknown_key_is_named(self, config, key):
+        with pytest.raises(SkeletonSyntaxError, match=key):
+            parse_skeleton(f"service: s\nconfig: {config}\ninputs:\n  method\n")
 
 
 class TestHandEdits:
