@@ -17,7 +17,7 @@ import sys
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import TYPE_CHECKING
+from typing import TYPE_CHECKING, get_type_hints
 
 from .errors import (
     DegenerateDatasetError,
@@ -122,22 +122,44 @@ class RunConfig:
 
 
 _CONFIG_KEYS = {f.name for f in RunConfig.__dataclass_fields__.values()}  # type: ignore[attr-defined]
+_STRINGS = tuple[str, ...]
+_TYPE_NAMES = {str: "a string", int: "an integer", float: "a number", bool: "a boolean",
+               dict: "an object", _STRINGS: "a list of strings"}
+
+
+def _file_value(key: str, value, hint):
+    """A config-file value as the type ``hint`` of its field: a bool is not
+    an int, an int is a float, and ``learners`` may be a comma-separated
+    string, as on the command line."""
+    if hint == _STRINGS and isinstance(value, list) and all(type(v) is str for v in value):
+        return tuple(value)
+    if type(value) is hint or (hint is float and type(value) is int):
+        return hint(value)
+    if key == "learners" and type(value) is str:
+        return value
+    raise MalformedInputError(f"config key {key!r} must be {_TYPE_NAMES[hint]}, not {value!r}")
 
 
 def resolve_run_config(args: argparse.Namespace) -> RunConfig:
-    """Config file supplies defaults, explicit flags win."""
+    """Config file supplies defaults, explicit flags win.  File values must
+    have their field's type, and ``folds >= 2`` and ``jobs >= 0``."""
     config = RunConfig()
     if getattr(args, "config", None):
         file_values = json.loads(Path(args.config).read_text())
         unknown = set(file_values) - _CONFIG_KEYS
         if unknown:
             raise MalformedInputError(f"unknown config keys: {sorted(unknown)}")
+        hints = get_type_hints(RunConfig)
         for key, value in file_values.items():
-            setattr(config, key, tuple(value) if key == "learners" else value)
+            setattr(config, key, _file_value(key, value, hints[key]))
     for key in _CONFIG_KEYS:
         value = getattr(args, key, None)
         if value is not None:
             setattr(config, key, value)
+    if config.folds < 2:
+        raise MalformedInputError(f"folds must be at least 2, not {config.folds}")
+    if config.jobs < 0:
+        raise MalformedInputError(f"jobs must be at least 0, not {config.jobs}")
     if isinstance(config.learners, str):
         config.learners = tuple(config.learners.split(","))
     for name in config.learners:

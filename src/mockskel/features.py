@@ -22,12 +22,13 @@ from __future__ import annotations
 
 import fnmatch
 import json
+import logging
 import math
 import re
 from dataclasses import dataclass
 from enum import Enum
 from functools import cached_property, lru_cache
-from typing import Iterable, NamedTuple, Sequence
+from typing import Iterable, Mapping, NamedTuple, Sequence
 from urllib.parse import parse_qsl
 
 from .errors import UnknownAttributeError
@@ -36,11 +37,14 @@ from .traffic import (
     HttpResponse,
     ResourceKeyConfig,
     TrafficLog,
+    _split_absolute_uri,
     crud_class,
     first_header,
     path_shape,
     resource_key,
 )
+
+log = logging.getLogger(__name__)
 
 SENTINEL_NULL = "null"
 SENTINEL_NO_EXIST = "no-exist"
@@ -202,8 +206,6 @@ class ExtractionProfile:
 def tokenize_uri(uri: str, max_path_depth: int | None = None) -> dict[str, str]:
     """URI-derived attributes: scheme, host, positional path tokens,
     query keys, and fragment (only components present in the URI)."""
-    from .traffic import _split_absolute_uri
-
     parts = _split_absolute_uri(uri)
     out = {
         "schema": escape_literal(parts.scheme.lower()),
@@ -347,6 +349,81 @@ def response_feature_map(
     if valid:
         _add_json(out, "responsejson", value, arrays)
     return out
+
+
+_JSON_CONSTANTS = {"null": None, "true": True, "false": False}
+#: an RFC 8259 number; ``[0-9]``, as ``\d`` also matches other scripts' digits
+_JSON_NUMBER = re.compile(r"-?(?:0|[1-9][0-9]*)(\.[0-9]+)?([eE][+-]?[0-9]+)?")
+
+
+def _json_value(nominal: str):
+    """The JSON value of a ``responsejson:`` nominal: the value of a JSON
+    literal (null, a boolean or a finite number), else the text itself."""
+    text = unescape_literal(nominal)
+    number = _JSON_NUMBER.fullmatch(text)
+    if number is None:
+        return _JSON_CONSTANTS.get(text, text)
+    if not (number[1] or number[2]):
+        return int(text)
+    value = float(text)
+    return value if math.isfinite(value) else text
+
+
+def _unflatten(values: dict[str, object], array_paths: Sequence[str]) -> dict:
+    """The JSON object that holds ``values`` at their dot paths."""
+    root: dict = {}
+    for path, value in values.items():
+        *parents, leaf = path.split(".")
+        node = root
+        for part in parents:
+            node = node.setdefault(part, {})
+            if not isinstance(node, dict):
+                break  # scalar and object predictions collide on this path
+        else:
+            node[leaf] = value
+    # merged arrays re-materialize as single-element arrays, deepest first
+    relative = sorted(
+        (p.split(":", 1)[1] for p in array_paths if p.startswith("responsejson:")),
+        key=lambda p: -p.count("."),
+    )
+    for path in relative:
+        *parents, leaf = path.split(".")
+        node = root
+        for part in parents:
+            node = node.get(part) if isinstance(node, dict) else None
+        if isinstance(node, dict) and leaf in node:
+            node[leaf] = [node[leaf]]
+    return root
+
+
+def response_from_attributes(
+    nominals: Mapping[str, str], array_paths: Sequence[str] = ()
+) -> tuple[int, list[tuple[str, str]], bytes | None]:
+    """The response whose attributes are ``nominals`` (the inverse of
+    ``response_feature_map``): the status, 200 unless ``statusCode`` is
+    numeric; the headers; and the JSON body, None without a ``responsejson:``
+    attribute.  ``no-exist`` attributes are left out, ``array_paths`` become
+    one-element arrays, and a string that spells a JSON literal comes back
+    as that literal."""
+    status = 200
+    headers: list[tuple[str, str]] = []
+    body_values: dict[str, object] = {}
+    for name, nominal in nominals.items():
+        if name == "statusCode":
+            try:
+                status = int(unescape_literal(nominal))
+            except ValueError:
+                log.warning("statusCode prediction %r is not numeric, serving 200", nominal)
+        elif nominal == SENTINEL_NO_EXIST:
+            continue
+        elif name.startswith("responseheader:"):
+            headers.append((name.split(":", 1)[1], unescape_literal(nominal)))
+        elif name.startswith("responsejson:"):
+            body_values[name.split(":", 1)[1]] = _json_value(nominal)
+    if not body_values:
+        return status, headers, None
+    body = json.dumps(_unflatten(body_values, array_paths), sort_keys=True, separators=(",", ":"))
+    return status, headers, body.encode("utf-8")
 
 
 _EVER_FLAGS = (

@@ -3,9 +3,9 @@
 Each request is converted to the skeleton's input feature vector
 (including state features from the folded state of the requested
 resource), every predicted target is classified, and
-the predictions are assembled into a status code, headers, and a JSON
-body.  ``/_mock/*`` control endpoints expose reset, counters, and the
-active skeleton text.
+``features.response_from_attributes`` writes the predictions as a
+status code, headers and a JSON body.  ``/_mock/*`` control endpoints
+expose reset, counters, and the active skeleton text.
 """
 
 from __future__ import annotations
@@ -19,12 +19,7 @@ from dataclasses import dataclass, field
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 
 from .errors import MockskelError
-from .features import (
-    SENTINEL_NO_EXIST,
-    ResourceState,
-    serve_input_values,
-    unescape_literal,
-)
+from .features import ResourceState, response_from_attributes, serve_input_values
 from .learners import classify
 from .skeleton import PLACEHOLDER, MockSkeleton
 from .traffic import HttpRequest, crud_class, path_shape, resource_key
@@ -89,60 +84,12 @@ class ServeState:
         self.per_resource.clear()
 
 
-def _json_value(nominal: str):
-    """Interpret a nominal prediction as a JSON value."""
-    text = unescape_literal(nominal)
-    if text == "null":
-        return None
-    if text == "true":
-        return True
-    if text == "false":
-        return False
-    try:
-        return int(text)
-    except ValueError:
-        pass
-    try:
-        return float(text)
-    except ValueError:
-        return text
-
-
-def _unflatten(values: dict[str, object], array_paths: tuple[str, ...]) -> object:
-    root: dict = {}
-    for path, value in values.items():
-        parts = path.split(".")
-        node = root
-        ok = True
-        for part in parts[:-1]:
-            node = node.setdefault(part, {})
-            if not isinstance(node, dict):
-                ok = False  # scalar and object predictions collide on this path
-                break
-        if ok:
-            node[parts[-1]] = value
-    # merged arrays re-materialize as single-element arrays, deepest first
-    relative = sorted(
-        (p.split(":", 1)[1] for p in array_paths if p.startswith("responsejson:")),
-        key=lambda p: -p.count("."),
-    )
-    for path in relative:
-        parts = path.split(".")
-        node = root
-        for part in parts[:-1]:
-            node = node.get(part) if isinstance(node, dict) else None
-            if node is None:
-                break
-        if isinstance(node, dict) and parts[-1] in node:
-            node[parts[-1]] = [node[parts[-1]]]
-    return root
-
-
 def synthesize_response(
     skeleton: MockSkeleton, request: HttpRequest, state: ServeState
 ) -> SynthesizedResponse:
-    """Classify every predicted target for one request and assemble the
-    response; the served transaction is folded into the state."""
+    """Classify every predicted target for one request and write the response
+    they and the unpredicted defaults spell, a prediction overriding a
+    default; the served transaction is folded into the state."""
     key = resource_key(request, skeleton.config.resource)
     resource = state.history(key)
     values, unmatched = serve_input_values(
@@ -151,53 +98,17 @@ def synthesize_response(
     )
     state.count(unmatched)
 
-    predictions = {
-        name: classify(entry.model, values) for name, entry in skeleton.targets.items()
-    }
-    defaults = {
-        item.attribute: item.default
-        for item in skeleton.unpredicted
-        if item.default != PLACEHOLDER
-    }
-
-    status = 200
-    status_nominal = predictions.get("statusCode", defaults.get("statusCode"))
-    if status_nominal is not None:
-        try:
-            status = int(unescape_literal(status_nominal))
-        except ValueError:
-            log.warning("statusCode prediction %r is not numeric, serving 200", status_nominal)
-
-    headers: list[tuple[str, str]] = []
-    body_values: dict[str, object] = {}
-    for source in (defaults, predictions):
-        for name, nominal in source.items():
-            if nominal is None or nominal == SENTINEL_NO_EXIST:
-                continue
-            if name.startswith("responseheader:"):
-                header = name.split(":", 1)[1]
-                if header.lower() not in FRAMING_HEADERS:
-                    headers.append((header, unescape_literal(nominal)))
-            elif name.startswith("responsejson:"):
-                body_values[name.split(":", 1)[1]] = _json_value(nominal)
-    # predictions override defaults for the same header name
-    deduped: dict[str, str] = {}
-    for name, value in headers:
-        deduped[name] = value
-
-    body: bytes | None = None
-    if body_values:
-        obj = _unflatten(body_values, skeleton.profile.array_paths)
-        body = json.dumps(obj, sort_keys=True, separators=(",", ":")).encode("utf-8")
-        if not any(n.lower() == "content-type" for n in deduped):
-            deduped["Content-Type"] = "application/json"
+    nominals = {u.attribute: u.default for u in skeleton.unpredicted if u.default != PLACEHOLDER}
+    nominals.update({name: classify(e.model, values) for name, e in skeleton.targets.items()})
+    status, written, body = response_from_attributes(nominals, skeleton.profile.array_paths)
+    headers = [(name, value) for name, value in written if name.lower() not in FRAMING_HEADERS]
+    if body is not None and not any(name.lower() == "content-type" for name, _ in headers):
+        headers.append(("Content-Type", "application/json"))
 
     state.record(key, resource.after(
         request.method, status, crud_class(request, skeleton.config.resource)
     ))
-    return SynthesizedResponse(
-        status_code=status, headers=tuple(deduped.items()), body=body
-    )
+    return SynthesizedResponse(status_code=status, headers=tuple(headers), body=body)
 
 
 class MockService:

@@ -43,7 +43,7 @@ from functools import cache
 from typing import TYPE_CHECKING, Mapping, get_type_hints
 
 from .errors import SkeletonSyntaxError, UnknownAttributeError
-from .features import ExtractionConfig, ExtractionProfile
+from .features import ExtractionConfig, ExtractionProfile, canonical_scalar
 from .learners.model import DecisionTree, Leaf, Model, Rule, RuleList, Split
 
 if TYPE_CHECKING:  # training-side types; serving does not import them
@@ -637,8 +637,6 @@ def _parse_unpredicted(line: _Line) -> UnpredictedTarget:
                 value, end = _DECODER.raw_decode(tail.strip())
             except json.JSONDecodeError as exc:
                 raise SkeletonSyntaxError(f"bad default literal: {exc}", line.number) from None
-            from .features import canonical_scalar
-
             default = value if isinstance(value, str) else canonical_scalar(value)
             rest = tail.strip()[end:].strip()
     if not reason:

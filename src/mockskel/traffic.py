@@ -11,7 +11,7 @@ from __future__ import annotations
 import base64
 import binascii
 import json
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from datetime import datetime, timezone
 from functools import lru_cache
 from pathlib import Path
@@ -122,7 +122,8 @@ class HttpRequest:
 
     Header names compare case-insensitively; duplicates are permitted and
     order is preserved.  The body is kept as raw bytes, JSON decoding is
-    deferred to feature extraction.
+    deferred to feature extraction.  ``parts`` is the split URI and
+    ``path_tokens`` its non-empty path segments.
     """
 
     method: str
@@ -130,22 +131,20 @@ class HttpRequest:
     headers: tuple[tuple[str, str], ...] = ()
     body: bytes | None = None
     body_content_type: str | None = None
+    parts: SplitResult = field(init=False, compare=False, repr=False)
+    path_tokens: tuple[str, ...] = field(init=False, compare=False, repr=False)
 
     def __post_init__(self):
         if self.method not in SUPPORTED_METHODS:
             raise UnsupportedMethodError(f"unsupported HTTP method {self.method!r}")
-        _split_absolute_uri(self.uri)
+        parts = _split_absolute_uri(self.uri)
+        object.__setattr__(self, "parts", parts)
+        object.__setattr__(self, "path_tokens", tuple(t for t in parts.path.split("/") if t))
         object.__setattr__(self, "headers", _normalize_headers(self.headers))
         if self.body is not None and not isinstance(self.body, bytes):
             object.__setattr__(self, "body", bytes(self.body))
         if self.body_content_type is None:
             object.__setattr__(self, "body_content_type", first_header(self.headers, "Content-Type"))
-
-    def split_uri(self) -> SplitResult:
-        return _split_absolute_uri(self.uri)
-
-    def path_tokens(self) -> list[str]:
-        return [t for t in self.split_uri().path.split("/") if t]
 
 
 @dataclass(frozen=True)
@@ -428,14 +427,9 @@ def resource_key(request: HttpRequest, config: ResourceKeyConfig = ResourceKeyCo
     key ``host/statuses/42``.  Identifier-shaped tokens are never
     stripped.
     """
-    parts = _split_absolute_uri(request.uri)
     strip = set(config.strip_tokens)
-    kept = [
-        t
-        for t in parts.path.split("/")
-        if t and not (t in strip and not config.is_identifier(t))
-    ]
-    host = parts.netloc.lower()
+    kept = [t for t in request.path_tokens if not (t in strip and not config.is_identifier(t))]
+    host = request.parts.netloc.lower()
     return host + ("/" + "/".join(kept) if kept else "")
 
 
@@ -447,7 +441,7 @@ def crud_class(request: HttpRequest, config: ResourceKeyConfig = ResourceKeyConf
     """
     crud_map = config.crud_map
     result = None
-    for token in request.path_tokens():
+    for token in request.path_tokens:
         if token in crud_map:
             result = crud_map[token]
     if result is not None:
@@ -457,7 +451,7 @@ def crud_class(request: HttpRequest, config: ResourceKeyConfig = ResourceKeyConf
 
 def path_shape(request: HttpRequest, config: ResourceKeyConfig = ResourceKeyConfig()) -> str:
     """Method plus path with identifier tokens folded to ``{id}``."""
-    tokens = ["{id}" if config.is_identifier(t) else t for t in request.path_tokens()]
+    tokens = ["{id}" if config.is_identifier(t) else t for t in request.path_tokens]
     return f"{request.method} /" + "/".join(tokens)
 
 

@@ -165,6 +165,70 @@ class TestConfigFile:
         )
         assert code == EXIT_PARSE
 
+    def test_an_integer_is_accepted_for_a_float(self, tmp_path):
+        import argparse
+
+        from mockskel.cli import resolve_run_config
+
+        config_path = tmp_path / "config.json"
+        config_path.write_text(json.dumps({"c45_confidence": 1, "max_target_distinct_ratio": 1}))
+        config = resolve_run_config(argparse.Namespace(config=str(config_path)))
+        assert config.learner_params().c45.confidence_factor == 1.0
+        assert type(config.max_target_distinct_ratio) is float
+
+
+class TestRunSettings:
+    @pytest.mark.parametrize(
+        "values, key",
+        [
+            ({"folds": "10"}, "folds"),
+            ({"max_path_depth": "3"}, "max_path_depth"),
+            ({"c45_min_leaf": "2"}, "c45_min_leaf"),
+            ({"jobs": 2.5}, "jobs"),
+            ({"seed": "5"}, "seed"),
+            ({"seed": True}, "seed"),
+            ({"learners": ["c45", 4]}, "learners"),
+            ({"folds": 1}, "folds"),
+            ({"jobs": -1}, "jobs"),
+        ],
+    )
+    def test_bad_file_value_exits_parse_naming_the_key(
+        self, fixture_log, tmp_path, capsys, values, key
+    ):
+        config_path = tmp_path / "config.json"
+        config_path.write_text(json.dumps(values))
+        report_path = tmp_path / "report.json"
+        code = run(
+            ["evaluate", "--input", fixture_log, "--config", config_path,
+             "--out-report", report_path]
+        )
+        assert code == EXIT_PARSE
+        assert key in capsys.readouterr().err
+        assert not report_path.exists()
+
+    @pytest.mark.parametrize("flag, value", [("--folds", 1), ("--folds", 0), ("--folds", -3),
+                                             ("--jobs", -1)])
+    def test_bad_flag_value_exits_parse_naming_the_key(
+        self, fixture_log, tmp_path, capsys, flag, value
+    ):
+        report_path = tmp_path / "report.json"
+        code = run(["evaluate", "--input", fixture_log, flag, value, "--out-report", report_path])
+        assert code == EXIT_PARSE
+        assert flag.lstrip("-") in capsys.readouterr().err
+        assert not report_path.exists()
+
+    def test_file_learners_split_on_commas_like_the_flag(self, fixture_log, tmp_path):
+        config_path = tmp_path / "config.json"
+        config_path.write_text(json.dumps({"learners": "c45,part"}))
+        report_path = tmp_path / "report.json"
+        code = run(
+            ["evaluate", "--input", fixture_log, "--jobs", 1, "--config", config_path,
+             "--out-report", report_path]
+        )
+        assert code == EXIT_OK
+        report = json.loads(report_path.read_text())
+        assert {t["learner"] for t in report["targets"]} == {"c45", "part"}
+
 
 class TestEmit:
     def test_normalizes_edited_skeleton(self, fixture_log, tmp_path, capsys):

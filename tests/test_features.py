@@ -1,3 +1,5 @@
+import json
+import logging
 import pickle
 import random
 from fnmatch import fnmatchcase
@@ -18,6 +20,7 @@ from mockskel.features import (
     flatten_json,
     request_feature_map,
     response_feature_map,
+    response_from_attributes,
     serve_input_values,
     to_arff,
     tokenize_uri,
@@ -184,6 +187,32 @@ class TestFlattenJson:
     def test_numbers_canonical(self):
         flat = flatten_json({"a": 1, "b": 2.5, "c": 3.0, "d": None}, "r")
         assert flat == {"r:a": "1", "r:b": "2.5", "r:c": "3", "r:d": "null"}
+
+
+class TestResponseFromAttributes:
+    def test_inverse_of_response_feature_map(self):
+        body = {"a": {"b": [1.5]}, "c": None, "d": "lit:x", "e": "no-exist"}
+        recorded = HttpResponse(201, (("X-A", "null"),), json.dumps(body).encode())
+        arrays: set[str] = set()
+        nominals = response_feature_map(recorded, arrays=arrays)
+        status, headers, served = response_from_attributes(nominals, tuple(arrays))
+        assert (status, headers) == (201, [("X-A", "null")])
+        assert json.loads(served) == body
+
+    @pytest.mark.parametrize("text", ["1e400", "-1e400", "\u0661\u0662", "+1", ".5", "5.", "0x10"])
+    def test_only_finite_json_numbers_are_numbers(self, text):
+        _, _, body = response_from_attributes({"responsejson:v": text})
+        assert json.loads(body) == {"v": text}
+
+    def test_no_exist_attributes_are_left_out(self):
+        nominals = {"responseheader:X-A": SENTINEL_NO_EXIST, "responsejson:v": SENTINEL_NO_EXIST}
+        assert response_from_attributes(nominals) == (200, [], None)
+
+    def test_non_numeric_status_serves_200_with_a_warning(self, caplog):
+        with caplog.at_level(logging.WARNING):
+            status, _, _ = response_from_attributes({"statusCode": "teapot"})
+        assert status == 200
+        assert any("teapot" in record.message for record in caplog.records)
 
 
 class TestHeaders:

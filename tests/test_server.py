@@ -2,7 +2,9 @@ import contextlib
 import http.client
 import json
 import os
+import re
 import socket
+import string
 import subprocess
 import sys
 import threading
@@ -10,26 +12,37 @@ import time
 from pathlib import Path
 
 import pytest
+from hypothesis import HealthCheck, example, given, settings
+from hypothesis import strategies as st
 
 import mockskel
 from mockskel import server as server_module
 from mockskel.cli import RunConfig, choose_models, run_pipeline
-from mockskel.features import ResourceState
+from mockskel.features import ExtractionProfile, ResourceState, response_feature_map
+from mockskel.learners import DecisionTree, Leaf
 from mockskel.server import MockService, ServeState, serve_skeleton, synthesize_response
 from mockskel.skeleton import (
     MockSkeleton,
+    TargetEntry,
     UnpredictedTarget,
     build_skeleton,
     emit_skeleton,
     parse_skeleton,
 )
-from mockskel.traffic import HttpRequest, resource_key
+from mockskel.traffic import (
+    HttpRequest,
+    HttpResponse,
+    HttpTransaction,
+    TrafficLog,
+    resource_key,
+)
 
 
-@pytest.fixture(scope="module")
-def skeleton(small_synth_log):
-    config = RunConfig(input="x", jobs=1)
-    result = run_pipeline(small_synth_log, config)
+def trained_skeleton(log, **run_settings):
+    """The skeleton ``train`` writes for ``log``, parsed back from its text
+    like the CLI does."""
+    config = RunConfig(input="x", jobs=1, **run_settings)
+    result = run_pipeline(log, config)
     chosen = choose_models(result, config.learners)
     removed = {r.attribute for r in result.removals}
     built = build_skeleton(
@@ -41,8 +54,12 @@ def skeleton(small_synth_log):
         config=config.extraction_config(),
         profile=result.profile,
     )
-    # serve from the parsed text form, like the CLI does
     return parse_skeleton(emit_skeleton(built))
+
+
+@pytest.fixture(scope="module")
+def skeleton(small_synth_log):
+    return trained_skeleton(small_synth_log)
 
 
 HOST = "https://tasks.example.test"
@@ -336,6 +353,104 @@ class TestFramingHeaders:
         response = MockService(FRAMED).handle("GET", f"{HOST}/items/1")
         assert response.headers == (("X-Kept", "yes"), ("Content-Type", "application/json"))
         assert response.body == b'{"ok":true}'
+
+
+#: an RFC 8259 literal; a recorded string that spells one is served as its value
+JSON_LITERAL = re.compile(r"null|true|false|-?(0|[1-9][0-9]*)(\.[0-9]+)?([eE][+-]?[0-9]+)?")
+#: strings that Python's int() or float() reads as numbers, but JSON does not
+NOT_JSON_NUMBERS = ["007", " 1", "NaN", "Infinity", "1_000"]
+
+_strings = st.sampled_from(NOT_JSON_NUMBERS) | st.text(max_size=8).filter(
+    lambda text: not JSON_LITERAL.fullmatch(text)
+)
+_scalars = (
+    st.none() | st.booleans() | st.integers()
+    | st.floats(allow_nan=False, allow_infinity=False) | _strings
+)
+_leaves = _scalars | st.lists(_scalars, min_size=1, max_size=1)
+_keys = st.text(string.ascii_letters + string.digits, min_size=1, max_size=3)
+
+
+def _objects(depth: int):
+    values = _leaves if depth == 1 else _leaves | _objects(depth - 1)
+    return st.dictionaries(_keys, values, min_size=1, max_size=4)
+
+
+def reject_constant(name):
+    raise ValueError(f"{name} is not JSON")
+
+
+def served_json(body: bytes):
+    """A served body read as strict JSON, which has no NaN or Infinity."""
+    return json.loads(body, parse_constant=reject_constant)
+
+
+class TestResponseRoundTrip:
+    @settings(max_examples=150, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+    @given(status=st.integers(100, 599), header=st.text(max_size=8), body=_objects(3))
+    @example(status=200, header="x", body={"0": "007", "a": {"b": [" 1"]}, "c": "NaN",
+                                           "d": "Infinity", "e": "1_000"})
+    def test_recorded_response_is_served_back(self, status, header, body):
+        recorded = HttpResponse(status, (("X-Recorded", header),), json.dumps(body).encode())
+        found: set[str] = set()
+        attributes = response_feature_map(recorded, arrays=found)
+        mock = MockSkeleton(
+            service_name="s",
+            seed=1,
+            inputs=("method",),
+            targets={},
+            unpredicted=tuple(UnpredictedTarget(n, "unary", v) for n, v in attributes.items()),
+            profile=ExtractionProfile(array_paths=tuple(sorted(found))),
+        )
+        served = MockService(mock).handle("GET", f"{HOST}/items/1")
+        assert served.status_code == status
+        assert dict(served.headers)["X-Recorded"] == header
+        assert served_json(served.body) == body
+
+    def test_strings_stay_strings_unless_they_spell_a_json_literal(self):
+        def transaction(i: int) -> HttpTransaction:
+            method = "GET" if i % 2 else "POST"
+            body = {"code": "007" if i % 2 else "008", "v": "NaN", "n": "1_000",
+                    "seven": "7", "yes": "true", "id": i % 2}
+            return HttpTransaction(
+                id=f"t{i}",
+                sequence=i,
+                request=HttpRequest(method, f"{HOST}/items/{i}"),
+                response=HttpResponse(200 if i % 2 else 201,
+                                      (("Content-Type", "application/json"),),
+                                      json.dumps(body).encode()),
+            )
+
+        log = TrafficLog(tuple(transaction(i) for i in range(60)))
+        mock = trained_skeleton(log, learners=("c45",))
+        assert {"responsejson:code", "responsejson:id"} <= set(mock.targets)
+        served = MockService(mock).handle("GET", f"{HOST}/items/1001")
+        assert served.status_code == 200
+        # "7" and "true" spell JSON literals, so they come back as those values
+        assert served_json(served.body) == {"code": "007", "v": "NaN", "n": "1_000",
+                                            "seven": 7, "yes": True, "id": 1}
+
+    def test_a_prediction_overrides_an_unpredicted_default(self):
+        def entry(name, klass):
+            return TargetEntry(DecisionTree(name, Leaf(klass)))
+
+        mock = MockSkeleton(
+            service_name="s",
+            seed=1,
+            inputs=("method",),
+            targets={
+                "responseheader:X-Gone": entry("responseheader:X-Gone", "no-exist"),
+                "responsejson:b": entry("responsejson:b", "2"),
+            },
+            unpredicted=(
+                UnpredictedTarget("responseheader:X-Gone", "unary", "a"),
+                UnpredictedTarget("responsejson:b", "unary", "1"),
+                UnpredictedTarget("responsejson:c", "unary", "3"),
+            ),
+        )
+        served = MockService(mock).handle("GET", f"{HOST}/items/1")
+        assert served.headers == (("Content-Type", "application/json"),)
+        assert served.body == b'{"b":2,"c":3}'
 
 
 class TestStrictMode:

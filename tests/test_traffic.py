@@ -166,6 +166,13 @@ class TestResourceKey:
         with pytest.raises(UnparseableUriError):
             HttpRequest("GET", "/tasks/42")
 
+    def test_split_uri_is_kept_out_of_repr(self):
+        req = HttpRequest("GET", "https://API.ex.com//tasks/42/?x=1")
+        assert req.path_tokens == ("tasks", "42")
+        assert req.parts.netloc == "API.ex.com"
+        assert "parts" not in repr(req) and "path_tokens" not in repr(req)
+        assert resource_key(req) == "api.ex.com/tasks/42"
+
 
 class TestCrudClass:
     def test_method_mapping(self):
