@@ -27,9 +27,7 @@ from .features import (
     InstanceTable,
     Role,
     extract_table,
-    flatten_json,
     to_arff,
-    tokenize_uri,
 )
 from .learners import DecisionTree, Rule, RuleList, classify, model_size
 from .server import MockService, ServeState, SynthesizedResponse, serve_skeleton, synthesize_response
@@ -43,7 +41,6 @@ from .traffic import (
     TrafficLog,
     crud_class,
     dump_jsonl,
-    group_by_resource,
     load_traffic,
     resource_key,
     save_jsonl,
@@ -59,8 +56,8 @@ _LAZY = {
         "evaluation",
     ),
     **dict.fromkeys(
-        ("C45Params", "LearnerParams", "PartParams", "RipperParams", "entropy", "gain_ratio",
-         "train_c45", "train_part", "train_ripper"),
+        ("LearnerParams", "RipperParams", "TreeParams", "entropy", "gain_ratio", "train_c45",
+         "train_part", "train_ripper"),
         "learners",
     ),
     **dict.fromkeys(

@@ -15,34 +15,28 @@ import logging
 import os
 import sys
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, is_dataclass, replace
 from pathlib import Path
-from typing import TYPE_CHECKING, get_type_hints
+from typing import TYPE_CHECKING, Annotated
 
 from .errors import (
     DegenerateDatasetError,
     MalformedInputError,
+    SettingError,
     SkeletonSyntaxError,
     UnknownAttributeError,
     UnparseableUriError,
 )
 from .features import ExtractionConfig, ExtractionProfile, InstanceTable, extract_table
-from .learners import LEARNER_ORDER, Model, model_size
+from .learners import LEARNER_ORDER, LearnerParams, Model, model_size
+from .settings import Count, PrepConfig, Settings, Valid, at_least, read_setting, setting_types
 from .skeleton import build_skeleton, emit_skeleton, parse_skeleton
 from .synth import generate_synthetic_log
-from .traffic import (
-    DEFAULT_CRUD_TOKEN_CLASSES,
-    DEFAULT_ID_PATTERNS,
-    ResourceKeyConfig,
-    TrafficLog,
-    load_traffic,
-    save_jsonl,
-)
+from .traffic import TrafficLog, load_traffic, save_jsonl
 
 if TYPE_CHECKING:
     from .evaluation import TargetMetrics
-    from .learners import LearnerParams
-    from .prep import PrepConfig, PreparedDataset, Removal
+    from .prep import PreparedDataset, Removal
 
 log = logging.getLogger(__name__)
 
@@ -53,122 +47,99 @@ EXIT_PARSE = 4
 EXIT_DEGENERATE = 5
 
 
-@dataclass
-class RunConfig:
+_FORMATS = Valid(lambda name: name.lower() in ("jsonl", "har"), "jsonl or har")
+_LEARNER_NAMES = Valid(
+    lambda names: bool(names) and set(names) <= set(LEARNER_ORDER),
+    f"a non-empty list of {', '.join(LEARNER_ORDER)}",
+)
+
+
+@dataclass(frozen=True)
+class RunConfig(Settings):
+    """One run's own settings, and the extraction, preparation and learner
+    settings it hands on."""
+
     input: str = ""
-    format: str = "jsonl"
-    learners: tuple[str, ...] = LEARNER_ORDER
+    format: Annotated[str, _FORMATS] = "jsonl"
+    learners: Annotated[tuple[str, ...], _LEARNER_NAMES] = LEARNER_ORDER
     seed: int = 1
-    folds: int = 10
-    jobs: int = 0  # 0 means logical core count
+    folds: Annotated[int, at_least(2)] = 10
+    jobs: Count = 0  # 0 means logical core count
     service_name: str = ""
-    max_target_cardinality: int = 32
-    max_target_distinct_ratio: float = 0.5
-    keep_single_valued_inputs: bool = False
-    max_path_depth: int = 16
-    # resource keys / CRUD classification (config-file keys)
-    id_patterns: tuple[str, ...] = DEFAULT_ID_PATTERNS
-    strip_tokens: tuple[str, ...] = tuple(DEFAULT_CRUD_TOKEN_CLASSES)
-    crud_patterns: dict = field(default_factory=lambda: dict(DEFAULT_CRUD_TOKEN_CLASSES))
-    auth_header_names: tuple[str, ...] = ("Authorization", "Cookie")
-    auth_header_patterns: tuple[str, ...] = ("x-*-token",)
-    # learner parameters (config-file keys; documented tool defaults)
-    c45_confidence: float = 0.25
-    c45_min_leaf: int = 2
-    ripper_folds_split: int = 3
-    ripper_min_rule_coverage: int = 2
-    ripper_optimization_runs: int = 2
-    part_confidence: float = 0.25
-    part_min_leaf: int = 2
     out_skeleton: str = "skeleton.txt"
     out_report: str = "report.json"
     out_csv: str = ""
+    extraction: ExtractionConfig = ExtractionConfig()
+    prep: PrepConfig = PrepConfig()
+    params: LearnerParams = LearnerParams()
 
     def prep_config(self) -> PrepConfig:
-        from .prep import PrepConfig
-
-        return PrepConfig(
-            max_target_cardinality=self.max_target_cardinality,
-            max_target_distinct_ratio=self.max_target_distinct_ratio,
-            drop_single_valued_inputs=not self.keep_single_valued_inputs,
-        )
+        return self.prep
 
     def extraction_config(self) -> ExtractionConfig:
-        resource = ResourceKeyConfig(
-            id_patterns=tuple(self.id_patterns),
-            strip_tokens=tuple(self.strip_tokens),
-            crud_token_classes=tuple(dict(self.crud_patterns).items()),
-        )
-        return ExtractionConfig(
-            resource=resource,
-            auth_header_names=tuple(self.auth_header_names),
-            auth_header_patterns=tuple(self.auth_header_patterns),
-            max_path_depth=self.max_path_depth,
-        )
+        return self.extraction
 
     def learner_params(self) -> LearnerParams:
-        from .learners import C45Params, LearnerParams, PartParams, RipperParams
-
-        return LearnerParams(
-            c45=C45Params(self.c45_confidence, self.c45_min_leaf),
-            ripper=RipperParams(
-                folds_split=self.ripper_folds_split,
-                min_rule_coverage=self.ripper_min_rule_coverage,
-                optimization_runs=self.ripper_optimization_runs,
-                seed=self.seed,
-            ),
-            part=PartParams(self.part_confidence, self.part_min_leaf),
-        )
+        """The learner settings, RIPPER's seeded with the run's seed."""
+        return replace(self.params, ripper=replace(self.params.ripper, seed=self.seed))
 
 
-_CONFIG_KEYS = {f.name for f in RunConfig.__dataclass_fields__.values()}  # type: ignore[attr-defined]
-_STRINGS = tuple[str, ...]
-_TYPE_NAMES = {str: "a string", int: "an integer", float: "a number", bool: "a boolean",
-               dict: "an object", _STRINGS: "a list of strings"}
+#: every config-file key, each also the ``dest`` of its flag if it has one,
+#: and the dotted path of the RunConfig field it sets
+CONFIG_KEYS = {
+    **{name: name for name, hint in setting_types(RunConfig).items() if not is_dataclass(hint)},
+    "max_target_cardinality": "prep.max_target_cardinality",
+    "max_target_distinct_ratio": "prep.max_target_distinct_ratio",
+    "keep_single_valued_inputs": "prep.keep_single_valued_inputs",
+    "max_path_depth": "extraction.max_path_depth",
+    "id_patterns": "extraction.resource.id_patterns",
+    "strip_tokens": "extraction.resource.strip_tokens",
+    "crud_patterns": "extraction.resource.crud_token_classes",
+    "auth_header_names": "extraction.auth_header_names",
+    "auth_header_patterns": "extraction.auth_header_patterns",
+    "c45_confidence": "params.c45.confidence_factor",
+    "c45_min_leaf": "params.c45.min_leaf_instances",
+    "ripper_folds_split": "params.ripper.folds_split",
+    "ripper_min_rule_coverage": "params.ripper.min_rule_coverage",
+    "ripper_optimization_runs": "params.ripper.optimization_runs",
+    "part_confidence": "params.part.confidence_factor",
+    "part_min_leaf": "params.part.min_leaf_instances",
+}
 
 
-def _file_value(key: str, value, hint):
-    """A config-file value as the type ``hint`` of its field: a bool is not
-    an int, an int is a float, and ``learners`` may be a comma-separated
-    string, as on the command line."""
-    if hint == _STRINGS and isinstance(value, list) and all(type(v) is str for v in value):
-        return tuple(value)
-    if type(value) is hint or (hint is float and type(value) is int):
-        return hint(value)
-    if key == "learners" and type(value) is str:
-        return value
-    raise MalformedInputError(f"config key {key!r} must be {_TYPE_NAMES[hint]}, not {value!r}")
+def _with(obj, path: str, value, key: str):
+    """``obj`` with the field at the dotted ``path`` set to the setting that
+    the JSON ``value`` under ``key`` gives."""
+    name, _, rest = path.partition(".")
+    if rest:
+        value = _with(getattr(obj, name), rest, value, key)
+    else:
+        value = read_setting(setting_types(type(obj))[name], value, key)
+    return replace(obj, **{name: value})
 
 
 def resolve_run_config(args: argparse.Namespace) -> RunConfig:
-    """Config file supplies defaults, explicit flags win.  File values must
-    have their field's type, and ``folds >= 2`` and ``jobs >= 0``."""
-    config = RunConfig()
+    """Config file supplies defaults, explicit flags win.  Each value is
+    read as its field's type and checked against its field's range; a bad
+    one raises SettingError naming the config key or the flag."""
+    given = []  # (name in messages, key, value)
     if getattr(args, "config", None):
         file_values = json.loads(Path(args.config).read_text())
-        unknown = set(file_values) - _CONFIG_KEYS
-        if unknown:
-            raise MalformedInputError(f"unknown config keys: {sorted(unknown)}")
-        hints = get_type_hints(RunConfig)
-        for key, value in file_values.items():
-            setattr(config, key, _file_value(key, value, hints[key]))
-    for key in _CONFIG_KEYS:
-        value = getattr(args, key, None)
-        if value is not None:
-            setattr(config, key, value)
-    if config.folds < 2:
-        raise MalformedInputError(f"folds must be at least 2, not {config.folds}")
-    if config.jobs < 0:
-        raise MalformedInputError(f"jobs must be at least 0, not {config.jobs}")
-    if isinstance(config.learners, str):
-        config.learners = tuple(config.learners.split(","))
-    for name in config.learners:
-        if name not in LEARNER_ORDER:
-            raise MalformedInputError(f"unknown learner {name!r} (expected subset of {LEARNER_ORDER})")
-    if not config.learners:
-        raise MalformedInputError("at least one learner must be selected")
+        if not isinstance(file_values, dict):
+            raise SettingError(f"config file must be a JSON object, not {file_values!r}")
+        if unknown := sorted(file_values.keys() - CONFIG_KEYS.keys()):
+            raise SettingError(f"unknown config keys: {unknown}")
+        given += [(f"config key {key!r}", key, value) for key, value in file_values.items()]
+    for key in CONFIG_KEYS:
+        if (value := getattr(args, key, None)) is not None:
+            given.append(("--" + key.replace("_", "-"), key, value))
+    config = RunConfig()
+    for name, key, value in given:
+        if key == "learners" and type(value) is str:  # comma-separated, file or flag
+            value = value.split(",")
+        config = _with(config, CONFIG_KEYS[key], value, name)
     if not config.service_name:
-        config.service_name = Path(config.input).stem if config.input else "service"
+        config = replace(config, service_name=Path(config.input).stem if config.input else "service")
     return config
 
 
@@ -441,6 +412,7 @@ def main(argv=None) -> int:
         return EXIT_IO
     except (
         MalformedInputError,
+        SettingError,
         SkeletonSyntaxError,
         UnknownAttributeError,
         UnparseableUriError,

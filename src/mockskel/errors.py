@@ -52,3 +52,7 @@ class SkeletonSyntaxError(MockskelError):
             message = f"line {line}: {message}"
         super().__init__(message)
         self.line = line
+
+
+class SettingError(MockskelError, ValueError):
+    """A setting has the wrong JSON type or lies outside its valid range."""

@@ -31,13 +31,13 @@ from functools import cached_property, lru_cache
 from typing import Iterable, Mapping, NamedTuple, Sequence
 from urllib.parse import parse_qsl
 
-from .errors import UnknownAttributeError
+from .settings import Count, Settings
 from .traffic import (
+    CRUD_CLASSES,
     HttpRequest,
     HttpResponse,
     ResourceKeyConfig,
     TrafficLog,
-    _split_absolute_uri,
     crud_class,
     first_header,
     path_shape,
@@ -127,24 +127,11 @@ class InstanceTable:
     def names(self) -> tuple[str, ...]:
         return tuple(a.name for a in self.schema)
 
-    def index_of(self, name: str) -> int:
-        for i, a in enumerate(self.schema):
-            if a.name == name:
-                return i
-        raise UnknownAttributeError(f"no attribute named {name!r}")
-
-    def attribute(self, name: str) -> Attribute:
-        return self.schema[self.index_of(name)]
-
     def inputs(self) -> tuple[Attribute, ...]:
         return tuple(a for a in self.schema if a.role is Role.INPUT)
 
     def targets(self) -> tuple[Attribute, ...]:
         return tuple(a for a in self.schema if a.role is Role.TARGET)
-
-    def column(self, name: str) -> list[str]:
-        i = self.index_of(name)
-        return [inst.values[i] for inst in self.instances]
 
 
 def nominal_sort(values: Iterable[str]) -> tuple[str, ...]:
@@ -161,13 +148,13 @@ def nominal_sort(values: Iterable[str]) -> tuple[str, ...]:
 
 
 @dataclass(frozen=True)
-class ExtractionConfig:
+class ExtractionConfig(Settings):
     resource: ResourceKeyConfig = ResourceKeyConfig()
     #: request headers that carry authorisation material
     auth_header_names: tuple[str, ...] = ("Authorization", "Cookie")
     auth_header_patterns: tuple[str, ...] = ("x-*-token",)
     #: bound on schema width for pathological URIs
-    max_path_depth: int = 16
+    max_path_depth: Count = 16
 
     @cached_property
     def _auth_matchers(self) -> tuple[frozenset[str], re.Pattern | None]:
@@ -203,26 +190,6 @@ class ExtractionProfile:
 # Per-transaction features
 
 
-def tokenize_uri(uri: str, max_path_depth: int | None = None) -> dict[str, str]:
-    """URI-derived attributes: scheme, host, positional path tokens,
-    query keys, and fragment (only components present in the URI)."""
-    parts = _split_absolute_uri(uri)
-    out = {
-        "schema": escape_literal(parts.scheme.lower()),
-        "host": escape_literal(parts.netloc.lower()),
-    }
-    tokens = [t for t in parts.path.split("/") if t]
-    if max_path_depth is not None:
-        tokens = tokens[:max_path_depth]
-    for i, token in enumerate(tokens):
-        out[f"uriPathToken{i}"] = escape_literal(token)
-    for key, value in parse_qsl(parts.query, keep_blank_values=True):
-        out.setdefault(f"uriQuery:{key}", escape_literal(value))
-    if parts.fragment:
-        out["uriFragment"] = escape_literal(parts.fragment)
-    return out
-
-
 def canonical_scalar(value) -> str:
     """Canonical nominal spelling of a JSON scalar."""
     if value is True:
@@ -254,17 +221,6 @@ def _flatten(value, path: str, out: dict[str, str], arrays: set[str]) -> None:
             out[path] = text
 
 
-def flatten_json(body, prefix: str) -> dict[str, str]:
-    """Flatten a parsed JSON value to ``prefix:dot.path`` attributes.
-
-    Nested objects become dot paths; arrays are merged index-free (union
-    of element keys, first non-null value wins).
-    """
-    flat: dict[str, str] = {}
-    _flatten(body, "", flat, set())
-    return {f"{prefix}:{path}": value for path, value in flat.items()}
-
-
 def _json_content(body: bytes | None, content_type: str | None):
     """(has_payload, is_valid_json, parsed_value)."""
     if body is None or len(body) == 0:
@@ -279,7 +235,9 @@ def _json_content(body: bytes | None, content_type: str | None):
 
 def _add_json(out: dict[str, str], prefix: str, value, arrays: set[str] | None) -> None:
     """Add the escaped ``prefix:dot.path`` attributes of a parsed JSON body
-    to ``out``, and its ``prefix:dot.path`` array prefixes to ``arrays``."""
+    to ``out``, and its ``prefix:dot.path`` array prefixes to ``arrays``.
+    Arrays are merged index-free: the union of their elements' keys, where
+    the first non-null value wins."""
     flat: dict[str, str] = {}
     found: set[str] = set()
     _flatten(value, "", flat, found)
@@ -320,8 +278,18 @@ def request_feature_map(
     given, ``arrays`` collects the ``requestjson:`` prefixes that were
     arrays.
     """
-    out = {"method": request.method}
-    out.update(tokenize_uri(request.uri, config.max_path_depth))
+    parts = request.parts
+    out = {
+        "method": request.method,
+        "schema": escape_literal(parts.scheme.lower()),
+        "host": escape_literal(parts.netloc.lower()),
+    }
+    for i, token in enumerate(request.path_tokens[: config.max_path_depth]):
+        out[f"uriPathToken{i}"] = escape_literal(token)
+    for key, value in parse_qsl(parts.query, keep_blank_values=True):
+        out.setdefault(f"uriQuery:{key}", escape_literal(value))
+    if parts.fragment:
+        out["uriFragment"] = escape_literal(parts.fragment)
     has, valid, value = _json_content(request.body, request.body_content_type)
     out["hasPayload"] = "true" if has else "false"
     out["hasValidPayload"] = "true" if valid else "false"
@@ -426,12 +394,7 @@ def response_from_attributes(
     return status, headers, body.encode("utf-8")
 
 
-_EVER_FLAGS = (
-    ("everCreated", "create"),
-    ("everRead", "read"),
-    ("everUpdated", "update"),
-    ("everDeleted", "delete"),
-)
+_EVER_FLAGS = tuple(zip(("everCreated", "everRead", "everUpdated", "everDeleted"), CRUD_CLASSES))
 
 
 class ResourceState(NamedTuple):

@@ -1,14 +1,15 @@
 """Symbolic learners over nominal single-target datasets.
 
-The model forms load with the package.  The learners and their numpy
-machinery load on first use, so a process that only serves a skeleton
-never imports them.
+The model forms and the learner settings load with the package.  The
+learners and their numpy machinery load on first use, so a process that
+only serves a skeleton never imports them.
 """
 
 from __future__ import annotations
 
 from importlib import import_module
 
+from ..settings import LearnerParams, RipperParams, TreeParams
 from .model import (
     DecisionTree,
     Leaf,
@@ -17,7 +18,6 @@ from .model import (
     RuleList,
     Split,
     classify,
-    leaf_count,
     model_size,
 )
 
@@ -26,11 +26,7 @@ LEARNER_ORDER = ("c45", "ripper", "part")
 
 #: names loaded from a submodule on first use
 _LAZY = {
-    **dict.fromkeys(
-        ("C45Params", "LearnerParams", "PartParams", "RipperParams", "added_errors", "entropy",
-         "gain_ratio", "predict_encoded"),
-        "base",
-    ),
+    **dict.fromkeys(("added_errors", "entropy", "gain_ratio", "predict_encoded"), "base"),
     **{f"train_{name}": name for name in LEARNER_ORDER},
 }
 
@@ -41,12 +37,11 @@ def __getattr__(name: str):
     return getattr(import_module(f"{__name__}.{_LAZY[name]}"), name)
 
 
-def train(name: str, dataset, params: LearnerParams | None = None, rows=None):
+def train(name: str, dataset, params: LearnerParams = LearnerParams(), rows=None):
     """Train one learner by name on ``rows`` of a prepared dataset (every
-    row when None), with default parameters when ``params`` is None."""
+    row when None)."""
     if name not in LEARNER_ORDER:
         raise ValueError(f"unknown learner {name!r} (expected one of {sorted(LEARNER_ORDER)})")
-    params = params or __getattr__("LearnerParams")()
     return __getattr__(f"train_{name}")(dataset, getattr(params, name), rows=rows)
 
 
@@ -57,22 +52,20 @@ def EncodedDataset(dataset):
 
 
 __all__ = [
-    "C45Params",
     "DecisionTree",
     "LEARNER_ORDER",
     "Leaf",
     "LearnerParams",
     "Model",
-    "PartParams",
     "RipperParams",
     "Rule",
     "RuleList",
     "Split",
+    "TreeParams",
     "added_errors",
     "classify",
     "entropy",
     "gain_ratio",
-    "leaf_count",
     "model_size",
     "predict_encoded",
     "train",

@@ -1,11 +1,9 @@
-"""Shared learner machinery: parameters, classification of encoded rows,
-entropy / gain ratio, and the pessimistic error estimate used for
-pruning."""
+"""Shared learner machinery: classification of encoded rows, entropy /
+gain ratio, and the pessimistic error estimate used for pruning."""
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from statistics import NormalDist
 from typing import Iterable
 
@@ -14,34 +12,6 @@ import numpy as np
 from ..errors import DegenerateDatasetError, UnknownAttributeError
 from ..prep import PreparedDataset
 from .model import Model, Rule, RuleList, classify, tested_attributes
-
-
-@dataclass(frozen=True)
-class C45Params:
-    confidence_factor: float = 0.25
-    min_leaf_instances: int = 2
-
-
-@dataclass(frozen=True)
-class RipperParams:
-    #: data is split fold-style for growing/pruning: (folds-1)/folds grows
-    folds_split: int = 3
-    min_rule_coverage: int = 2
-    optimization_runs: int = 2
-    seed: int = 1
-
-
-@dataclass(frozen=True)
-class PartParams:
-    confidence_factor: float = 0.25
-    min_leaf_instances: int = 2
-
-
-@dataclass(frozen=True)
-class LearnerParams:
-    c45: C45Params = C45Params()
-    ripper: RipperParams = RipperParams()
-    part: PartParams = PartParams()
 
 
 # ---------------------------------------------------------------------------

@@ -18,9 +18,8 @@ import numpy as np
 
 from ..errors import DegenerateDatasetError
 from ..prep import PreparedDataset
+from ..settings import TreeParams
 from .base import (
-    C45Params,
-    PartParams,
     added_errors,
     branch_entropies,
     class_counts,
@@ -78,7 +77,7 @@ def grow(
     ds: PreparedDataset,
     rows: np.ndarray,
     available: np.ndarray,
-    params: C45Params | PartParams,
+    params: TreeParams,
     prune: bool = True,
     partial: bool = False,
 ) -> Grown:
@@ -138,7 +137,7 @@ def _named(ds: PreparedDataset, node: Grown) -> Node:
 
 def train_c45(
     ds: PreparedDataset,
-    params: C45Params = C45Params(),
+    params: TreeParams = TreeParams(),
     prune: bool = True,
     rows: np.ndarray | None = None,
 ) -> DecisionTree:

@@ -123,8 +123,3 @@ def model_size(model: Model) -> int:
     if isinstance(model, DecisionTree):
         return sum(1 for _ in _nodes(model.root))
     return len(model.rules) + 1
-
-
-def leaf_count(tree: DecisionTree) -> int:
-    return sum(1 for _ in tree.leaves())
-

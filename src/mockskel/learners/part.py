@@ -13,7 +13,8 @@ import numpy as np
 
 from ..errors import DegenerateDatasetError
 from ..prep import PreparedDataset
-from .base import Conjunction, PartParams, counted_rule_list, covers
+from ..settings import TreeParams
+from .base import Conjunction, counted_rule_list, covers
 from .c45 import Grown, GrownLeaf, grow
 from .model import RuleList
 
@@ -33,7 +34,7 @@ def _best_leaf(node: Grown, conds: Conjunction = ()) -> tuple[GrownLeaf, Conjunc
 
 
 def train_part(
-    ds: PreparedDataset, params: PartParams = PartParams(), rows: np.ndarray | None = None
+    ds: PreparedDataset, params: TreeParams = TreeParams(), rows: np.ndarray | None = None
 ) -> RuleList:
     """Learn a rule list from ``rows`` of ``ds`` (every row when None)."""
     rows = ds.all_rows() if rows is None else rows

@@ -17,7 +17,8 @@ import numpy as np
 
 from ..errors import DegenerateDatasetError
 from ..prep import PreparedDataset
-from .base import Conjunction, RipperParams, class_counts, counted_rule_list, covers
+from ..settings import RipperParams
+from .base import Conjunction, class_counts, counted_rule_list, covers
 from .model import RuleList
 
 MDL_SURPLUS_BITS = 64.0

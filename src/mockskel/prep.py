@@ -17,26 +17,11 @@ import numpy as np
 
 from .errors import PrunedTargetError, UnknownTargetError
 from .features import Attribute, Instance, InstanceTable, Role, nominal_sort
+from .settings import PrepConfig
 
 REASON_UNARY = "unary"
 REASON_HIGH_CARDINALITY = "high-cardinality"
 REASON_SINGLE_VALUED_INPUT = "single-valued-input"
-
-
-@dataclass(frozen=True)
-class PrepConfig:
-    max_target_cardinality: int = 32
-    max_target_distinct_ratio: float = 0.5
-    drop_single_valued_inputs: bool = True
-
-    def __post_init__(self):
-        if self.max_target_cardinality < 2:
-            raise ValueError("max_target_cardinality must be >= 2")
-        if not 0.0 < self.max_target_distinct_ratio <= 1.0:
-            raise ValueError("max_target_distinct_ratio must be in (0, 1]")
-
-    def cardinality_limit(self, n_instances: int) -> float:
-        return min(self.max_target_cardinality, self.max_target_distinct_ratio * n_instances)
 
 
 @dataclass(frozen=True)
@@ -168,7 +153,7 @@ def _prune(table: InstanceTable, config: PrepConfig) -> tuple[list[int], tuple[R
                 removals.append(Removal(attr.name, attr.role, REASON_HIGH_CARDINALITY, distinct))
                 continue
         else:
-            if config.drop_single_valued_inputs and distinct <= 1:
+            if not config.keep_single_valued_inputs and distinct <= 1:
                 removals.append(
                     Removal(attr.name, attr.role, REASON_SINGLE_VALUED_INPUT, distinct,
                             value=attr.domain[0] if attr.domain else None)

@@ -38,13 +38,14 @@ import hashlib
 import json
 import logging
 import re
-from dataclasses import dataclass, field, fields, is_dataclass
+from dataclasses import dataclass, field, fields
 from functools import cache
-from typing import TYPE_CHECKING, Mapping, get_type_hints
+from typing import TYPE_CHECKING, Mapping
 
-from .errors import SkeletonSyntaxError, UnknownAttributeError
+from .errors import SettingError, SkeletonSyntaxError, UnknownAttributeError
 from .features import ExtractionConfig, ExtractionProfile, canonical_scalar
 from .learners.model import DecisionTree, Leaf, Model, Rule, RuleList, Split
+from .settings import read_setting, settings_json
 
 if TYPE_CHECKING:  # training-side types; serving does not import them
     from .evaluation import TargetMetrics
@@ -324,7 +325,8 @@ def _parse_tree(name: str, block: list[_Line], inputs: set[str]) -> tuple[Decisi
 
     if not block:
         raise SkeletonSyntaxError(f"target {name!r} has an empty model body")
-    if len(block) == 1 and " = " not in block[0].text:
+    # a branch line starts with an attribute name, which is never quoted
+    if len(block) == 1 and (block[0].text.startswith('"') or " = " not in block[0].text):
         return DecisionTree(target=name, root=leaf(block[0].text, block[0].number)), edited
     root, end = parse_level(0, block[0].indent)
     if end != len(block):
@@ -380,11 +382,6 @@ def _parse_rules(name: str, block: list[_Line], inputs: set[str]) -> tuple[RuleL
 # ResourceKeyConfig under "resourceKey") and ExtractionProfile, plus
 # "droppedInputs"
 
-_STRINGS = tuple[str, ...]
-_PAIRS = tuple[tuple[str, str], ...]  # a JSON object of strings
-_JSON_TYPES = {int: "an integer", _STRINGS: "a list of strings", _PAIRS: "an object of strings"}
-_field_types = cache(get_type_hints)  # per config class; resolving the annotations is slow
-
 
 @cache
 def _config_key(field_name: str) -> str:
@@ -392,41 +389,6 @@ def _config_key(field_name: str) -> str:
     if field_name == "resource":
         return "resourceKey"
     return re.sub(r"_([a-z])", lambda m: m[1].upper(), field_name)
-
-
-def _config_object(obj) -> dict:
-    """A config dataclass as JSON, one key per field in field order."""
-    hints = _field_types(type(obj))
-    out = {}
-    for f in fields(obj):
-        value = getattr(obj, f.name)
-        if is_dataclass(value):
-            value = _config_object(value)
-        elif hints[f.name] == _PAIRS:
-            value = dict(value)
-        out[_config_key(f.name)] = value
-    return out
-
-
-def _read_config(hint, value, key: str, line_no: int):
-    """The value of type ``hint`` that the JSON ``value`` under ``key``
-    gives; a dataclass field whose key is missing keeps its default, and a
-    key that names no field is an error."""
-    if is_dataclass(hint) and isinstance(value, dict):
-        hints = _field_types(hint)
-        names = {_config_key(f.name): f.name for f in fields(hint)}
-        if unknown := sorted(value.keys() - names.keys()):
-            raise SkeletonSyntaxError(f"unknown {key} key {unknown[0]!r}", line_no)
-        return hint(**{
-            names[k]: _read_config(hints[names[k]], v, k, line_no) for k, v in value.items()
-        })
-    if hint is int and type(value) is int:
-        return value
-    if hint == _STRINGS and isinstance(value, list) and all(type(v) is str for v in value):
-        return tuple(value)
-    if hint == _PAIRS and isinstance(value, dict) and all(type(v) is str for v in value.values()):
-        return tuple(value.items())
-    raise SkeletonSyntaxError(f"{key} must be {_JSON_TYPES.get(hint, 'a JSON object')}", line_no)
 
 
 def _parse_config(
@@ -439,15 +401,14 @@ def _parse_config(
         raise SkeletonSyntaxError(f"bad config JSON: {exc}", line_no) from None
     if not isinstance(obj, dict):
         raise SkeletonSyntaxError("config must be a JSON object", line_no)
-    dropped = _read_config(_STRINGS, obj.pop("droppedInputs", []), "droppedInputs", line_no)
     profile_keys = {_config_key(f.name) for f in fields(ExtractionProfile)}
     profile_obj = {k: obj.pop(k) for k in list(obj) if k in profile_keys}
-    config = _read_config(ExtractionConfig, obj, "config", line_no)
     try:
-        config.resource.is_identifier("")  # compiles the id patterns
-    except re.error as exc:
-        raise SkeletonSyntaxError(f"bad idPatterns: {exc}", line_no) from None
-    profile = _read_config(ExtractionProfile, profile_obj, "config", line_no)
+        dropped = read_setting(tuple[str, ...], obj.pop("droppedInputs", []), "droppedInputs")
+        config = read_setting(ExtractionConfig, obj, "config", _config_key)
+        profile = read_setting(ExtractionProfile, profile_obj, "config", _config_key)
+    except SettingError as exc:
+        raise SkeletonSyntaxError(str(exc), line_no) from None
     return config, profile, dropped
 
 
@@ -457,7 +418,9 @@ def _parse_config(
 
 def emit_skeleton(skeleton: MockSkeleton) -> str:
     """Render a skeleton to its editable text form."""
-    config = _config_object(skeleton.config) | _config_object(skeleton.profile)
+    config = settings_json(skeleton.config, _config_key) | settings_json(
+        skeleton.profile, _config_key
+    )
     config["droppedInputs"] = skeleton.dropped_inputs
     lines = [
         "# mock skeleton v1",

@@ -11,28 +11,22 @@ from __future__ import annotations
 import base64
 import binascii
 import json
+import re
 from dataclasses import dataclass, field
 from datetime import datetime, timezone
 from functools import lru_cache
 from pathlib import Path
-from typing import Iterable, Mapping
+from typing import Annotated, Iterable, Mapping
 from urllib.parse import SplitResult, urlsplit
 
 from .errors import MalformedInputError, UnparseableUriError
+from .settings import Pairs, Settings, Valid
 
 SUPPORTED_METHODS = ("GET", "HEAD", "POST", "PUT", "PATCH", "DELETE", "OPTIONS")
 
 
 class UnsupportedMethodError(ValueError):
     """The HTTP method is outside the supported set (loaders skip these)."""
-
-#: Path tokens shaped like opaque identifiers.  Tokens matching one of
-#: these patterns are never stripped from a resource key and are folded
-#: to "{id}" in path shapes.
-DEFAULT_ID_PATTERNS = (
-    r"[0-9]+",
-    r"[0-9a-fA-F]{8}-[0-9a-fA-F]{4}-[0-9a-fA-F]{4}-[0-9a-fA-F]{4}-[0-9a-fA-F]{12}",
-)
 
 #: URI tokens that name the operation rather than the resource, mapped to
 #: the CRUD class they imply.  Seeded from services that encode the verb
@@ -45,6 +39,8 @@ DEFAULT_CRUD_TOKEN_CLASSES: Mapping[str, str] = {
     "destroy": "delete",
     "show": "read",
 }
+
+CRUD_CLASSES = ("create", "read", "update", "delete")
 
 _METHOD_CRUD_CLASSES = {
     "POST": "create",
@@ -59,13 +55,25 @@ _METHOD_CRUD_CLASSES = {
 
 @lru_cache(maxsize=32)
 def _compile_id_regex(patterns: tuple[str, ...]):
-    import re
-
     return re.compile("|".join(f"(?:{p})" for p in patterns)) if patterns else None
 
 
+def _compiles(patterns: tuple[str, ...]) -> bool:
+    try:
+        _compile_id_regex(patterns)
+    except re.error:
+        return False
+    return True
+
+
+_CRUD_CLASS_MAP = Valid(
+    lambda pairs: all(crud in CRUD_CLASSES for _, crud in pairs),
+    f"an object whose values are each one of {', '.join(CRUD_CLASSES)}",
+)
+
+
 @dataclass(frozen=True)
-class ResourceKeyConfig:
+class ResourceKeyConfig(Settings):
     """How requests are mapped onto logical resources.
 
     ``strip_tokens`` are removed from the path when computing resource
@@ -74,9 +82,14 @@ class ResourceKeyConfig:
     appears in the path.
     """
 
-    id_patterns: tuple[str, ...] = DEFAULT_ID_PATTERNS
+    #: path tokens shaped like opaque identifiers: never stripped from a
+    #: resource key, and folded to "{id}" in path shapes
+    id_patterns: Annotated[tuple[str, ...], Valid(_compiles, "a list of regular expressions")] = (
+        r"[0-9]+",
+        r"[0-9a-fA-F]{8}-[0-9a-fA-F]{4}-[0-9a-fA-F]{4}-[0-9a-fA-F]{4}-[0-9a-fA-F]{12}",
+    )
     strip_tokens: tuple[str, ...] = tuple(DEFAULT_CRUD_TOKEN_CLASSES)
-    crud_token_classes: tuple[tuple[str, str], ...] = tuple(
+    crud_token_classes: Annotated[Pairs, _CRUD_CLASS_MAP] = tuple(
         DEFAULT_CRUD_TOKEN_CLASSES.items()
     )
 
@@ -106,16 +119,6 @@ def first_header(headers: tuple[tuple[str, str], ...], name: str) -> str | None:
     return None
 
 
-def _split_absolute_uri(uri: str) -> SplitResult:
-    try:
-        parts = urlsplit(uri)
-    except ValueError as exc:
-        raise UnparseableUriError(f"cannot parse URI {uri!r}: {exc}") from exc
-    if not parts.scheme or not parts.netloc:
-        raise UnparseableUriError(f"URI {uri!r} is not absolute (scheme and host required)")
-    return parts
-
-
 @dataclass(frozen=True)
 class HttpRequest:
     """One recorded HTTP request.
@@ -137,7 +140,12 @@ class HttpRequest:
     def __post_init__(self):
         if self.method not in SUPPORTED_METHODS:
             raise UnsupportedMethodError(f"unsupported HTTP method {self.method!r}")
-        parts = _split_absolute_uri(self.uri)
+        try:
+            parts = urlsplit(self.uri)
+        except ValueError as exc:
+            raise UnparseableUriError(f"cannot parse URI {self.uri!r}: {exc}") from exc
+        if not parts.scheme or not parts.netloc:
+            raise UnparseableUriError(f"URI {self.uri!r} is not absolute (scheme and host required)")
         object.__setattr__(self, "parts", parts)
         object.__setattr__(self, "path_tokens", tuple(t for t in parts.path.split("/") if t))
         object.__setattr__(self, "headers", _normalize_headers(self.headers))
@@ -453,13 +461,3 @@ def path_shape(request: HttpRequest, config: ResourceKeyConfig = ResourceKeyConf
     """Method plus path with identifier tokens folded to ``{id}``."""
     tokens = ["{id}" if config.is_identifier(t) else t for t in request.path_tokens]
     return f"{request.method} /" + "/".join(tokens)
-
-
-def group_by_resource(
-    log: TrafficLog, config: ResourceKeyConfig = ResourceKeyConfig()
-) -> dict[str, list[HttpTransaction]]:
-    """Partition transactions by resource key, preserving sequence order."""
-    groups: dict[str, list[HttpTransaction]] = {}
-    for txn in log.transactions:
-        groups.setdefault(resource_key(txn.request, config), []).append(txn)
-    return groups

@@ -3,6 +3,7 @@ import pytest
 from mockskel.features import Attribute, Instance, InstanceTable, Role
 from mockskel.prep import coerce_to_nominal, project_for_target
 from mockskel.synth import generate_synthetic_log
+from mockskel.traffic import resource_key
 
 
 @pytest.fixture(scope="session")
@@ -33,6 +34,20 @@ def make_dataset(rows, input_names, target_name="statusCode"):
 def table_row(table, i):
     """Row ``i`` of an instance table as name -> value."""
     return dict(zip(table.names, table.instances[i].values))
+
+
+def column(table, name):
+    """The values of attribute ``name`` in an instance table, row by row."""
+    i = table.names.index(name)
+    return [inst.values[i] for inst in table.instances]
+
+
+def group_by_resource(log):
+    """A log's transactions by their ``resource_key``, each list in log order."""
+    groups = {}
+    for txn in log.transactions:
+        groups.setdefault(resource_key(txn.request), []).append(txn)
+    return groups
 
 
 def dataset_row(ds, i):

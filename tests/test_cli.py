@@ -174,7 +174,27 @@ class TestConfigFile:
         config_path.write_text(json.dumps({"c45_confidence": 1, "max_target_distinct_ratio": 1}))
         config = resolve_run_config(argparse.Namespace(config=str(config_path)))
         assert config.learner_params().c45.confidence_factor == 1.0
-        assert type(config.max_target_distinct_ratio) is float
+        assert type(config.prep_config().max_target_distinct_ratio) is float
+
+    def test_every_key_sets_a_field_with_a_default_and_every_flag_is_a_key(self):
+        import argparse
+        import dataclasses
+
+        from mockskel.cli import CONFIG_KEYS, RunConfig, _add_pipeline_options
+        from mockskel.settings import setting_types
+
+        for key, path in CONFIG_KEYS.items():
+            *parents, name = path.split(".")
+            owner = RunConfig
+            for parent in parents:
+                owner = setting_types(owner)[parent]
+            field = {f.name: f for f in dataclasses.fields(owner)}[name]
+            assert field.default is not dataclasses.MISSING, key
+        for training in (True, False):
+            parser = argparse.ArgumentParser()
+            _add_pipeline_options(parser, training)
+            dests = {action.dest for action in parser._actions} - {"help", "config"}
+            assert dests <= CONFIG_KEYS.keys()
 
 
 class TestRunSettings:
@@ -190,6 +210,12 @@ class TestRunSettings:
             ({"learners": ["c45", 4]}, "learners"),
             ({"folds": 1}, "folds"),
             ({"jobs": -1}, "jobs"),
+            ({"id_patterns": ["("]}, "id_patterns"),
+            ({"crud_patterns": {"tasks": 7}}, "crud_patterns"),
+            ({"ripper_folds_split": 0}, "ripper_folds_split"),
+            ({"c45_confidence": 0}, "c45_confidence"),
+            ({"max_path_depth": -1}, "max_path_depth"),
+            ({"format": "xml"}, "format"),
         ],
     )
     def test_bad_file_value_exits_parse_naming_the_key(
@@ -207,7 +233,8 @@ class TestRunSettings:
         assert not report_path.exists()
 
     @pytest.mark.parametrize("flag, value", [("--folds", 1), ("--folds", 0), ("--folds", -3),
-                                             ("--jobs", -1)])
+                                             ("--jobs", -1), ("--max-target-cardinality", 1),
+                                             ("--max-target-distinct-ratio", 0)])
     def test_bad_flag_value_exits_parse_naming_the_key(
         self, fixture_log, tmp_path, capsys, flag, value
     ):

@@ -15,7 +15,7 @@ from mockskel.evaluation import (
     stratified_folds,
     weighted_precision_recall,
 )
-from mockskel.learners import C45Params, LearnerParams, model_size, train
+from mockskel.learners import LearnerParams, TreeParams, model_size, train
 
 
 def imbalanced_rows(n=1000, share=0.635, seed=3):
@@ -78,7 +78,7 @@ class TestStratifiedFolds:
         ]
         ds = make_dataset(rows, ["a", "b", "c"])
         assert ds.target_domain == ("9", "10", "200")
-        params = LearnerParams(c45=C45Params(min_leaf_instances=1))
+        params = LearnerParams(c45=TreeParams(min_leaf_instances=1))
         metrics = cross_validate(ds, "c45", params, k=10, seed=1)
         expected = [
             model_size(train("c45", ds, params, rows=np.setdiff1d(ds.all_rows(), fold)))

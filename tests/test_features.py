@@ -8,7 +8,7 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from conftest import table_row
+from conftest import column, table_row
 from mockskel.features import (
     SENTINEL_NO_EXIST,
     SENTINEL_NULL,
@@ -17,13 +17,11 @@ from mockskel.features import (
     Role,
     escape_literal,
     extract_table,
-    flatten_json,
     request_feature_map,
     response_feature_map,
     response_from_attributes,
     serve_input_values,
     to_arff,
-    tokenize_uri,
     unescape_literal,
 )
 from mockskel.features import _schema_lookups
@@ -78,9 +76,21 @@ class TestGeneral:
         assert response_feature_map(t.response) == {"statusCode": str(status)}
 
 
+def uri_features(uri, config=ExtractionConfig()):
+    """The URI attributes that ``request_feature_map`` reads from a GET of ``uri``."""
+    features = request_feature_map(HttpRequest("GET", uri), config)
+    return {k: v for k, v in features.items() if k.startswith(("schema", "host", "uri"))}
+
+
+def json_features(body):
+    """The ``responsejson:`` attributes of a JSON response with ``body``."""
+    response = HttpResponse(200, (("Content-Type", "application/json"),), json.dumps(body).encode())
+    return {k: v for k, v in response_feature_map(response).items() if k.startswith("responsejson:")}
+
+
 class TestTokenizeUri:
     def test_full_uri(self):
-        features = tokenize_uri("https://api.ex.com/tasks/42?max=10")
+        features = uri_features("https://api.ex.com/tasks/42?max=10")
         assert features == {
             "schema": "https",
             "host": "api.ex.com",
@@ -90,20 +100,20 @@ class TestTokenizeUri:
         }
 
     def test_empty_path_has_no_tokens(self):
-        features = tokenize_uri("https://api.ex.com/")
+        features = uri_features("https://api.ex.com/")
         assert not any(k.startswith("uriPathToken") for k in features)
 
     def test_fragment(self):
-        assert tokenize_uri("https://a.ex/x#top")["uriFragment"] == "top"
+        assert uri_features("https://a.ex/x#top")["uriFragment"] == "top"
 
     def test_path_token_matching_sentinel_is_escaped(self):
-        features = tokenize_uri("https://a.ex/null/no-exist/lit:x")
+        features = uri_features("https://a.ex/null/no-exist/lit:x")
         assert features["uriPathToken0"] == "lit:null"
         assert features["uriPathToken1"] == "lit:no-exist"
         assert features["uriPathToken2"] == "lit:lit:x"
 
     def test_depth_cap(self):
-        features = tokenize_uri("https://a.ex/a/b/c/d", max_path_depth=2)
+        features = uri_features("https://a.ex/a/b/c/d", ExtractionConfig(max_path_depth=2))
         assert "uriPathToken2" not in features
 
 
@@ -171,22 +181,24 @@ class TestPayload:
 class TestFlattenJson:
     def test_nested_array_merges_without_indices(self):
         body = {"error": {"errors": [{"domain": "global"}]}}
-        flat = flatten_json(body, "responsejson")
+        flat = json_features(body)
         assert flat == {"responsejson:error.errors.domain": "global"}
 
     def test_boolean_scalar(self):
-        assert flatten_json({"ok": True}, "responsejson") == {"responsejson:ok": "true"}
+        assert json_features({"ok": True}) == {"responsejson:ok": "true"}
 
     def test_empty_object(self):
-        assert flatten_json({}, "responsejson") == {}
+        assert json_features({}) == {}
 
     def test_array_first_non_null_value_wins(self):
         body = {"items": [{"kind": None}, {"kind": "task"}, {"kind": "other"}]}
-        assert flatten_json(body, "r") == {"r:items.kind": "task"}
+        assert json_features(body) == {"responsejson:items.kind": "task"}
 
     def test_numbers_canonical(self):
-        flat = flatten_json({"a": 1, "b": 2.5, "c": 3.0, "d": None}, "r")
-        assert flat == {"r:a": "1", "r:b": "2.5", "r:c": "3", "r:d": "null"}
+        # null is the canonical spelling, escaped as an observed value
+        flat = json_features({"a": 1, "b": 2.5, "c": 3.0, "d": None})
+        assert flat == {"responsejson:a": "1", "responsejson:b": "2.5", "responsejson:c": "3",
+                        "responsejson:d": "lit:null"}
 
 
 class TestResponseFromAttributes:
@@ -268,7 +280,7 @@ class TestHeaders:
             )
         )
         table = table_of(log)
-        assert table.column("responseheader:X-Frame-Options") == ["DENY", SENTINEL_NO_EXIST]
+        assert column(table, "responseheader:X-Frame-Options") == ["DENY", SENTINEL_NO_EXIST]
 
     def test_header_names_take_first_spelling_in_log(self):
         log = TrafficLog(
@@ -279,7 +291,7 @@ class TestHeaders:
         )
         table = table_of(log)
         assert "requestheader:X-Tenant" not in table.names
-        assert table.column("requestheader:x-tenant") == ["a", "b"]
+        assert column(table, "requestheader:x-tenant") == ["a", "b"]
 
 
 class TestStateFeatures:
@@ -330,8 +342,8 @@ class TestBuildTable:
             )
         )
         table = table_of(log)
-        assert table.column("responsejson:a") == ["1", SENTINEL_NO_EXIST]
-        assert table.column("responsejson:b") == [SENTINEL_NO_EXIST, "2"]
+        assert column(table, "responsejson:a") == ["1", SENTINEL_NO_EXIST]
+        assert column(table, "responsejson:b") == [SENTINEL_NO_EXIST, "2"]
 
     def test_path_depth_padding_with_null(self):
         log = TrafficLog(
@@ -341,8 +353,8 @@ class TestBuildTable:
             )
         )
         table = table_of(log)
-        assert table.column("uriPathToken2") == [SENTINEL_NULL, "sub"]
-        assert table.column("uriPathToken3") == [SENTINEL_NULL, "leaf"]
+        assert column(table, "uriPathToken2") == [SENTINEL_NULL, "sub"]
+        assert column(table, "uriPathToken3") == [SENTINEL_NULL, "leaf"]
 
     def test_empty_log(self):
         table = table_of(TrafficLog(()))
@@ -392,8 +404,8 @@ class TestBuildTable:
             )
         )
         table = table_of(log)
-        assert table.column("everCreated") == ["false", "false", "true"]
-        assert table.column("hasImmediatePreviousTransaction") == ["false", "true", "true"]
+        assert column(table, "everCreated") == ["false", "false", "true"]
+        assert column(table, "hasImmediatePreviousTransaction") == ["false", "true", "true"]
 
     def test_domains_cover_observed_values(self, small_synth_log):
         table = table_of(small_synth_log)

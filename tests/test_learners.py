@@ -13,16 +13,15 @@ from mockskel.evaluation import stratified_fold_indices
 from mockskel.features import extract_table
 from mockskel.learners import (
     LEARNER_ORDER,
-    C45Params,
     DecisionTree,
     Leaf,
     Rule,
     RuleList,
     Split,
+    TreeParams,
     classify,
     entropy,
     gain_ratio,
-    leaf_count,
     model_size,
     predict_encoded,
     train,
@@ -30,7 +29,7 @@ from mockskel.learners import (
     train_part,
     train_ripper,
 )
-from mockskel.learners.base import PartParams, added_errors
+from mockskel.learners.base import added_errors
 from mockskel.learners.c45 import GrownSplit, grow
 from mockskel.prep import prepare_all
 from mockskel.skeleton import render_model, render_rules
@@ -396,7 +395,7 @@ class TestPart:
         rows += [["y", b, s] for b in "pq" for s in ("200", "404", "500") for _ in range(5)]
         ds = make_dataset(rows, ["a", "b"])
         available = np.ones(len(ds.names), dtype=bool)
-        root = grow(ds, ds.all_rows(), available, PartParams(), partial=True)
+        root = grow(ds, ds.all_rows(), available, TreeParams(), partial=True)
 
         assert isinstance(root, GrownSplit)  # not collapsed into a leaf
         assert ds.names[root.attr] == "a"
@@ -566,7 +565,7 @@ class TestTreeCounts:
             status = seen.setdefault(key, rng.choice(["200", "404", "500"]))
             rows.append([*key, status])
         ds = make_dataset(rows, ["x", "y", "z"])
-        tree = train_c45(ds, params=C45Params(min_leaf_instances=1), prune=False)
+        tree = train_c45(ds, params=TreeParams(min_leaf_instances=1), prune=False)
         errors = sum(
             classify(tree, dataset_row(ds, i)) != rows[i][3] for i in range(len(rows))
         )
@@ -577,7 +576,7 @@ class TestModelSize:
     def test_single_leaf(self):
         tree = DecisionTree("statusCode", Leaf("200", 10, 0))
         assert model_size(tree) == 1
-        assert leaf_count(tree) == 1
+        assert len(list(tree.leaves())) == 1
 
     def test_status_code_tree_shape(self):
         # a 4-way method split where one branch tests a second attribute:
@@ -598,7 +597,7 @@ class TestModelSize:
             ),
         )
         assert model_size(tree) == 7
-        assert leaf_count(tree) == 5
+        assert len(list(tree.leaves())) == 5
 
     def test_rule_count_includes_default(self):
         model = RuleList("t", (Rule((("a", "b"),), "x"),), default_class="y")

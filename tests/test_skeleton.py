@@ -3,13 +3,24 @@ import logging
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from conftest import make_dataset, table_row
 from mockskel import cli
 from mockskel.cli import RunConfig, choose_models, run_pipeline
-from mockskel.errors import SkeletonSyntaxError, UnknownAttributeError
+from mockskel.errors import SettingError, SkeletonSyntaxError, UnknownAttributeError
 from mockskel.features import ExtractionConfig, ExtractionProfile, Role
-from mockskel.learners import classify, train_c45, train_part
+from mockskel.learners import (
+    DecisionTree,
+    Leaf,
+    Rule,
+    RuleList,
+    Split,
+    classify,
+    train_c45,
+    train_part,
+)
 from mockskel.prep import Removal
 from mockskel.skeleton import (
     PLACEHOLDER,
@@ -20,7 +31,7 @@ from mockskel.skeleton import (
     emit_skeleton,
     parse_skeleton,
 )
-from mockskel.traffic import ResourceKeyConfig
+from mockskel.traffic import CRUD_CLASSES, ResourceKeyConfig
 
 
 @pytest.fixture(scope="module")
@@ -188,6 +199,8 @@ class TestConfigLine:
             '{"resourceKey": {"idPatterns": ["("]}}',
             '{"maxPathdepth": 3}',
             '{"resourceKey": {"idPattern": ["x"]}}',
+            '{"maxPathDepth": -1}',
+            '{"resourceKey": {"crudTokenClasses": {"x": "remove"}}}',
         ],
     )
     def test_malformed_config_is_a_parse_error_on_its_line(self, config, tmp_path):
@@ -355,3 +368,82 @@ class TestQuotedValues:
         again = reparsed.targets["statusCode"].model
         assert classify(again, {"requestheader:Authorization": "Bearer a b"}) == "200"
         assert classify(again, {"requestheader:Authorization": "no-exist"}) == "401"
+
+
+#: any text a recording can carry, every code point but the surrogates,
+#: with pieces of the skeleton grammar drawn often
+GRAMMAR = (" = ", " and ", "(", ")", " => ", ":", '"', "#", "\\", "default:", " (1/2)", "\n")
+TEXT = st.lists(
+    st.one_of(st.characters(blacklist_categories=("Cs",)), st.sampled_from(GRAMMAR)), max_size=4
+).map("".join)
+ATTRIBUTES = ("method", "uriPathToken0", "requestheader:X-A", "requestjson:a.b")
+COUNT = st.integers(0, 99)
+
+LEAVES = st.builds(Leaf, TEXT, COUNT, COUNT)
+TREES = st.builds(
+    DecisionTree,
+    st.just("statusCode"),
+    st.recursive(
+        LEAVES,
+        lambda children: st.builds(
+            Split, st.sampled_from(ATTRIBUTES), st.dictionaries(TEXT, children, min_size=1, max_size=3)
+        ),
+        max_leaves=8,
+    ),
+)
+RULES = st.builds(
+    Rule,
+    st.lists(st.tuples(st.sampled_from(ATTRIBUTES), TEXT), max_size=3).map(tuple),
+    TEXT,
+    COUNT,
+    COUNT,
+)
+RULE_LISTS = st.builds(
+    RuleList, st.just("responsejson:x"), st.lists(RULES, max_size=4).map(tuple), TEXT, COUNT, COUNT
+)
+
+
+def compile_together(patterns) -> bool:
+    try:
+        ResourceKeyConfig(id_patterns=patterns)
+    except SettingError:
+        return False
+    return True
+
+
+STRINGS = st.lists(TEXT, max_size=3).map(tuple)
+CONFIGS = st.builds(
+    ExtractionConfig,
+    resource=st.builds(
+        ResourceKeyConfig,
+        id_patterns=STRINGS.filter(compile_together),
+        strip_tokens=STRINGS,
+        crud_token_classes=st.dictionaries(TEXT, st.sampled_from(CRUD_CLASSES), max_size=3).map(
+            lambda classes: tuple(classes.items())
+        ),
+    ),
+    auth_header_names=STRINGS,
+    auth_header_patterns=STRINGS,
+    max_path_depth=st.integers(min_value=0),
+)
+
+
+class TestTextFormProperties:
+    @settings(max_examples=300, deadline=None)
+    @given(model=st.one_of(TREES, RULE_LISTS))
+    def test_any_model_survives_emit_parse_emit(self, model):
+        skeleton = MockSkeleton(
+            "s", 1, ATTRIBUTES, {model.target: TargetEntry(model, learner="c45")}, ()
+        )
+        text = emit_skeleton(skeleton)
+        parsed = parse_skeleton(text)
+        assert parsed.targets[model.target].model == model
+        assert emit_skeleton(parsed) == text
+
+    @settings(max_examples=150, deadline=None)
+    @given(config=CONFIGS)
+    def test_any_in_range_config_survives_the_config_line(self, config):
+        text = emit_skeleton(TestConfigLine.bare_skeleton(config=config))
+        parsed = parse_skeleton(text)
+        assert parsed.config == config
+        assert emit_skeleton(parsed) == text

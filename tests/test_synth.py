@@ -1,8 +1,9 @@
 from collections import Counter
 
+from conftest import group_by_resource
 from mockskel.features import extract_table
 from mockskel.synth import expected_status, generate_synthetic_log
-from mockskel.traffic import dump_jsonl, group_by_resource, load_traffic
+from mockskel.traffic import dump_jsonl, load_traffic
 
 
 class TestGenerator:
@@ -63,9 +64,9 @@ class TestGeneratedSemantics:
         # bare GET appears with both 200 and 404 outcomes
         table, _ = extract_table(synth_log)
         by_request: dict = {}
-        i_method = table.index_of("method")
-        i_created = table.index_of("everCreated")
-        i_status = table.index_of("statusCode")
+        i_method = table.names.index("method")
+        i_created = table.names.index("everCreated")
+        i_status = table.names.index("statusCode")
         for inst in table.instances:
             if inst.values[i_method] == "GET":
                 by_request.setdefault(inst.values[i_created], set()).add(inst.values[i_status])

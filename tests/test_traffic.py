@@ -3,6 +3,7 @@ import json
 
 import pytest
 
+from conftest import group_by_resource
 from mockskel.errors import MalformedInputError, UnparseableUriError
 from mockskel.traffic import (
     HttpRequest,
@@ -12,7 +13,6 @@ from mockskel.traffic import (
     TrafficLog,
     crud_class,
     dump_jsonl,
-    group_by_resource,
     load_traffic,
     path_shape,
     resource_key,
