@@ -4,6 +4,8 @@ aggregation across a dataset's targets."""
 
 from __future__ import annotations
 
+import csv
+import io
 import json
 import logging
 import math
@@ -264,12 +266,15 @@ def report_json(
 
 
 def metrics_csv(metrics: Sequence[TargetMetrics]) -> str:
-    lines = ["target,learner,accuracy,precision,recall,modelSize"]
+    """One CSV row per target and learner; a target name holding a comma,
+    quote or line break is quoted."""
+    out = io.StringIO()
+    writer = csv.writer(out, lineterminator="\n")
+    writer.writerow(["target", "learner", "accuracy", "precision", "recall", "modelSize"])
     for m in metrics:
-        lines.append(
-            f"{m.target},{m.learner},{m.accuracy:.6f},{m.precision:.6f},{m.recall:.6f},{m.model_size:.4f}"
-        )
-    return "\n".join(lines) + "\n"
+        writer.writerow([m.target, m.learner, f"{m.accuracy:.6f}", f"{m.precision:.6f}",
+                         f"{m.recall:.6f}", f"{m.model_size:.4f}"])
+    return out.getvalue()
 
 
 def render_aggregate_table(aggregates: Sequence[AggregateReport]) -> str:

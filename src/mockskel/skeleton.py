@@ -10,26 +10,33 @@ Skeleton grammar (UTF-8, ``#`` comment lines, two-space indentation):
     config: <one-line JSON object>
 
     inputs:
-      <input attribute name>
+      <name>
       ...
 
     target <name> tree:
       # learner=<l> cv-accuracy=<f> cv-precision=<f> cv-recall=<f> cv-size=<f>
-      <attr> = <value>: <class> (N[/E])      # branch to a leaf
-      <attr> = <value>:                      # branch to a subtree
+      <name> = <value>: <class> (N[/E])      # branch to a leaf
+      <name> = <value>:                      # branch to a subtree
         ...
       <class> (N[/E])                        # single-leaf tree body
 
     target <name> rules:
-      (<attr> = <value> and <attr> = <value>) => <name>=<class> (N[/E])
+      (<name> = <value> and <name> = <value>) => <name>=<class> (N[/E])
       default: <class> (N[/E])
 
     unpredicted:
-      <name>  reason=<reason>  default=<json literal>
+      <name>  reason=<value>  default=<JSON string>
 
-Values containing spaces or punctuation are JSON-quoted.  Lines without
-a trailing ``(N)``/``(N/E)`` count are treated as hand edits and flag
-their target's model as edited.
+One rule writes every token: a name (of an input, a target or a tested
+attribute) is bare unless it is empty, holds whitespace, a ``"`` or a
+lone surrogate, or starts with ``#`` or ``)``; a value, class or reason
+is bare only if it is made of ``A-Z a-z 0-9 _ . - { } / @ +``.  Any
+other token, and every ``default=``, is a JSON string whose lone
+surrogates are ``\\udXXX`` escapes, so the document always encodes as
+UTF-8.  (Skeletons written before names were quoted need any name that
+holds whitespace quoted by hand.)  Comment lines may stand in every
+block.  Lines without a trailing ``(N)``/``(N/E)`` count are treated as
+hand edits and flag their target's model as edited.
 """
 
 from __future__ import annotations
@@ -43,7 +50,7 @@ from functools import cache
 from typing import TYPE_CHECKING, Mapping
 
 from .errors import SettingError, SkeletonSyntaxError, UnknownAttributeError
-from .features import ExtractionConfig, ExtractionProfile, canonical_scalar
+from .features import ExtractionConfig, ExtractionProfile
 from .learners.model import DecisionTree, Leaf, Model, Rule, RuleList, Split
 from .settings import read_setting, settings_json
 
@@ -96,7 +103,7 @@ class MockSkeleton:
     def computed_digest(self) -> str:
         material = "\n".join(self.inputs)
         material += "\0" + "\n".join(sorted(self.target_names()))
-        return hashlib.sha256(material.encode("utf-8")).hexdigest()[:16]
+        return hashlib.sha256(material.encode("utf-8", "surrogatepass")).hexdigest()[:16]
 
     def target_names(self) -> tuple[str, ...]:
         return tuple(self.targets) + tuple(u.attribute for u in self.unpredicted)
@@ -152,18 +159,27 @@ def build_skeleton(
 
 
 # ---------------------------------------------------------------------------
-# Values, attribute tests and classes: the tokens every model line is made of
+# Names, values, attribute tests and classes: the tokens every line is made of
 
-#: values that skeleton files write (and parse) without JSON quotes
+#: values, classes and reasons that skeleton files write without JSON quotes
 BARE_TOKEN = re.compile(r"[A-Za-z0-9_.\-{}/@+]+")
+#: names of inputs, targets and tested attributes written without JSON quotes:
+#: a ``#`` would start a comment line and a ``)`` would end a rule's conditions
+BARE_NAME = re.compile(r"(?![#)])[^\s\"\ud800-\udfff]+")
+_EQUALS = re.compile(r"\s* = ")
+_FIELD = re.compile(r"\s+(reason|default)\s*=")
 _COUNTS = re.compile(r"\((\d+)(?:/(\d+))?\)\s*$")
 _DECODER = json.JSONDecoder()
 
 
-def _quote(value: str) -> str:
-    if BARE_TOKEN.fullmatch(value):
-        return value
-    return json.dumps(value, ensure_ascii=False)
+def _json_string(text: str) -> str:
+    """``text`` as a JSON string, lone surrogates escaped so it encodes as UTF-8."""
+    return json.dumps(text, ensure_ascii=False).encode("utf-8", "backslashreplace").decode()
+
+
+def _quote(text: str, bare: re.Pattern = BARE_TOKEN) -> str:
+    """``text`` as one token: bare if ``bare`` matches all of it, else a JSON string."""
+    return text if bare.fullmatch(text) else _json_string(text)
 
 
 def _class_tail(klass: str, n: int, e: int, include: bool) -> str:
@@ -174,35 +190,33 @@ def _class_tail(klass: str, n: int, e: int, include: bool) -> str:
     return f"{_quote(klass)} ({n})" if e == 0 else f"{_quote(klass)} ({n}/{e})"
 
 
-def _take_value(text: str, line_no: int) -> tuple[str, str]:
-    """Consume one (possibly JSON-quoted) value token; returns (value, rest)."""
+def _take_value(text: str, line_no: int, bare: re.Pattern = BARE_TOKEN) -> tuple[str, str]:
+    """Consume one token that ``_quote(..., bare)`` wrote; returns (token, rest)."""
     text = text.lstrip()
     if text.startswith('"'):
         try:
             value, end = _DECODER.raw_decode(text)
         except json.JSONDecodeError as exc:
-            raise SkeletonSyntaxError(f"bad quoted value: {exc}", line_no) from None
-        if not isinstance(value, str):
-            raise SkeletonSyntaxError("quoted value must be a JSON string", line_no)
+            raise SkeletonSyntaxError(f"bad JSON string: {exc}", line_no) from None
         return value, text[end:]
-    match = BARE_TOKEN.match(text)
+    match = bare.match(text)
     if not match:
-        raise SkeletonSyntaxError(f"expected a value, found {text!r}", line_no)
+        raise SkeletonSyntaxError(f"expected a name or value, found {text!r}", line_no)
     return match.group(0), text[match.end():]
 
 
 def _take_test(text: str, line_no: int, target: str, inputs: set[str]) -> tuple[str, str, str]:
-    """Consume one ``<attr> = <value>`` test of a known input; returns
+    """Consume one ``<name> = <value>`` test of a known input; returns
     (attribute, value, rest)."""
-    attribute, sep, tail = text.partition(" = ")
-    if not sep:
+    attribute, rest = _take_value(text, line_no, BARE_NAME)
+    equals = _EQUALS.match(rest)
+    if not equals:
         raise SkeletonSyntaxError(f"expected '<attribute> = <value>', got {text!r}", line_no)
-    attribute = attribute.strip()
     if attribute not in inputs:
         raise UnknownAttributeError(
             f"line {line_no}: unknown attribute {attribute!r} in the model for {target!r}"
         )
-    value, rest = _take_value(tail, line_no)
+    value, rest = _take_value(rest[equals.end():], line_no)
     return attribute, value, rest.lstrip()
 
 
@@ -236,7 +250,7 @@ def render_tree(tree: DecisionTree, indent: str = "", include_counts: bool = Tru
 
     def walk(node: Split, pad: str) -> None:
         for value, child in node.branches.items():
-            prefix = f"{pad}{node.attribute} = {_quote(value)}:"
+            prefix = f"{pad}{_quote(node.attribute, BARE_NAME)} = {_quote(value)}:"
             if isinstance(child, Leaf):
                 lines.append(f"{prefix} {leaf(child)}")
             else:
@@ -250,9 +264,11 @@ def render_tree(tree: DecisionTree, indent: str = "", include_counts: bool = Tru
 def render_rules(rules: RuleList, indent: str = "", include_counts: bool = True) -> list[str]:
     lines = []
     for rule in rules.rules:
-        conds = " and ".join(f"{attr} = {_quote(value)}" for attr, value in rule.conditions)
+        conds = " and ".join(
+            f"{_quote(attr, BARE_NAME)} = {_quote(value)}" for attr, value in rule.conditions
+        )
         tail = _class_tail(rule.klass, rule.train_count, rule.error_count, include_counts)
-        lines.append(f"{indent}({conds}) => {rules.target}={tail}")
+        lines.append(f"{indent}({conds}) => {_quote(rules.target, BARE_NAME)}={tail}")
     tail = _class_tail(rules.default_class, rules.default_count, rules.default_errors, include_counts)
     return lines + [f"{indent}default: {tail}"]
 
@@ -325,8 +341,9 @@ def _parse_tree(name: str, block: list[_Line], inputs: set[str]) -> tuple[Decisi
 
     if not block:
         raise SkeletonSyntaxError(f"target {name!r} has an empty model body")
-    # a branch line starts with an attribute name, which is never quoted
-    if len(block) == 1 and (block[0].text.startswith('"') or " = " not in block[0].text):
+    # a branch line is a name and " = "; a single-leaf body is one class
+    _, rest = _take_value(block[0].text, block[0].number, BARE_NAME)
+    if len(block) == 1 and not _EQUALS.match(rest):
         return DecisionTree(target=name, root=leaf(block[0].text, block[0].number)), edited
     root, end = parse_level(0, block[0].indent)
     if end != len(block):
@@ -338,6 +355,7 @@ def _parse_rules(name: str, block: list[_Line], inputs: set[str]) -> tuple[RuleL
     edited = False
     rules: list[Rule] = []
     default: tuple[str, int, int] | None = None
+    assigns = re.compile(rf"\)\s*=>\s*{re.escape(_quote(name, BARE_NAME))}\s*=")
     for line in block:
         text = line.text
         if text.startswith("default:"):
@@ -358,17 +376,13 @@ def _parse_rules(name: str, block: list[_Line], inputs: set[str]) -> tuple[RuleL
             elif not rest.startswith(")"):
                 raise SkeletonSyntaxError("expected 'and' or ')' in rule conditions", line.number)
             conditions.append((attribute, value))
-        rest = rest[1:].lstrip()
-        if not rest.startswith("=>"):
-            raise SkeletonSyntaxError("expected '=>' after rule conditions", line.number)
-        target, sep, tail = rest[2:].partition("=")
-        if not sep:
-            raise SkeletonSyntaxError("expected '<target>=<class>' after '=>'", line.number)
-        if target.strip() != name:
+        head = assigns.match(rest)
+        if not head:
             raise SkeletonSyntaxError(
-                f"rule assigns {target.strip()!r} inside target section {name!r}", line.number
+                f"expected '=> {_quote(name, BARE_NAME)}=<class>' after rule conditions",
+                line.number,
             )
-        klass, n, e, counted = _take_class(tail, line.number)
+        klass, n, e, counted = _take_class(rest[head.end():], line.number)
         edited = edited or not counted
         rules.append(Rule(tuple(conditions), klass, n, e))
     if default is None:
@@ -431,11 +445,11 @@ def emit_skeleton(skeleton: MockSkeleton) -> str:
         "",
         "inputs:",
     ]
-    lines += [f"  {name}" for name in skeleton.inputs]
+    lines += [f"  {_quote(name, BARE_NAME)}" for name in skeleton.inputs]
     for name, entry in skeleton.targets.items():
         kind = "tree" if isinstance(entry.model, DecisionTree) else "rules"
         lines.append("")
-        lines.append(f"target {name} {kind}:")
+        lines.append(f"target {_quote(name, BARE_NAME)} {kind}:")
         meta = [f"learner={entry.learner}"] if entry.learner else []
         meta += [f"{key}={value}" for key, value in entry.metrics.items()]
         learned = entry.origin == ORIGIN_LEARNED
@@ -447,12 +461,9 @@ def emit_skeleton(skeleton: MockSkeleton) -> str:
         lines.append("")
         lines.append("unpredicted:")
         for item in skeleton.unpredicted:
-            default = json.dumps(item.default, ensure_ascii=False)
-            lines.append(f"  {item.attribute}  reason={item.reason}  default={default}")
+            name, reason = _quote(item.attribute, BARE_NAME), _quote(item.reason)
+            lines.append(f"  {name}  reason={reason}  default={_json_string(item.default)}")
     return "\n".join(lines) + "\n"
-
-
-_TARGET_HEADER = re.compile(r"target\s+(\S+)\s+(tree|rules):\s*$")
 
 
 def parse_skeleton(text: str) -> MockSkeleton:
@@ -482,11 +493,11 @@ def parse_skeleton(text: str) -> MockSkeleton:
 
     i = 0
 
-    def collect_block(start: int) -> tuple[list[_Line], int]:
+    def collect_block(start: int, comments: bool = False) -> tuple[list[_Line], int]:
         end = start
         while end < len(lines) and lines[end].indent > 0:
             end += 1
-        return lines[start:end], end
+        return [b for b in lines[start:end] if comments or not b.text.startswith("#")], end
 
     while i < len(lines):
         line = lines[i]
@@ -510,19 +521,24 @@ def parse_skeleton(text: str) -> MockSkeleton:
             )
         elif line.text == "inputs:":
             block, i = collect_block(i)
-            inputs = [b.text for b in block]
+            inputs = []
+            for b in block:
+                name, rest = _take_value(b.text, b.number, BARE_NAME)
+                if rest:
+                    raise SkeletonSyntaxError(f"unexpected text {rest!r} after an input", b.number)
+                inputs.append(name)
         elif line.text.startswith("target "):
-            match = _TARGET_HEADER.fullmatch(line.text)
-            if not match:
+            name, rest = _take_value(line.text[len("target "):], line.number, BARE_NAME)
+            kind = rest.strip()
+            if kind not in ("tree:", "rules:"):
                 raise SkeletonSyntaxError(
                     "expected 'target <name> tree:' or 'target <name> rules:'", line.number
                 )
-            name, kind = match.group(1), match.group(2)
             if name in targets:
                 raise SkeletonSyntaxError(f"duplicate target section {name!r}", line.number)
-            block, i = collect_block(i)
+            block, i = collect_block(i, comments=True)
             body, meta = _model_lines(block)
-            parse = _parse_tree if kind == "tree" else _parse_rules
+            parse = _parse_tree if kind == "tree:" else _parse_rules
             model, edited = parse(name, body, set(inputs))
             learner = meta.pop("learner", None)
             targets[name] = TargetEntry(
@@ -579,29 +595,13 @@ def _warn_unknown_values(name: str, model: Model) -> None:
 
 
 def _parse_unpredicted(line: _Line) -> UnpredictedTarget:
-    parts = line.text.split()
-    if len(parts) < 2:
-        raise SkeletonSyntaxError("expected '<name>  reason=<r>  default=<json>'", line.number)
-    name = parts[0]
-    reason = ""
-    default = PLACEHOLDER
-    rest = line.text[len(name):].strip()
+    name, rest = _take_value(line.text, line.number, BARE_NAME)
+    values: dict[str, str] = {}
     while rest:
-        key, sep, tail = rest.partition("=")
-        key = key.strip()
-        if not sep or key not in ("reason", "default"):
+        field_match = _FIELD.match(rest)
+        if not field_match:
             raise SkeletonSyntaxError(f"unexpected field {rest!r} in unpredicted entry", line.number)
-        if key == "reason":
-            value_match = re.match(r"\S+", tail)
-            reason = value_match.group(0) if value_match else ""
-            rest = tail[len(reason):].strip()
-        else:
-            try:
-                value, end = _DECODER.raw_decode(tail.strip())
-            except json.JSONDecodeError as exc:
-                raise SkeletonSyntaxError(f"bad default literal: {exc}", line.number) from None
-            default = value if isinstance(value, str) else canonical_scalar(value)
-            rest = tail.strip()[end:].strip()
-    if not reason:
+        values[field_match[1]], rest = _take_value(rest[field_match.end():], line.number)
+    if "reason" not in values:
         raise SkeletonSyntaxError("unpredicted entry is missing reason=", line.number)
-    return UnpredictedTarget(attribute=name, reason=reason, default=default)
+    return UnpredictedTarget(name, values["reason"], values.get("default", PLACEHOLDER))

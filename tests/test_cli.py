@@ -3,9 +3,10 @@ import json
 import pytest
 
 from mockskel.cli import EXIT_DEGENERATE, EXIT_IO, EXIT_OK, EXIT_PARSE, main
+from mockskel.server import MockService
 from mockskel.skeleton import parse_skeleton
 from mockskel.synth import generate_synthetic_log
-from mockskel.traffic import save_jsonl
+from mockskel.traffic import HttpRequest, HttpResponse, HttpTransaction, TrafficLog, save_jsonl
 
 
 @pytest.fixture(scope="module")
@@ -79,6 +80,86 @@ class TestTrain:
              "--out-skeleton", tmp_path / "s.txt", "--out-report", tmp_path / "r.json"]
         )
         assert code == EXIT_DEGENERATE
+
+
+def names_log(n, request_key, response_body):
+    """``n`` POSTs to fresh resources: every third carries ``request_key``
+    in its JSON body and is answered 400, the others 201, each with
+    ``response_body(i, has_key)`` as its JSON body."""
+    transactions = []
+    for i in range(n):
+        has_key = i % 3 != 0
+        body = {"a=b": "p" if i % 5 < 2 else "q"} | ({request_key: "v"} if has_key else {})
+        transactions.append(HttpTransaction(
+            id=f"t{i}",
+            sequence=i,
+            request=HttpRequest(
+                "POST",
+                f"https://names.example.test/items/{i}?a%20%3D%20b={'x' if i % 2 else 'y'}",
+                (("Content-Type", "application/json"),),
+                json.dumps(body).encode(),
+            ),
+            response=HttpResponse(
+                201 if has_key else 400,
+                (("Content-Type", "application/json"),),
+                json.dumps(response_body(i, has_key)).encode(),
+            ),
+        ))
+    return TrafficLog(tuple(transactions))
+
+
+def train_and_emit(log, tmp_path, learners):
+    """Train on ``log``; check that ``emit`` reproduces the skeleton and
+    return its text."""
+    recording, skeleton_path = tmp_path / "names.jsonl", tmp_path / "skeleton.txt"
+    save_jsonl(log, recording)
+    assert run(
+        ["train", "--input", recording, "--jobs", 1, "--learners", learners,
+         "--out-skeleton", skeleton_path, "--out-report", tmp_path / "r.json"]
+    ) == EXIT_OK
+    assert run(["emit", "--skeleton", skeleton_path, "--out", tmp_path / "again.txt"]) == EXIT_OK
+    text = skeleton_path.read_text(encoding="utf-8")
+    assert (tmp_path / "again.txt").read_text(encoding="utf-8") == text
+    return text
+
+
+class TestRecordedNames:
+    """Names that need quoting in a skeleton train, emit and serve."""
+
+    NAMES = ("first name", "a = b", "k ", "a=b")
+
+    @pytest.mark.parametrize("learners", ["c45", "ripper"])
+    def test_names_needing_quotes_train_emit_and_serve(self, tmp_path, learners):
+        def response_body(i, has_key):
+            return {"first name": "ann" if has_key else "bob",
+                    "a = b": "x" if i % 2 else "y",
+                    "k ": "yes" if has_key else "no",
+                    "a=b": "p" if i % 5 < 2 else "q",
+                    "u": {name: "c" for name in self.NAMES}}
+
+        log = names_log(60, "k ", response_body)
+        skeleton = parse_skeleton(train_and_emit(log, tmp_path, learners))
+        assert {"requestjson:k ", "requestjson:a=b", "uriQuery:a = b"} <= set(skeleton.inputs)
+        assert {f"responsejson:{name}" for name in self.NAMES} <= set(skeleton.targets)
+        assert {f"responsejson:u.{name}" for name in self.NAMES} <= {
+            u.attribute for u in skeleton.unpredicted
+        }
+        service = MockService(skeleton)
+        for txn in log.transactions:
+            r = txn.request
+            served = service.handle(r.method, r.uri, r.headers, r.body)
+            assert served.status_code == txn.response.status_code
+            assert json.loads(served.body) == json.loads(txn.response.body)
+
+    def test_lone_surrogates_train_and_emit(self, tmp_path):
+        def response_body(i, has_key):
+            return {"\ud800": "\udc00" if has_key else "w", "c": "\udc00"}
+
+        text = train_and_emit(names_log(40, "\ud800", response_body), tmp_path, "c45")
+        skeleton = parse_skeleton(text)
+        assert "requestjson:\ud800" in skeleton.inputs
+        assert "responsejson:\ud800" in skeleton.targets
+        assert ("responsejson:c", "\udc00") in {(u.attribute, u.default) for u in skeleton.unpredicted}
 
 
 class TestEvaluate:

@@ -1,3 +1,5 @@
+import csv
+import io
 import random
 from collections import Counter
 
@@ -211,6 +213,16 @@ class TestReports:
         text = metrics_csv(metrics)
         assert text.splitlines()[0] == "target,learner,accuracy,precision,recall,modelSize"
         assert len(text.strip().splitlines()) == 3
+
+    def test_csv_reads_back_target_names_that_need_quoting(self):
+        names = ["responsejson:a,b", 'responsejson:"q"', "responsejson:x\ny", "statusCode"]
+        metrics = [TargetMetrics(name, "c45", 0.5, 0.25, 1.0, 3.0) for name in names]
+        rows = list(csv.reader(io.StringIO(metrics_csv(metrics), newline="")))
+        assert rows[0] == ["target", "learner", "accuracy", "precision", "recall", "modelSize"]
+        assert rows[1:] == [
+            [name, "c45", "0.500000", "0.250000", "1.000000", "3.0000"] for name in names
+        ]
+        assert metrics_csv(metrics[3:]).endswith("\nstatusCode,c45,0.500000,0.250000,1.000000,3.0000\n")
 
     def test_table_renders_grid(self):
         metrics = [TargetMetrics("a", "c45", 0.9837, 0.97, 0.98, 4.7)]
