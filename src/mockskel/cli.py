@@ -3,8 +3,8 @@
 Exit codes: 0 success, 2 usage, 3 I/O error, 4 parse error, 5 degenerate
 data (nothing learnable).
 
-The training modules, and numpy with them, are imported inside the
-functions that train, so ``serve`` starts without loading them.
+The training modules, numpy and the process pool are imported inside
+the functions that train, so ``serve`` starts without loading them.
 """
 
 from __future__ import annotations
@@ -14,7 +14,6 @@ import json
 import logging
 import os
 import sys
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field, is_dataclass, replace
 from pathlib import Path
 from typing import TYPE_CHECKING, Annotated
@@ -214,6 +213,8 @@ def run_pipeline(traffic_log: TrafficLog, config: RunConfig) -> PipelineResult:
     tasks = [(t, learner) for t in range(len(datasets)) for learner in config.learners]
     jobs = config.jobs or os.cpu_count() or 1
     if jobs > 1 and len(tasks) > 1:
+        from concurrent.futures import ProcessPoolExecutor
+
         with ProcessPoolExecutor(max_workers=jobs, initializer=_start_worker, initargs=(job,)) as pool:
             futures = [pool.submit(_run_in_worker, t, learner) for t, learner in tasks]
             results = [f.result() for f in futures]
@@ -280,9 +281,11 @@ def _run_and_report(args: argparse.Namespace, training: bool) -> int:
     report = report_json(
         config.service_name, config.seed, config.folds, result.metrics, aggregates, result.removals
     )
-    Path(config.out_report).write_text(report)
-    if config.out_csv:
-        Path(config.out_csv).write_text(metrics_csv(result.metrics))
+    Path(config.out_report).write_text(report, encoding="utf-8")
+    if config.out_csv:  # a lone surrogate in a target name is written as its escape
+        Path(config.out_csv).write_text(
+            metrics_csv(result.metrics), encoding="utf-8", errors="backslashreplace"
+        )
     print(render_aggregate_table(aggregates))
     if training:
         print(f"skeleton written to {config.out_skeleton}")
@@ -315,10 +318,14 @@ def cmd_serve(args: argparse.Namespace) -> int:
 
     text = Path(args.skeleton).read_text(encoding="utf-8")
     skeleton = parse_skeleton(text)  # syntax errors surface before the port binds
-    server = serve_skeleton(skeleton, port=args.port, strict=args.strict, skeleton_text=text)
+    server = serve_skeleton(
+        skeleton, port=args.port, strict=args.strict, skeleton_text=text, host=args.host
+    )
     logging.basicConfig(level=logging.INFO, format="%(message)s")
-    print(f"serving {skeleton.service_name} on http://127.0.0.1:{args.port} "
-          f"({len(skeleton.targets)} predicted targets{', strict' if args.strict else ''})")
+    host, port = server.server_address[:2]
+    print(f"serving {skeleton.service_name} on http://{host}:{port} "
+          f"({len(skeleton.targets)} predicted targets{', strict' if args.strict else ''})",
+          flush=True)
     try:
         server.serve_forever()
     except KeyboardInterrupt:
@@ -386,6 +393,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     serve_p = subs.add_parser("serve", help="serve synthesized responses from a skeleton")
     serve_p.add_argument("--skeleton", required=True)
+    serve_p.add_argument("--host", default="127.0.0.1", help="address to bind (default 127.0.0.1)")
     serve_p.add_argument("--port", type=int, default=8080)
     serve_p.add_argument(
         "--strict",

@@ -6,6 +6,9 @@ resource), every predicted target is classified, and
 ``features.response_from_attributes`` writes the predictions as a
 status code, headers and a JSON body.  ``/_mock/*`` control endpoints
 expose reset, counters, and the active skeleton text.
+
+``MockServer`` reads HTTP/1.1 itself, a thread per connection, and
+writes each answer in one send with Nagle's algorithm off.
 """
 
 from __future__ import annotations
@@ -13,10 +16,13 @@ from __future__ import annotations
 import contextlib
 import json
 import logging
+import re
+import socketserver
 import threading
+import time
 from collections import OrderedDict
 from dataclasses import dataclass, field
-from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
+from http import HTTPStatus
 
 from .errors import MockskelError
 from .features import ResourceState, response_from_attributes, serve_input_values
@@ -36,6 +42,22 @@ MAX_RESOURCES = 65_536
 #: response headers that frame the message: the server writes its own, so
 #: recorded ones are not served
 FRAMING_HEADERS = frozenset({"content-length", "transfer-encoding", "connection", "keep-alive"})
+
+#: longest request or header line read, its line ending included: a longer
+#: request line is answered 414, a longer header line 431
+MAX_LINE = 65_536
+
+#: most header lines a request may carry; one more is answered 431
+MAX_HEADERS = 100
+
+#: largest request body read; a longer declared length is answered 413
+MAX_BODY = 64 * 1024 * 1024
+
+_REASONS = {status.value: status.phrase for status in HTTPStatus}
+_VERSION = re.compile(r"HTTP/([0-9]{1,10})\.([0-9]{1,10})")
+_TOKEN = re.compile(r"[-!#$%&'*+.^_`|~0-9A-Za-z]+")  # RFC 9110 field name
+_DAYS = ("Mon", "Tue", "Wed", "Thu", "Fri", "Sat", "Sun")
+_MONTHS = ("Jan", "Feb", "Mar", "Apr", "May", "Jun", "Jul", "Aug", "Sep", "Oct", "Nov", "Dec")
 
 
 @dataclass
@@ -176,68 +198,139 @@ def _content_length(value: str | None) -> int | None:
     return int(value) if value.isascii() and value.isdigit() else None
 
 
-def make_handler(service: MockService, skeleton_text: str):
-    class Handler(BaseHTTPRequestHandler):
-        protocol_version = "HTTP/1.1"
+def http_date(seconds: float | None = None) -> str:
+    """``seconds`` since the epoch, now by default, as an RFC 9110
+    IMF-fixdate, spelled in English whatever the locale."""
+    t = time.gmtime(seconds)
+    return (f"{_DAYS[t.tm_wday]}, {t.tm_mday:02d} {_MONTHS[t.tm_mon - 1]} {t.tm_year} "
+            f"{t.tm_hour:02d}:{t.tm_min:02d}:{t.tm_sec:02d} GMT")
 
-        def log_message(self, fmt, *args):  # route through logging, not stderr
-            log.debug(fmt, *args)
 
-        def _send(self, status: int, headers, body: bytes | None) -> None:
-            """Answer a HEAD with the body's length but no body, and a 1xx,
-            204 or 304 (which end at their headers) with neither."""
-            self.send_response(status)
-            for name, value in headers:
-                self.send_header(name, value)
-            bodiless = status < 200 or status in (204, 304)
-            if not bodiless:
-                self.send_header("Content-Length", str(len(body) if body else 0))
-            self.end_headers()
-            if body and not bodiless and self.command != "HEAD":
-                self.wfile.write(body)
+class _Refused(Exception):
+    """A request the server answers with ``status`` and then closes on."""
 
-        def _control(self, path: str) -> None:
-            if path == "/_mock/reset" and self.command == "POST":
-                service.reset()
-                self._send(200, [("Content-Type", "application/json")], b'{"reset":true}')
-            elif path == "/_mock/stats" and self.command == "GET":
-                payload = json.dumps(service.stats()).encode()
-                self._send(200, [("Content-Type", "application/json")], payload)
-            elif path == "/_mock/skeleton" and self.command == "GET":
-                self._send(
-                    200,
-                    [("Content-Type", "text/plain; charset=utf-8")],
-                    skeleton_text.encode("utf-8"),
-                )
-            else:
-                self._send(404, [], None)
+    def __init__(self, status: int):
+        super().__init__(status)
+        self.status = status
 
-        def _handle(self) -> None:
-            # where the body ends is unknown, so the connection cannot be reused:
-            # a chunked body is not decoded, and a bad Content-Length is a 400
-            if "Transfer-Encoding" in self.headers:
-                self._send(411, [("Connection", "close")], None)
-                return
-            length = _content_length(self.headers.get("Content-Length"))
-            if length is None:
-                self._send(400, [("Connection", "close")], None)
-                return
-            body = self.rfile.read(length) if length else None
-            path = self.path.partition("?")[0]
-            if path.startswith("/_mock/"):
-                self._control(path)
-                return
-            host = self.headers.get("Host") or "localhost"
-            uri = f"http://{host}{self.path}"
-            response = service.handle(
-                self.command, uri, list(self.headers.items()), body
-            )
-            log.info("%s %s -> %d", self.command, self.path, response.status_code)
-            self._send(response.status_code, response.headers, response.body)
 
-        do_GET = do_HEAD = do_POST = do_PUT = do_PATCH = do_DELETE = do_OPTIONS = _handle
+class MockRequestHandler(socketserver.StreamRequestHandler):
+    """One connection: read each request in turn and answer it in one write.
 
-    return Handler
+    Nagle's algorithm is off, so no answer waits for the client to
+    acknowledge the one before it.
+    """
+
+    disable_nagle_algorithm = True
+    server: MockServer
+
+    def handle(self) -> None:
+        try:
+            while self._serve_one():
+                pass
+        except _Refused as refused:
+            log.debug("refused a request with %d", refused.status)
+            self._send(refused.status, [("Connection", "close")])
+
+    def _serve_one(self) -> bool:
+        """Read one request and answer it; whether the connection stays open."""
+        line = self.rfile.readline(MAX_LINE + 1)
+        while line in (b"\r\n", b"\n"):  # empty lines before a request: RFC 9112 2.2 skips them
+            line = self.rfile.readline(MAX_LINE + 1)
+        if not line:
+            return False
+        if len(line) > MAX_LINE:
+            raise _Refused(414)
+        words = line.decode("latin-1").split()
+        match = len(words) == 3 and _VERSION.fullmatch(words[2])
+        if not match:
+            raise _Refused(400)
+        method, target, _ = words
+        version = int(match[1]), int(match[2])
+        if version >= (2, 0):
+            raise _Refused(505)
+        headers, lookup = self._read_headers()
+        connection = {token.strip().lower() for token in lookup.get("connection", "").split(",")}
+        keep_alive = "close" not in connection and (version >= (1, 1) or "keep-alive" in connection)
+        # where the body ends is unknown, so the connection cannot be reused:
+        # a chunked body is not decoded, and a bad Content-Length is a 400
+        if "transfer-encoding" in lookup:
+            raise _Refused(411)
+        length = _content_length(lookup.get("content-length"))
+        if length is None:
+            raise _Refused(400)
+        if length > MAX_BODY:
+            raise _Refused(413)
+        if version >= (1, 1) and lookup.get("expect", "").lower() == "100-continue":
+            self.wfile.write(b"HTTP/1.1 100 Continue\r\n\r\n")
+        body = self.rfile.read(length) if length else None
+        if target.startswith("//"):  # not to be read as a scheme-relative URI
+            target = "/" + target.lstrip("/")
+        self._answer(method, target, headers, lookup.get("host") or "localhost", body)
+        return keep_alive
+
+    def _read_headers(self) -> tuple[list[tuple[str, str]], dict[str, str]]:
+        """The header lines up to the blank one, as (name, value) pairs in
+        order, and the first value of each name, by its lower case."""
+        headers: list[tuple[str, str]] = []
+        lookup: dict[str, str] = {}
+        while (line := self.rfile.readline(MAX_LINE + 1)) not in (b"\r\n", b"\n", b""):
+            if len(line) > MAX_LINE or len(headers) == MAX_HEADERS:
+                raise _Refused(431)
+            name, colon, value = line.decode("latin-1").partition(":")
+            if not colon or not _TOKEN.fullmatch(name):  # an obs-fold line starts with a space
+                raise _Refused(400)
+            value = value.lstrip(" \t").rstrip("\r\n")
+            headers.append((name, value))
+            lookup.setdefault(name.lower(), value)
+        return headers, lookup
+
+    def _answer(self, method: str, target: str, headers, host: str, body: bytes | None) -> None:
+        path = target.partition("?")[0]
+        service = self.server.mock_service
+        if not path.startswith("/_mock/"):
+            response = service.handle(method, f"http://{host}{target}", headers, body)
+            log.info("%s %s -> %d", method, target, response.status_code)
+            self._send(response.status_code, response.headers, response.body, method == "HEAD")
+        elif path == "/_mock/reset" and method == "POST":
+            service.reset()
+            self._send(200, [("Content-Type", "application/json")], b'{"reset":true}')
+        elif path == "/_mock/stats" and method == "GET":
+            payload = json.dumps(service.stats()).encode()
+            self._send(200, [("Content-Type", "application/json")], payload)
+        elif path == "/_mock/skeleton" and method == "GET":
+            self._send(200, [("Content-Type", "text/plain; charset=utf-8")], self.server.skeleton_bytes)
+        else:
+            self._send(404, [])
+
+    def _send(self, status: int, headers, body: bytes | None = None, head: bool = False) -> None:
+        """Write the status line, headers and body in one write, with a
+        Date unless ``headers`` has one.  A HEAD answer (``head``) has the
+        body's length but no body; a 1xx, 204 or 304, which ends at its
+        headers, has neither."""
+        lines = [f"HTTP/1.1 {status} {_REASONS.get(status, '')}"]
+        if not any(name.lower() == "date" for name, _ in headers):
+            lines.append(f"Date: {http_date()}")
+        lines += [f"{name}: {value}" for name, value in headers]
+        bodiless = status < 200 or status in (204, 304)
+        if not bodiless:
+            lines.append(f"Content-Length: {len(body) if body else 0}")
+        message = ("\r\n".join(lines) + "\r\n\r\n").encode("latin-1")
+        if body and not bodiless and not head:
+            message += body
+        self.wfile.write(message)
+
+
+class MockServer(socketserver.ThreadingTCPServer):
+    """Serves one MockService, a thread per connection."""
+
+    daemon_threads = True
+    allow_reuse_address = True
+
+    def __init__(self, address: tuple[str, int], service: MockService, skeleton_text: str):
+        self.mock_service = service
+        self.skeleton_bytes = skeleton_text.encode("utf-8")
+        super().__init__(address, MockRequestHandler)
 
 
 def serve_skeleton(
@@ -245,14 +338,13 @@ def serve_skeleton(
     port: int = 8080,
     strict: bool = False,
     skeleton_text: str = "",
-) -> ThreadingHTTPServer:
-    """Bind a threading HTTP server for a skeleton (caller runs serve_forever)."""
-    service = MockService(skeleton, strict=strict)
+    host: str = "127.0.0.1",
+) -> MockServer:
+    """Bind a server for a skeleton on ``host``:``port`` (the caller runs
+    serve_forever); ``skeleton_text`` is what ``GET /_mock/skeleton``
+    serves, the emitted skeleton by default."""
     if not skeleton_text:
         from .skeleton import emit_skeleton
 
         skeleton_text = emit_skeleton(skeleton)
-    handler = make_handler(service, skeleton_text)
-    server = ThreadingHTTPServer(("127.0.0.1", port), handler)
-    server.mock_service = service  # type: ignore[attr-defined]
-    return server
+    return MockServer((host, port), MockService(skeleton, strict=strict), skeleton_text)

@@ -1,10 +1,19 @@
+import csv
+import http.client
 import json
+import os
+import re
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import mockskel
+
 from mockskel.cli import EXIT_DEGENERATE, EXIT_IO, EXIT_OK, EXIT_PARSE, main
 from mockskel.server import MockService
-from mockskel.skeleton import parse_skeleton
+from mockskel.skeleton import MockSkeleton, UnpredictedTarget, emit_skeleton, parse_skeleton
 from mockskel.synth import generate_synthetic_log
 from mockskel.traffic import HttpRequest, HttpResponse, HttpTransaction, TrafficLog, save_jsonl
 
@@ -160,6 +169,20 @@ class TestRecordedNames:
         assert "requestjson:\ud800" in skeleton.inputs
         assert "responsejson:\ud800" in skeleton.targets
         assert ("responsejson:c", "\udc00") in {(u.attribute, u.default) for u in skeleton.unpredicted}
+
+    def test_lone_surrogate_target_name_is_escaped_in_the_csv(self, tmp_path):
+        def response_body(i, has_key):
+            return {"\ud800": "\udc00" if has_key else "w", "c": "\udc00"}
+
+        recording, csv_path = tmp_path / "names.jsonl", tmp_path / "metrics.csv"
+        save_jsonl(names_log(40, "\ud800", response_body), recording)
+        assert run(
+            ["evaluate", "--input", recording, "--jobs", 1, "--learners", "c45",
+             "--out-report", tmp_path / "r.json", "--out-csv", csv_path]
+        ) == EXIT_OK
+        with open(csv_path, encoding="utf-8", newline="") as f:
+            targets = {row[0] for row in csv.reader(f)}
+        assert "responsejson:\\ud800" in targets
 
 
 class TestEvaluate:
@@ -360,6 +383,32 @@ class TestServe:
         bad = tmp_path / "bad.txt"
         bad.write_text("not a skeleton\n")
         assert run(["serve", "--skeleton", bad, "--port", 1]) == EXIT_PARSE
+
+    def test_banner_names_the_bound_host_and_port(self, tmp_path):
+        path = tmp_path / "skeleton.txt"
+        path.write_text(emit_skeleton(MockSkeleton(
+            service_name="s", seed=1, inputs=("method",), targets={},
+            unpredicted=(UnpredictedTarget("statusCode", "unary", "200"),),
+        )), encoding="utf-8")
+        src = str(Path(mockskel.__file__).resolve().parents[1])
+        proc = subprocess.Popen(
+            [sys.executable, "-m", "mockskel.cli", "serve", "--skeleton", str(path),
+             "--host", "127.0.0.1", "--port", "0"],
+            env=dict(os.environ, PYTHONPATH=src), stdout=subprocess.PIPE, stderr=subprocess.DEVNULL,
+            text=True,
+        )
+        try:
+            banner = proc.stdout.readline()
+            match = re.fullmatch(r"serving s on http://127\.0\.0\.1:([0-9]+) .*\n", banner)
+            assert match and match[1] != "0", banner
+            conn = http.client.HTTPConnection("127.0.0.1", int(match[1]), timeout=10)
+            conn.request("GET", "/_mock/stats")
+            assert conn.getresponse().status == 200
+            conn.close()
+        finally:
+            proc.terminate()
+            proc.wait(timeout=10)
+            proc.stdout.close()
 
 
 class TestImportHar:

@@ -10,6 +10,7 @@ import sys
 import threading
 import time
 from pathlib import Path
+from types import SimpleNamespace
 
 import pytest
 from hypothesis import HealthCheck, example, given, settings
@@ -20,7 +21,15 @@ from mockskel import server as server_module
 from mockskel.cli import RunConfig, choose_models, run_pipeline
 from mockskel.features import ExtractionProfile, ResourceState, response_feature_map
 from mockskel.learners import DecisionTree, Leaf
-from mockskel.server import MockService, ServeState, serve_skeleton, synthesize_response
+from mockskel.server import (
+    MockRequestHandler,
+    MockServer,
+    MockService,
+    ServeState,
+    http_date,
+    serve_skeleton,
+    synthesize_response,
+)
 from mockskel.skeleton import (
     MockSkeleton,
     TargetEntry,
@@ -329,6 +338,33 @@ class TestStartup:
         )
         assert out.stdout.strip() == "[]"
 
+    def test_serving_over_http_imports_no_http_server_email_or_process_pool(self, skeleton, tmp_path):
+        path = tmp_path / "skeleton.txt"
+        path.write_text(emit_skeleton(skeleton), encoding="utf-8")
+        code = (
+            "import socket, sys, threading\n"
+            "import mockskel.cli\n"
+            "from mockskel.server import serve_skeleton\n"
+            "from mockskel.skeleton import parse_skeleton\n"
+            "server = serve_skeleton(parse_skeleton(open(sys.argv[1], encoding='utf-8').read()), port=0)\n"
+            "threading.Thread(target=server.serve_forever, daemon=True).start()\n"
+            "with socket.create_connection(server.server_address, timeout=10) as sock:\n"
+            "    sock.sendall(b'GET /tasks/1 HTTP/1.1\\r\\nHost: x\\r\\nConnection: close\\r\\n\\r\\n')\n"
+            "    answer = b''\n"
+            "    while chunk := sock.recv(4096):\n"
+            "        answer += chunk\n"
+            "server.shutdown()\n"
+            "server.server_close()\n"
+            "print(answer.split(b' ')[1].decode(), sorted(m for m in sys.modules if m in "
+            "('http.server', 'http.client', 'email', 'concurrent.futures.process', 'multiprocessing')))\n"
+        )
+        src = str(Path(mockskel.__file__).resolve().parents[1])
+        out = subprocess.run(
+            [sys.executable, "-c", code, str(path)], env=dict(os.environ, PYTHONPATH=src),
+            capture_output=True, text=True, timeout=60, check=True,
+        )
+        assert out.stdout.strip() == "404 []"
+
 
 #: a recording's framing headers, trained to unary defaults
 FRAMED = MockSkeleton(
@@ -612,3 +648,260 @@ class TestHttpServer:
         )
         assert received.startswith(b"HTTP/1.1 411 ")
         assert received.count(b"HTTP/1.1 ") == 1
+
+
+def read_responses(data: bytes) -> list[tuple[int, dict[str, str]]]:
+    """The (status, headers) of each response in a stream of them, none an
+    answer to a HEAD; fails unless every one is framed whole."""
+    out = []
+    while data:
+        head, blank, data = data.partition(b"\r\n\r\n")
+        assert blank, "a response ends before its blank line"
+        status_line, *lines = head.decode("latin-1").split("\r\n")
+        match = re.fullmatch(r"HTTP/1\.1 ([0-9]{3}) [^\r\n]*", status_line)
+        assert match, status_line
+        status = int(match[1])
+        fields = dict(line.split(": ", 1) for line in lines)
+        if status >= 200 and status not in (204, 304):
+            length = int(fields["Content-Length"])
+            assert len(data) >= length, "a body ends early"
+            data = data[length:]
+        out.append((status, fields))
+    return out
+
+
+def read_until_closed(sock: socket.socket) -> bytes:
+    received = b""
+    while chunk := sock.recv(65536):
+        received += chunk
+    return received
+
+
+class _CountingSocket(socket.socket):
+    """An accepted socket that counts the sends it makes."""
+
+    sends = 0
+
+    def send(self, *args):
+        self.sends += 1
+        return super().send(*args)
+
+    def sendall(self, *args):
+        self.sends += 1
+        return super().sendall(*args)
+
+
+class _CountingServer(MockServer):
+    """A MockServer whose accepted sockets count their sends."""
+
+    def __init__(self, *args):
+        super().__init__(*args)
+        self.accepted: list[_CountingSocket] = []
+
+    def get_request(self):
+        sock, address = super().get_request()
+        counting = _CountingSocket(fileno=sock.detach())
+        self.accepted.append(counting)
+        return counting, address
+
+
+@contextlib.contextmanager
+def counting_server(skeleton, skeleton_text="skeleton text"):
+    srv = _CountingServer(("127.0.0.1", 0), MockService(skeleton), skeleton_text)
+    thread = threading.Thread(target=srv.serve_forever, daemon=True)
+    thread.start()
+    try:
+        yield srv
+    finally:
+        srv.shutdown()
+        srv.server_close()
+        thread.join(timeout=10)
+
+
+class _SocketPairHandler(MockRequestHandler):
+    disable_nagle_algorithm = False  # a socket pair is not TCP
+    timeout = 5
+
+
+def exchange_over_socketpair(skeleton, request: bytes) -> bytes:
+    """What the handler writes for ``request``, sent whole before the client
+    shuts its side, with no server and no thread."""
+    server = SimpleNamespace(mock_service=MockService(skeleton), skeleton_bytes=b"text")
+    client, served = socket.socketpair()
+    with client, served:
+        client.settimeout(5)
+        client.sendall(request)
+        client.shutdown(socket.SHUT_WR)
+        _SocketPairHandler(served, ("pair", 0), server)
+        served.close()
+        return read_until_closed(client)
+
+
+_REQUEST_LINES = [
+    b"GET /tasks/1 HTTP/1.1\r\n", b"POST /tasks/2 HTTP/1.1\r\n", b"DELETE /tasks/2 HTTP/1.0\r\n",
+    b"PUT //tasks//3?x=1 HTTP/1.1\r\n", b"BREW /pot HTTP/1.1\r\n", b"GET /_mock/stats HTTP/1.1\r\n",
+    b"POST /_mock/reset HTTP/1.1\r\n", b"GET /_mock/skeleton?x HTTP/1.1\r\n", b"GET * HTTP/1.1\r\n",
+    b"GET http://h/x HTTP/1.1\r\n", b"GET /tasks/1 HTTP/2.0\r\n", b"GET /tasks/1 HTTP/1\r\n",
+    b"GET /tasks/1\r\n", b"GET / HTTP/1.1 extra\r\n",
+]
+_HEADER_LINES = [
+    b"Host: x\r\n", b"Host: [::1\r\n", b"Content-Type: application/json\r\n",
+    b"Content-Length: 3\r\n", b"Content-Length: -1\r\n",
+    b"Content-Length: 99999999999999999999999\r\n", b"Transfer-Encoding: chunked\r\n",
+    b"Expect: 100-continue\r\n", b"Connection: close\r\n", b"Connection: keep-alive\r\n",
+    b" folded\r\n", b"NoColon\r\n", b"Bad Name: x\r\n", b"\r\n", b"\n",
+]
+_request_bytes = st.lists(
+    st.sampled_from(_REQUEST_LINES) | st.sampled_from(_HEADER_LINES)
+    | st.just(b'{"title": "x"}') | st.binary(max_size=40),
+    max_size=12,
+).map(b"".join)
+
+
+class TestHttpReader:
+    """The server's own HTTP/1.1 reader and writer, over raw sockets."""
+
+    def test_one_send_per_response(self, skeleton):
+        with counting_server(skeleton) as srv:
+            conn = http.client.HTTPConnection("127.0.0.1", srv.server_address[1], timeout=5)
+            try:
+                exchanges = [
+                    ("POST", "/tasks/41", b'{"title": "x"}', 201),
+                    ("GET", "/tasks/41", None, 200),
+                    ("HEAD", "/tasks/41", None, 200),
+                    ("DELETE", "/tasks/41", None, 204),
+                    ("GET", "/_mock/stats", None, 200),
+                    ("GET", "/_mock/skeleton", None, 200),
+                    ("POST", "/_mock/reset", None, 200),
+                    ("GET", "/_mock/nope", None, 404),
+                ]
+                for count, (method, path, body, status) in enumerate(exchanges, 1):
+                    headers = {"Content-Type": "application/json"} if body else {}
+                    conn.request(method, path, body=body, headers=headers)
+                    response = conn.getresponse()
+                    response.read()
+                    assert response.status == status
+                    (sock,) = srv.accepted
+                    assert sock.sends == count, (method, path)
+            finally:
+                conn.close()
+
+    def test_nagle_is_off_and_a_large_body_arrives_whole(self, skeleton):
+        text = emit_skeleton(skeleton) + "# padding\n" * 1000
+        assert len(text.encode()) > 8192
+        with counting_server(skeleton, text) as srv:
+            conn = http.client.HTTPConnection("127.0.0.1", srv.server_address[1], timeout=5)
+            try:
+                conn.request("GET", "/_mock/skeleton")
+                response = conn.getresponse()
+                assert response.read() == text.encode()
+                (sock,) = srv.accepted
+                assert sock.getsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY)
+                assert sock.sends == 1
+            finally:
+                conn.close()
+
+    def test_expect_100_continue_is_answered_before_the_body_is_sent(self, skeleton):
+        with running(skeleton) as srv:
+            with socket.create_connection(srv.server_address, timeout=5) as sock:
+                body = b'{"title": "x"}'
+                sock.sendall(b"POST /tasks/42 HTTP/1.1\r\nHost: x\r\nExpect: 100-continue\r\n"
+                             b"Content-Type: application/json\r\nConnection: close\r\n"
+                             b"Content-Length: %d\r\n\r\n" % len(body))
+                interim = b"HTTP/1.1 100 Continue\r\n\r\n"
+                received = b""
+                while len(received) < len(interim):
+                    received += sock.recv(len(interim) - len(received))
+                assert received == interim
+                sock.sendall(body)
+                assert [status for status, _ in read_responses(read_until_closed(sock))] == [201]
+
+    def test_http_1_0_without_keep_alive_closes_after_the_answer(self, skeleton):
+        with running(skeleton) as srv:
+            with socket.create_connection(srv.server_address, timeout=5) as sock:
+                sock.sendall(b"GET /tasks/43 HTTP/1.0\r\n\r\n")
+                (answer,) = read_responses(read_until_closed(sock))
+        assert answer[0] == 404
+
+    def test_pipelined_requests_are_answered_in_order(self, skeleton):
+        post = (b"POST /tasks/44 HTTP/1.1\r\nHost: x\r\nContent-Type: application/json\r\n"
+                b"Content-Length: 14\r\n\r\n{\"title\": \"x\"}")
+        get = b"GET /tasks/44 HTTP/1.1\r\nHost: x\r\nConnection: close\r\n\r\n"
+        with running(skeleton) as srv:
+            with socket.create_connection(srv.server_address, timeout=5) as sock:
+                sock.sendall(post + get)
+                answers = read_responses(read_until_closed(sock))
+        assert [status for status, _ in answers] == [201, 200]
+
+    @pytest.mark.parametrize("request_bytes, status", [
+        (b"GET /" + b"a" * 65_532, 414),
+        (b"GET / HTTP/1.1\r\nX: " + b"a" * 65_534, 431),
+        (b"GET / HTTP/1.1\r\n" + b"X: a\r\n" * 101 + b"\r\n", 431),
+    ], ids=["request-line", "header-line", "header-count"])
+    def test_limits_close_the_connection(self, skeleton, request_bytes, status):
+        with running(skeleton) as srv:
+            with socket.create_connection(srv.server_address, timeout=5) as sock:
+                sock.sendall(request_bytes)  # no more than the limit, so none is left unread
+                answers = read_responses(read_until_closed(sock))
+        assert answers == [(status, answers[0][1])]
+        assert answers[0][1]["Connection"] == "close"
+
+    def test_a_hundred_headers_are_read(self, skeleton):
+        request = b"GET /tasks/45 HTTP/1.1\r\n" + b"X: a\r\n" * 99 + b"Connection: close\r\n\r\n"
+        answers = read_responses(exchange_over_socketpair(skeleton, request))
+        assert [status for status, _ in answers] == [404]
+
+    @pytest.mark.parametrize("request_bytes", [
+        b"GET /\r\n", b"GET / HTTP/1.1\r\nX: a\r\n folded\r\n\r\n",
+        b"GET / HTTP/1.1\r\nBad Name: x\r\n\r\n", b"GET / HTTP/x.y\r\n\r\n",
+    ], ids=["http-0.9", "obs-fold", "space-in-name", "bad-version"])
+    def test_malformed_requests_get_400_and_close(self, skeleton, request_bytes):
+        # the request after the refused one is never read
+        request_bytes += b"GET / HTTP/1.1\r\n\r\n"
+        (answer,) = read_responses(exchange_over_socketpair(skeleton, request_bytes))
+        assert answer[0] == 400 and answer[1]["Connection"] == "close"
+
+    def test_http_2_gets_505(self, skeleton):
+        (answer,) = read_responses(exchange_over_socketpair(skeleton, b"GET / HTTP/2.0\r\n\r\n"))
+        assert answer[0] == 505 and answer[1]["Connection"] == "close"
+
+    def test_recorded_server_and_date_headers_are_served_once(self):
+        date = "Tue, 15 Nov 1994 08:12:31 GMT"
+        skeleton = MockSkeleton(
+            service_name="s",
+            seed=1,
+            inputs=("method",),
+            targets={},
+            unpredicted=(
+                UnpredictedTarget("statusCode", "unary", "200"),
+                UnpredictedTarget("responseheader:Server", "unary", "nginx"),
+                UnpredictedTarget("responseheader:Date", "unary", date),
+            ),
+        )
+        received = exchange_over_socketpair(skeleton, b"GET /a HTTP/1.1\r\nHost: x\r\n\r\n")
+        head = received.split(b"\r\n\r\n")[0].decode().split("\r\n")
+        names = [line.split(":")[0].lower() for line in head[1:]]
+        assert sorted(names) == ["content-length", "date", "server"]
+        assert f"Date: {date}" in head and "Server: nginx" in head
+        # without a recorded Date, the server adds its own, and no Server
+        (answer,) = read_responses(exchange_over_socketpair(FRAMED, b"GET /a HTTP/1.1\r\n\r\n"))
+        assert "Server" not in answer[1]
+        assert re.fullmatch(r"[A-Z][a-z]{2}, [0-9]{2} [A-Z][a-z]{2} [0-9]{4} [0-9:]{8} GMT",
+                            answer[1]["Date"])
+
+    def test_http_date_is_an_imf_fixdate(self):
+        assert http_date(784887151) == "Tue, 15 Nov 1994 08:12:31 GMT"
+        assert http_date(0) == "Thu, 01 Jan 1970 00:00:00 GMT"
+
+    @settings(max_examples=300, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+    @given(request=_request_bytes)
+    @example(request=b"\r\n\n")
+    @example(request=b"POST /tasks/1 HTTP/1.1\r\nContent-Length: 99999999999999999999999\r\n\r\n")
+    def test_any_bytes_get_answers_or_a_refusal_that_closes(self, skeleton, request):
+        answers = read_responses(exchange_over_socketpair(skeleton, request))
+        finals = [(status, fields) for status, fields in answers if status >= 200]
+        if re.match(rb"(\r?\n)*", request).end() < len(request):
+            assert finals, "a request went unanswered"
+        for i, (status, fields) in enumerate(finals):
+            if fields.get("Connection") == "close":
+                assert 400 <= status <= 599 and i == len(finals) - 1
