@@ -78,9 +78,18 @@ def predict_encoded(model: Model, ds: PreparedDataset, rows: np.ndarray) -> np.n
     """
     tested = tested_attributes(model)
     columns = [j for j, name in enumerate(ds.names) if name in tested]
-    group = np.zeros(len(rows), dtype=np.intp)
+    # a mixed-radix key of the tested codes, renumbered to its distinct
+    # values wherever the next digit could overflow int64
+    key = np.zeros(len(rows), dtype=np.int64)
+    radix = 1
     for j in columns:
-        _, group = np.unique(group * len(ds.domains[j]) + ds.X[rows, j], return_inverse=True)
+        m = len(ds.domains[j])
+        if radix * m > np.iinfo(np.int64).max:
+            distinct, key = np.unique(key, return_inverse=True)
+            radix = len(distinct)
+        key = key * m + ds.X[rows, j]
+        radix *= m
+    _, group = np.unique(key, return_inverse=True)
     sample = np.empty(group.max(initial=-1) + 1, dtype=np.intp)
     sample[group] = rows  # a row of each group
     code_of = {value: i for i, value in enumerate(ds.target_domain)}
@@ -107,17 +116,51 @@ def entropy(class_counts: Iterable[float]) -> float:
     return result
 
 
-def _xlogx_sum(counts: np.ndarray) -> float:
-    positive = counts[counts > 0].astype(np.float64)
-    return float((positive * np.log2(positive)).sum())
+def _xlogx_sums(counts: np.ndarray, starts: np.ndarray) -> np.ndarray:
+    """Per segment of ``counts`` (segment i begins at ``starts[i]``), the
+    sum of c*log2(c) over its counts."""
+    counts = counts.astype(np.float64)
+    return np.add.reduceat(counts * np.log2(np.maximum(counts, 1.0)), starts)
 
 
-def contingency(ds: PreparedDataset, rows: np.ndarray, attr_index: int) -> np.ndarray:
-    """(domain size x class count) contingency table over ``rows``."""
-    m = len(ds.domains[attr_index])
+def contingency_tables(
+    ds: PreparedDataset, rows: np.ndarray, attrs: np.ndarray
+) -> tuple[np.ndarray, np.ndarray]:
+    """The (domain size x class count) contingency tables of the input
+    columns ``attrs`` over ``rows``, stacked, and the first row of each.
+
+    One bincount counts them all: each column's codes are shifted past
+    the domains of the columns before it.
+    """
+    sizes = np.array([len(ds.domains[a]) for a in attrs], dtype=np.intp)
+    starts = np.cumsum(sizes) - sizes
     k = ds.n_classes
-    values = ds.X[rows, attr_index].astype(np.int64)
-    return np.bincount(values * k + ds.y[rows], minlength=m * k).reshape(m, k)
+    cells = ds.X.T.take(rows, axis=1)[attrs] + starts[:, None]
+    cells *= k
+    cells += ds.y[rows]
+    return np.bincount(cells.ravel(), minlength=int(sizes.sum()) * k).reshape(-1, k), starts
+
+
+def gains_and_ratios(
+    tables: np.ndarray, starts: np.ndarray, class_totals: np.ndarray
+) -> tuple[np.ndarray, np.ndarray]:
+    """Information gain and gain ratio of each of the stacked contingency
+    ``tables`` (as ``contingency_tables`` returns them), counted over rows
+    whose per-class counts are ``class_totals``, at least one row.
+
+    A ratio is 0 when the split information is 0 (single-valued attribute).
+    Uses the identity H(p) = log2(N) - sum(c*log2(c))/N per partition.
+    """
+    total = float(class_totals.sum())
+    log_total = math.log2(total)
+    s_branches = _xlogx_sums(tables.sum(axis=1), starts)
+    s_cells = _xlogx_sums(tables.ravel(), starts * tables.shape[1])
+    before = log_total - _xlogx_sums(class_totals, [0])[0] / total
+    gains = before - (s_branches - s_cells) / total
+    split_info = log_total - s_branches / total
+    ratios = np.zeros(len(starts))
+    np.divide(gains, split_info, out=ratios, where=split_info > 0.0)
+    return gains, ratios
 
 
 def branch_entropies(cont: np.ndarray) -> np.ndarray:
@@ -128,28 +171,6 @@ def branch_entropies(cont: np.ndarray) -> np.ndarray:
     cell_terms = np.where(cont > 0, cont * np.log2(np.maximum(cont, 1)), 0.0).sum(axis=1)
     out[nonzero] = np.log2(sizes[nonzero]) - cell_terms[nonzero] / sizes[nonzero]
     return out
-
-
-def gain_and_ratio(cont: np.ndarray) -> tuple[float, float]:
-    """Information gain and gain ratio from a contingency table.
-
-    Ratio is 0 when the split information is 0 (single-valued attribute).
-    Uses the identity H(p) = log2(N) - sum(c*log2(c))/N per partition.
-    """
-    branch_sizes = cont.sum(axis=1)
-    total = float(branch_sizes.sum())
-    if total <= 0:
-        return 0.0, 0.0
-    log_total = math.log2(total)
-    s_cells = _xlogx_sum(cont)
-    s_branches = _xlogx_sum(branch_sizes)
-    before = log_total - _xlogx_sum(cont.sum(axis=0)) / total
-    after = (s_branches - s_cells) / total
-    gain = before - after
-    split_info = log_total - s_branches / total
-    if split_info <= 0.0:
-        return gain, 0.0
-    return gain, gain / split_info
 
 
 def gain_ratio(dataset: PreparedDataset, attribute: str, target: str | None = None) -> float:
@@ -164,8 +185,10 @@ def gain_ratio(dataset: PreparedDataset, attribute: str, target: str | None = No
         idx = dataset.names.index(attribute)
     except ValueError:
         raise UnknownAttributeError(f"no input attribute named {attribute!r}") from None
-    _, ratio = gain_and_ratio(contingency(dataset, dataset.all_rows(), idx))
-    return ratio
+    rows = dataset.all_rows()
+    tables, starts = contingency_tables(dataset, rows, np.array([idx]))
+    _, ratios = gains_and_ratios(tables, starts, class_counts(dataset, rows))
+    return float(ratios[0])
 
 
 def added_errors(n: float, e: float, cf: float) -> float:

@@ -23,8 +23,8 @@ from .base import (
     added_errors,
     branch_entropies,
     class_counts,
-    contingency,
-    gain_and_ratio,
+    contingency_tables,
+    gains_and_ratios,
     majority_class,
 )
 from .model import DecisionTree, Leaf, Node, Split
@@ -57,20 +57,27 @@ def _estimated_errors(node: Grown, cf: float) -> float:
 
 def best_split(
     ds: PreparedDataset, rows: np.ndarray, available: np.ndarray, min_leaf: int
-) -> tuple[int | None, float]:
-    """Index and gain ratio of the best admissible split attribute."""
-    best_attr, best_ratio = None, 0.0
-    for a in np.flatnonzero(available):
-        cont = contingency(ds, rows, int(a))
-        branch_sizes = cont.sum(axis=1)
-        if int((branch_sizes >= min_leaf).sum()) < 2:
-            continue
-        gain, ratio = gain_and_ratio(cont)
-        if gain <= _GAIN_EPS:
-            continue
-        if best_attr is None or ratio > best_ratio + _GAIN_EPS:
-            best_attr, best_ratio = int(a), ratio
-    return best_attr, best_ratio
+) -> tuple[int | None, float, np.ndarray | None]:
+    """Index, gain ratio and contingency table over ``rows`` of the best
+    admissible split attribute; (None, 0.0, None) when none is admissible.
+
+    One pass over ``rows`` counts the tables of every available attribute.
+    """
+    attrs = np.flatnonzero(available)
+    if len(rows) == 0 or len(attrs) == 0:
+        return None, 0.0, None
+    tables, starts = contingency_tables(ds, rows, attrs)
+    large = np.add.reduceat((tables.sum(axis=1) >= min_leaf).astype(np.intp), starts)
+    gains, ratios = gains_and_ratios(tables, starts, class_counts(ds, rows))
+    admissible = (large >= 2) & (gains > _GAIN_EPS)
+    best, best_ratio = None, 0.0
+    for i, ratio in zip(np.flatnonzero(admissible).tolist(), ratios[admissible].tolist()):
+        if best is None or ratio > best_ratio + _GAIN_EPS:
+            best, best_ratio = i, ratio
+    if best is None:
+        return None, 0.0, None
+    attr = int(attrs[best])
+    return attr, best_ratio, tables[starts[best] : starts[best] + len(ds.domains[attr])]
 
 
 def grow(
@@ -96,7 +103,7 @@ def grow(
     if errors == 0 or total < 2 * params.min_leaf_instances or not available.any():
         return leaf
 
-    attr, _ = best_split(ds, rows, available, params.min_leaf_instances)
+    attr, _, table = best_split(ds, rows, available, params.min_leaf_instances)
     if attr is None:
         return leaf
 
@@ -106,7 +113,7 @@ def grow(
     node = GrownSplit(attr, dict.fromkeys(range(len(ds.domains[attr]))))
     order = list(node.children)
     if partial:
-        entropies = branch_entropies(contingency(ds, rows, attr))
+        entropies = branch_entropies(table)
         order.sort(key=lambda vi: (entropies[vi], vi))
     for vi in order:
         sub = rows[column == vi]

@@ -206,6 +206,19 @@ def http_date(seconds: float | None = None) -> str:
             f"{t.tm_hour:02d}:{t.tm_min:02d}:{t.tm_sec:02d} GMT")
 
 
+def _header_line(name: str, value: str) -> bytes:
+    """``name: value`` as latin-1, or as UTF-8 where latin-1 cannot encode
+    it; ValueError when it holds CR, LF or NUL, which would end the header
+    early, or cannot be encoded at all."""
+    line = f"{name}: {value}"
+    if "\r" in line or "\n" in line or "\0" in line:
+        raise ValueError("it holds CR, LF or NUL")
+    try:
+        return line.encode("latin-1")
+    except UnicodeEncodeError:
+        return line.encode("utf-8")
+
+
 class _Refused(Exception):
     """A request the server answers with ``status`` and then closes on."""
 
@@ -307,15 +320,22 @@ class MockRequestHandler(socketserver.StreamRequestHandler):
         """Write the status line, headers and body in one write, with a
         Date unless ``headers`` has one.  A HEAD answer (``head``) has the
         body's length but no body; a 1xx, 204 or 304, which ends at its
-        headers, has neither."""
-        lines = [f"HTTP/1.1 {status} {_REASONS.get(status, '')}"]
+        headers, has neither.  A header that cannot be written turns the
+        answer into a 500 with no body."""
+        lines = [f"HTTP/1.1 {status} {_REASONS.get(status, '')}".encode()]
         if not any(name.lower() == "date" for name, _ in headers):
-            lines.append(f"Date: {http_date()}")
-        lines += [f"{name}: {value}" for name, value in headers]
+            lines.append(f"Date: {http_date()}".encode())
+        for name, value in headers:
+            try:
+                lines.append(_header_line(name, value))
+            except ValueError as error:
+                log.error("cannot send header %r: %s; answered 500", name, error)
+                self._send(500, [])
+                return
         bodiless = status < 200 or status in (204, 304)
         if not bodiless:
-            lines.append(f"Content-Length: {len(body) if body else 0}")
-        message = ("\r\n".join(lines) + "\r\n\r\n").encode("latin-1")
+            lines.append(f"Content-Length: {len(body) if body else 0}".encode())
+        message = b"\r\n".join(lines) + b"\r\n\r\n"
         if body and not bodiless and not head:
             message += body
         self.wfile.write(message)

@@ -29,8 +29,9 @@ from mockskel.learners import (
     train_part,
     train_ripper,
 )
+from mockskel.learners import c45
 from mockskel.learners.base import added_errors
-from mockskel.learners.c45 import GrownSplit, grow
+from mockskel.learners.c45 import GrownSplit, best_split, grow
 from mockskel.prep import prepare_all
 from mockskel.skeleton import render_model, render_rules
 from mockskel.synth import generate_synthetic_log
@@ -60,6 +61,48 @@ def oracle_gain_ratio(rows, attr, target="statusCode"):
     if split_info == 0:
         return 0.0, gain
     return gain / split_info, gain
+
+
+def oracle_contingency(ds, rows, attr):
+    """(domain size x class count) contingency table of one input column."""
+    m, k = len(ds.domains[attr]), ds.n_classes
+    return np.bincount(ds.X[rows, attr].astype(np.int64) * k + ds.y[rows],
+                       minlength=m * k).reshape(m, k)
+
+
+def _xlogx_sum(counts):
+    positive = counts[counts > 0].astype(np.float64)
+    return float((positive * np.log2(positive)).sum())
+
+
+def oracle_gain_and_ratio(cont):
+    """Information gain and gain ratio of one contingency table."""
+    branch_sizes = cont.sum(axis=1)
+    total = float(branch_sizes.sum())
+    if total <= 0:
+        return 0.0, 0.0
+    log_total = math.log2(total)
+    s_branches = _xlogx_sum(branch_sizes)
+    before = log_total - _xlogx_sum(cont.sum(axis=0)) / total
+    gain = before - (s_branches - _xlogx_sum(cont)) / total
+    split_info = log_total - s_branches / total
+    return gain, (gain / split_info if split_info > 0.0 else 0.0)
+
+
+def oracle_best_split(ds, rows, available, min_leaf):
+    """The split search one attribute at a time, with C4.5's sequential
+    tie rule: a later attribute wins only by more than 1e-12."""
+    best = (None, 0.0, None)
+    for a in np.flatnonzero(available):
+        cont = oracle_contingency(ds, rows, int(a))
+        if int((cont.sum(axis=1) >= min_leaf).sum()) < 2:
+            continue
+        gain, ratio = oracle_gain_and_ratio(cont)
+        if gain <= 1e-12:
+            continue
+        if best[0] is None or ratio > best[1] + 1e-12:
+            best = (int(a), ratio, cont)
+    return best
 
 
 def random_rows(rng, n, attrs, domain_sizes, n_classes):
@@ -248,6 +291,76 @@ class TestC45:
                     admissible[attr] = ratio
             best = max(admissible.values())
             assert admissible[tree.root.attribute] == pytest.approx(best, abs=1e-9)
+
+
+@st.composite
+def split_search_cases(draw):
+    """A small encoded table, a subset of its rows, the available columns
+    and ``min_leaf``.  Some columns copy an earlier one with their values
+    relabelled in reverse order (an exact tie whose table rows come in
+    another order); a domain of size 1 gives a single-valued column."""
+    n = draw(st.integers(1, 30))
+    columns = []
+    for _ in range(draw(st.integers(1, 8))):
+        if columns and draw(st.booleans()):
+            columns.append([5 - v for v in draw(st.sampled_from(columns))])
+        else:
+            size = draw(st.integers(1, 6))
+            columns.append(draw(st.lists(st.integers(0, size - 1), min_size=n, max_size=n)))
+    classes = draw(st.lists(st.integers(0, draw(st.integers(1, 4)) - 1), min_size=n, max_size=n))
+    names = [f"a{j}" for j in range(len(columns))]
+    ds = make_dataset([[*values, 200 + c] for *values, c in zip(*columns, classes)], names)
+    rows = np.array(sorted(draw(st.sets(st.integers(0, n - 1)))), dtype=np.intp)
+    available = np.array(draw(st.lists(st.booleans(), min_size=len(names),
+                                       max_size=len(names))), dtype=bool)
+    return ds, rows, available, draw(st.integers(0, 3))
+
+
+def wide_rows(seed, n=600):
+    """A wide table: 40 inputs, among them exact copies and relabelled
+    copies of the inputs the targets depend on, and two noisy targets."""
+    rng = random.Random(seed)
+    rows = []
+    for _ in range(n):
+        base = [rng.randrange(size) for size in (4, 3, 2, 5, 2, 3)]
+        noise = [rng.randrange(rng.choice((2, 3, 7))) for _ in range(22)]
+        copies = [base[0], base[1], 3 - base[0], base[2], 1 - base[4], base[3],
+                  base[0], 2 - base[1], base[5], base[4], 4 - base[3], base[2]]
+        status = ("200", "201", "404", "500")[(base[0] + base[1] * base[2]) % 4]
+        if rng.random() < 0.05:
+            status = rng.choice(("200", "409"))
+        flag = "yes" if base[3] > 1 and base[4] else rng.choice(("no", "no", "yes"))
+        rows.append([*base, *noise, *copies, status, flag])
+    return rows
+
+
+class TestSplitSearch:
+    """``best_split`` scores every available column in one pass; the
+    oracle loop scores them one at a time."""
+
+    @settings(max_examples=300, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+    @given(case=split_search_cases())
+    def test_matches_the_per_attribute_search(self, case):
+        ds, rows, available, min_leaf = case
+        attr, ratio, table = best_split(ds, rows, available, min_leaf)
+        expected_attr, expected_ratio, expected_table = oracle_best_split(
+            ds, rows, available, min_leaf)
+        assert attr == expected_attr
+        assert abs(ratio - expected_ratio) <= 1e-12
+        if attr is not None:
+            assert np.array_equal(table, expected_table)
+
+    @pytest.mark.parametrize("seed", [1, 2])
+    def test_whole_trees_equal_those_of_the_per_attribute_search(self, seed, monkeypatch):
+        names = [f"in{j:02d}" for j in range(40)]
+        rows = wide_rows(seed)
+        for target, column in (("statusCode", -2), ("responsejson:flag", -1)):
+            ds = make_dataset([[*row[:40], row[column]] for row in rows], names, target)
+            models = [train_c45(ds), train_part(ds)]
+            with monkeypatch.context() as patched:
+                patched.setattr(c45, "best_split", oracle_best_split)
+                assert [train_c45(ds), train_part(ds)] == models
+            assert model_size(models[0]) > 5 and len(models[1].rules) > 2
 
 
 class TestRuleListSemantics:
@@ -505,6 +618,25 @@ class TestEncodedPrediction:
         assert_predictions_match_classify(model, ds, ds.all_rows())
         predicted = predict_encoded(model, ds, np.array([3, 0, 2], dtype=np.intp))
         assert [ds.target_domain[c] for c in predicted] == ["201", "200", "201"]
+
+    def test_tested_domains_past_int64_are_renumbered(self):
+        # 22 tested inputs of 8 values each: 8**22 = 2**66 combinations.
+        # Rows in pairs differ only in the first input, 0 against 2, which
+        # a key wrapped past int64 cannot tell apart.
+        rng = random.Random(9)
+        names = [f"a{j:02d}" for j in range(22)]
+        rows = [[str(v)] * 22 + ["200"] for v in range(8)]  # every value occurs
+        for _ in range(12):
+            rest = [str(rng.randrange(7)) for _ in names[1:]]
+            rows += [["0", *rest, "200"], ["2", *rest, "404"]]
+        ds = make_dataset(rows, names)
+        model = RuleList(
+            "statusCode",
+            (Rule((("a00", "2"),), "404"), *(Rule(((name, "7"),), "200") for name in names[1:])),
+            "200",
+        )
+        assert math.prod(len(domain) for domain in ds.domains) > 2**63
+        assert_predictions_match_classify(model, ds, ds.all_rows())
 
     @pytest.mark.parametrize("model", [
         DecisionTree("statusCode", Split("k", {

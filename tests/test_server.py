@@ -905,3 +905,46 @@ class TestHttpReader:
         for i, (status, fields) in enumerate(finals):
             if fields.get("Connection") == "close":
                 assert 400 <= status <= 599 and i == len(finals) - 1
+
+
+def one_header_skeleton(name: str, value: str) -> MockSkeleton:
+    """A skeleton that answers every request 200 with one unary header."""
+    return MockSkeleton(
+        service_name="s",
+        seed=1,
+        inputs=("method",),
+        targets={},
+        unpredicted=(
+            UnpredictedTarget("statusCode", "unary", "200"),
+            UnpredictedTarget(f"responseheader:{name}", "unary", value),
+        ),
+    )
+
+
+class TestServedHeaderBytes:
+    """Served header names and values that latin-1 cannot encode, or that
+    would end their header line early."""
+
+    def test_a_value_outside_latin_1_is_sent_as_utf_8(self):
+        skeleton = one_header_skeleton("X-Price", "5 €")
+        received = exchange_over_socketpair(skeleton, b"GET /a HTTP/1.1\r\n\r\n")
+        assert b"\r\nX-Price: 5 \xe2\x82\xac\r\n" in received
+        # a latin-1 value keeps its one byte per character
+        received = exchange_over_socketpair(one_header_skeleton("X-Price", "5 £"),
+                                            b"GET /a HTTP/1.1\r\n\r\n")
+        assert b"\r\nX-Price: 5 \xa3\r\n" in received
+
+    @pytest.mark.parametrize("name, value", [
+        ("X-Note", "a\r\nSet-Cookie: s=1"), ("X-Note", "a\nb"), ("X-Note", "a\rb"),
+        ("X-Note", "a\0b"), ("X-Note\r\nSet-Cookie", "s=1"), ("X-Note", "\ud800"),
+    ], ids=["crlf-value", "lf-value", "cr-value", "nul-value", "crlf-name", "lone-surrogate"])
+    def test_a_header_that_cannot_be_written_gets_500_and_no_body(self, name, value, caplog):
+        request = b"GET /a HTTP/1.1\r\n\r\nGET /_mock/stats HTTP/1.1\r\n\r\n"
+        with caplog.at_level("ERROR", logger="mockskel.server"):
+            received = exchange_over_socketpair(one_header_skeleton(name, value), request)
+        assert b"Set-Cookie" not in received and b"\0" not in received
+        (failed, _), (stats, _) = read_responses(received)  # the connection stays usable
+        assert (failed, stats) == (500, 200)
+        assert received.startswith(b"HTTP/1.1 500 ")
+        assert b"\r\nContent-Length: 0\r\n\r\n" in received
+        assert repr(name) in caplog.text
