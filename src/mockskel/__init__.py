@@ -12,18 +12,15 @@ from .errors import (
     DegenerateDatasetError,
     MalformedInputError,
     MockskelError,
-    PrunedTargetError,
     SchemaMismatchError,
     SkeletonSyntaxError,
     UnknownAttributeError,
-    UnknownTargetError,
     UnparseableUriError,
 )
 from .features import (
     Attribute,
     ExtractionConfig,
     ExtractionProfile,
-    Instance,
     InstanceTable,
     Role,
     extract_table,
@@ -61,8 +58,7 @@ _LAZY = {
         "learners",
     ),
     **dict.fromkeys(
-        ("PrepConfig", "PreparedDataset", "coerce_to_nominal", "prepare_all", "project_for_target",
-         "prune_targets"),
+        ("PrepConfig", "PreparedDataset", "prepare_all"),
         "prep",
     ),
 }

@@ -117,13 +117,22 @@ def _with(obj, path: str, value, key: str):
     return replace(obj, **{name: value})
 
 
+def _read_user_text(path: str) -> str:
+    """A text file the user wrote: UTF-8, with or without a byte-order
+    mark.  One that does not decode is a parse error naming the file."""
+    try:
+        return Path(path).read_text(encoding="utf-8-sig")
+    except UnicodeDecodeError as exc:
+        raise MalformedInputError(f"{path}: not UTF-8 text: {exc}") from exc
+
+
 def resolve_run_config(args: argparse.Namespace) -> RunConfig:
     """Config file supplies defaults, explicit flags win.  Each value is
     read as its field's type and checked against its field's range; a bad
     one raises SettingError naming the config key or the flag."""
     given = []  # (name in messages, key, value)
     if getattr(args, "config", None):
-        file_values = json.loads(Path(args.config).read_text())
+        file_values = json.loads(_read_user_text(args.config))
         if not isinstance(file_values, dict):
             raise SettingError(f"config file must be a JSON object, not {file_values!r}")
         if unknown := sorted(file_values.keys() - CONFIG_KEYS.keys()):
@@ -303,7 +312,7 @@ def cmd_train(args: argparse.Namespace) -> int:
 
 def cmd_emit(args: argparse.Namespace) -> int:
     """Validate and re-render a (possibly hand-edited) skeleton."""
-    skeleton = parse_skeleton(Path(args.skeleton).read_text(encoding="utf-8"))
+    skeleton = parse_skeleton(_read_user_text(args.skeleton))
     text = emit_skeleton(skeleton)
     if args.out:
         Path(args.out).write_text(text, encoding="utf-8")
@@ -316,7 +325,7 @@ def cmd_emit(args: argparse.Namespace) -> int:
 def cmd_serve(args: argparse.Namespace) -> int:
     from .server import serve_skeleton
 
-    text = Path(args.skeleton).read_text(encoding="utf-8")
+    text = _read_user_text(args.skeleton)
     skeleton = parse_skeleton(text)  # syntax errors surface before the port binds
     server = serve_skeleton(
         skeleton, port=args.port, strict=args.strict, skeleton_text=text, host=args.host

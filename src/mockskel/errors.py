@@ -6,7 +6,7 @@ class MockskelError(Exception):
 
 
 class MalformedInputError(MockskelError):
-    """A traffic recording could not be decoded.
+    """A traffic recording, config file or skeleton file could not be decoded.
 
     ``index`` is the zero-based line (JSONL) or entry (HAR) number of the
     offending record when known.
@@ -23,14 +23,6 @@ class UnparseableUriError(MockskelError):
 
 class UnknownAttributeError(MockskelError):
     """An attribute name is not part of the table or skeleton schema."""
-
-
-class UnknownTargetError(MockskelError):
-    """A requested target attribute does not exist in the table."""
-
-
-class PrunedTargetError(MockskelError):
-    """A requested target attribute was removed during dataset preparation."""
 
 
 class DegenerateDatasetError(MockskelError):

@@ -25,9 +25,10 @@ import json
 import logging
 import math
 import re
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from enum import Enum
 from functools import cached_property, lru_cache
+from operator import itemgetter
 from typing import Iterable, Mapping, NamedTuple, Sequence
 from urllib.parse import parse_qsl
 
@@ -96,32 +97,36 @@ def sentinel_for(name: str) -> str:
 class Attribute:
     name: str
     role: Role
+    #: the observed values in ``nominal_sort`` order, which ``InstanceTable`` derives
     domain: tuple[str, ...] = ()
 
 
 @dataclass(frozen=True)
-class Instance:
-    values: tuple[str, ...]
-    transaction_id: str = ""
-
-
-@dataclass(frozen=True)
 class InstanceTable:
-    """Rectangular nominal dataset: attribute schema plus instances."""
+    """Rectangular nominal dataset: attribute schema plus instances.
+
+    Row i is a tuple of value strings, one per attribute (in ``extract_table``
+    it is transaction i of the log).  The table derives each attribute's
+    domain, its observed values in ``nominal_sort`` order, when it is
+    built: a schema gives only names and roles.
+    """
 
     schema: tuple[Attribute, ...]
-    instances: tuple[Instance, ...]
+    instances: tuple[tuple[str, ...], ...]
 
     def __post_init__(self):
         names = [a.name for a in self.schema]
         if len(set(names)) != len(names):
             raise ValueError("duplicate attribute names in schema")
         width = len(self.schema)
-        for inst in self.instances:
-            if len(inst.values) != width:
-                raise ValueError(
-                    f"instance {inst.transaction_id!r} has {len(inst.values)} values, schema has {width}"
-                )
+        for i, row in enumerate(self.instances):
+            if len(row) != width:
+                raise ValueError(f"row {i} has {len(row)} values, schema has {width}")
+        schema = tuple(
+            replace(attr, domain=nominal_sort(map(itemgetter(i), self.instances)))
+            for i, attr in enumerate(self.schema)
+        )
+        object.__setattr__(self, "schema", schema)
 
     @property
     def names(self) -> tuple[str, ...]:
@@ -528,20 +533,9 @@ def extract_table(
     names = sorted(seen, key=_column_rank)
     fills = [sentinel_for(name) for name in names]
     instances = tuple(
-        Instance(
-            values=tuple(row.get(name, fill) for name, fill in zip(names, fills)),
-            transaction_id=txn.id,
-        )
-        for row, txn in zip(rows, log.transactions)
+        tuple(row.get(name, fill) for name, fill in zip(names, fills)) for row in rows
     )
-    schema = tuple(
-        Attribute(
-            name=name,
-            role=role_for(name),
-            domain=nominal_sort(inst.values[i] for inst in instances),
-        )
-        for i, name in enumerate(names)
-    )
+    schema = tuple(Attribute(name, role_for(name)) for name in names)
     profile = ExtractionProfile(
         path_depth=sum(1 for name in names if name.startswith("uriPathToken")),
         array_paths=tuple(sorted(array_paths)),
@@ -554,13 +548,19 @@ def extract_table(
 # ARFF export
 
 
+_ARFF_SPECIALS = frozenset(" ,{}%'\"\t\r\n")
+
+
 def _arff_quote(text: str) -> str:
-    if text == "":
-        return "''"
-    specials = set(" ,{}%'\"\t")
-    if any(c in specials for c in text):
-        return "'" + text.replace("\\", "\\\\").replace("'", "\\'") + "'"
-    return text
+    """``text`` as one ARFF token.  It is quoted when empty, when it is
+    ``?`` (which ARFF reads as a missing value) or when it holds a
+    separator, brace, comment sign, quote or line break; inside the quotes
+    a backslash, quote, CR or LF is written as its escape."""
+    if text and text != "?" and _ARFF_SPECIALS.isdisjoint(text):
+        return text
+    for char, escape in (("\\", "\\\\"), ("'", "\\'"), ("\r", "\\r"), ("\n", "\\n")):
+        text = text.replace(char, escape)
+    return f"'{text}'"
 
 
 def to_arff(table: InstanceTable, relation: str = "traffic") -> str:
@@ -571,6 +571,6 @@ def to_arff(table: InstanceTable, relation: str = "traffic") -> str:
         lines.append(f"@attribute {_arff_quote(attr.name)} {{{domain}}}")
     lines.append("")
     lines.append("@data")
-    for inst in table.instances:
-        lines.append(",".join(_arff_quote(v) for v in inst.values))
+    for row in table.instances:
+        lines.append(",".join(_arff_quote(v) for v in row))
     return "\n".join(lines) + "\n"

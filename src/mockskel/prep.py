@@ -1,4 +1,4 @@
-"""Dataset preparation: nominal coercion, target pruning, integer encoding.
+"""Dataset preparation: target pruning and integer encoding.
 
 Learning happens on one single-target dataset per surviving response
 feature; targets that cannot discriminate (one distinct value) or cannot
@@ -9,14 +9,13 @@ model.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from operator import itemgetter
 from typing import Sequence
 
 import numpy as np
 
-from .errors import PrunedTargetError, UnknownTargetError
-from .features import Attribute, Instance, InstanceTable, Role, nominal_sort
+from .features import Attribute, InstanceTable, Role
 from .settings import PrepConfig
 
 REASON_UNARY = "unary"
@@ -59,18 +58,12 @@ class EncodedTable:
     #: per input, value -> code (the inverse of its domain)
     input_codes: tuple[dict[str, int], ...]
 
-    def target_index(self, name: str) -> int:
-        for t, attr in enumerate(self.targets):
-            if attr.name == name:
-                return t
-        raise UnknownTargetError(f"{name!r} is not a target attribute of this table")
-
 
 def encode_table(table: InstanceTable, keep: Sequence[int] | None = None) -> EncodedTable:
     """Encode the attributes of ``table`` at positions ``keep`` (all of them
     by default) against their domains, one column at a time."""
     keep = range(len(table.schema)) if keep is None else keep
-    rows = [inst.values for inst in table.instances]
+    rows = table.instances
     n = len(rows)
     schema = [table.schema[i] for i in keep]
     inputs = tuple(a for a in schema if a.role is Role.INPUT)
@@ -124,16 +117,6 @@ class PreparedDataset:
         return sum(len(d) for d in self.domains)
 
 
-def coerce_to_nominal(table: InstanceTable) -> InstanceTable:
-    """Recompute every attribute's domain as the finite set of observed
-    value strings (numeric-looking values become nominal literals)."""
-    schema = tuple(
-        replace(attr, domain=nominal_sort(inst.values[i] for inst in table.instances))
-        for i, attr in enumerate(table.schema)
-    )
-    return InstanceTable(schema=schema, instances=table.instances)
-
-
 def _prune(table: InstanceTable, config: PrepConfig) -> tuple[list[int], tuple[Removal, ...]]:
     """Positions of the attributes that survive pruning, judged by their
     domains, and the removal report."""
@@ -163,45 +146,12 @@ def _prune(table: InstanceTable, config: PrepConfig) -> tuple[list[int], tuple[R
     return kept, tuple(removals)
 
 
-def prune_targets(
-    table: InstanceTable, config: PrepConfig = PrepConfig()
-) -> tuple[InstanceTable, tuple[Removal, ...]]:
-    """Drop unary and high-cardinality targets (and, when configured,
-    single-valued inputs).  Returns the reduced table and the removal
-    report."""
-    kept, removals = _prune(table, config)
-    schema = tuple(table.schema[i] for i in kept)
-    instances = tuple(
-        Instance(values=tuple(inst.values[i] for i in kept), transaction_id=inst.transaction_id)
-        for inst in table.instances
-    )
-    return InstanceTable(schema=schema, instances=instances), removals
-
-
-def project_for_target(
-    table: InstanceTable,
-    target: str,
-    removals: tuple[Removal, ...] = (),
-) -> PreparedDataset:
-    """The dataset of a pruned table's inputs plus the named target; the
-    whole table is encoded."""
-    for removal in removals:
-        if removal.attribute == target:
-            raise PrunedTargetError(f"target {target!r} was removed ({removal.reason})")
-    encoded = encode_table(table)
-    return PreparedDataset(encoded, encoded.target_index(target))
-
-
 def prepare_all(
     table: InstanceTable, config: PrepConfig = PrepConfig()
 ) -> tuple[list[PreparedDataset], tuple[Removal, ...]]:
     """Prune, then encode the kept columns once; one dataset per surviving
-    target, each a view of that one encoded table.
-
-    ``table`` must carry its domains: each attribute's observed values in
-    ``nominal_sort`` order, as ``extract_table`` builds them.  Pruning
-    reads those domains and encoding indexes into them, so a table built
-    by hand goes through ``coerce_to_nominal`` first.
+    target, each a view of that one encoded table.  Pruning reads the
+    domains the table derived, and encoding indexes into them.
     """
     kept, removals = _prune(table, config)
     encoded = encode_table(table, kept)

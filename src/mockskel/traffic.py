@@ -309,23 +309,24 @@ def _load_jsonl(data: bytes, source: str) -> TrafficLog:
     transactions = []
     skipped = 0
     count = 0
-    for lineno, raw in enumerate(data.split(b"\n")):
+    for index, raw in enumerate(data.split(b"\n")):
         line = raw.strip()
         if not line:
             continue
+        where = f"line {index + 1}"  # messages count lines from 1, ``index`` from 0
         try:
             obj = json.loads(line.decode("utf-8"))
         except (UnicodeDecodeError, json.JSONDecodeError) as exc:
-            raise MalformedInputError(f"line {lineno}: invalid JSON: {exc}", index=lineno) from exc
+            raise MalformedInputError(f"{where}: invalid JSON: {exc}", index=index) from exc
         if not isinstance(obj, dict):
-            raise MalformedInputError(f"line {lineno}: expected a JSON object", index=lineno)
+            raise MalformedInputError(f"{where}: expected a JSON object", index=index)
         try:
             txn = transaction_from_json(obj, default_sequence=count)
         except UnsupportedMethodError:
             skipped += 1
             continue
         except (ValueError, MalformedInputError, UnparseableUriError) as exc:
-            raise MalformedInputError(f"line {lineno}: {exc}", index=lineno) from exc
+            raise MalformedInputError(f"{where}: {exc}", index=index) from exc
         transactions.append(txn)
         count += 1
     return TrafficLog(transactions=tuple(transactions), source=source, skipped_methods=skipped)

@@ -1,7 +1,7 @@
 import pytest
 
-from mockskel.features import Attribute, Instance, InstanceTable, Role
-from mockskel.prep import coerce_to_nominal, project_for_target
+from mockskel.features import Attribute, InstanceTable, Role
+from mockskel.prep import PreparedDataset, encode_table
 from mockskel.synth import generate_synthetic_log
 from mockskel.traffic import resource_key
 
@@ -22,24 +22,19 @@ def make_dataset(rows, input_names, target_name="statusCode"):
     schema = tuple(Attribute(n, Role.INPUT) for n in input_names) + (
         Attribute(target_name, Role.TARGET),
     )
-    table = InstanceTable(
-        schema=schema,
-        instances=tuple(
-            Instance(tuple(str(v) for v in row), f"t{i}") for i, row in enumerate(rows)
-        ),
-    )
-    return project_for_target(coerce_to_nominal(table), target_name)
+    table = InstanceTable(schema, tuple(tuple(str(v) for v in row) for row in rows))
+    return PreparedDataset(encode_table(table), 0)
 
 
 def table_row(table, i):
     """Row ``i`` of an instance table as name -> value."""
-    return dict(zip(table.names, table.instances[i].values))
+    return dict(zip(table.names, table.instances[i]))
 
 
 def column(table, name):
     """The values of attribute ``name`` in an instance table, row by row."""
     i = table.names.index(name)
-    return [inst.values[i] for inst in table.instances]
+    return [row[i] for row in table.instances]
 
 
 def group_by_resource(log):

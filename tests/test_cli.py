@@ -29,6 +29,14 @@ def run(args):
     return main([str(a) for a in args])
 
 
+def tiny_skeleton_text():
+    """A one-target skeleton with nothing to learn."""
+    return emit_skeleton(MockSkeleton(
+        service_name="s", seed=1, inputs=("method",), targets={},
+        unpredicted=(UnpredictedTarget("statusCode", "unary", "200"),),
+    ))
+
+
 class TestTrain:
     def test_writes_skeleton_and_report(self, fixture_log, tmp_path, capsys):
         skeleton_path = tmp_path / "skeleton.txt"
@@ -386,10 +394,7 @@ class TestServe:
 
     def test_banner_names_the_bound_host_and_port(self, tmp_path):
         path = tmp_path / "skeleton.txt"
-        path.write_text(emit_skeleton(MockSkeleton(
-            service_name="s", seed=1, inputs=("method",), targets={},
-            unpredicted=(UnpredictedTarget("statusCode", "unary", "200"),),
-        )), encoding="utf-8")
+        path.write_text(tiny_skeleton_text(), encoding="utf-8")
         src = str(Path(mockskel.__file__).resolve().parents[1])
         proc = subprocess.Popen(
             [sys.executable, "-m", "mockskel.cli", "serve", "--skeleton", str(path),
@@ -409,6 +414,38 @@ class TestServe:
             proc.terminate()
             proc.wait(timeout=10)
             proc.stdout.close()
+
+
+class TestUserFiles:
+    """Config and skeleton files are UTF-8, with or without a byte-order
+    mark; one that does not decode is a parse error naming the file."""
+
+    def test_config_with_bom_is_read(self, tmp_path):
+        import argparse
+
+        from mockskel.cli import resolve_run_config
+
+        config_path = tmp_path / "config.json"
+        config_path.write_text(json.dumps({"seed": 5}), encoding="utf-8-sig")
+        assert resolve_run_config(argparse.Namespace(config=str(config_path))).seed == 5
+
+    def test_skeleton_with_bom_is_emitted(self, tmp_path):
+        path, out = tmp_path / "skeleton.txt", tmp_path / "normalized.txt"
+        path.write_text(tiny_skeleton_text(), encoding="utf-8-sig")
+        assert run(["emit", "--skeleton", path, "--out", out]) == EXIT_OK
+        assert out.read_text(encoding="utf-8") == tiny_skeleton_text()
+
+    @pytest.mark.parametrize("command", ["config", "emit", "serve"])
+    def test_undecodable_file_exits_parse_naming_it(self, tmp_path, capsys, command):
+        path = tmp_path / "latin1.txt"
+        path.write_bytes(tiny_skeleton_text().replace("service: s", "service: caf\xe9").encode("latin-1"))
+        args = {
+            "config": ["evaluate", "--input", tmp_path / "missing.jsonl", "--config", path],
+            "emit": ["emit", "--skeleton", path],
+            "serve": ["serve", "--skeleton", path, "--port", 1],
+        }[command]
+        assert run(args) == EXIT_PARSE
+        assert str(path) in capsys.readouterr().err
 
 
 class TestImportHar:

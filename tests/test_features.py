@@ -365,7 +365,7 @@ class TestBuildTable:
         table = table_of(small_synth_log)
         assert len(table.instances) == len(small_synth_log)
         width = len(table.schema)
-        assert all(len(inst.values) == width for inst in table.instances)
+        assert all(len(row) == width for row in table.instances)
 
     def test_role_soundness(self, small_synth_log):
         table = table_of(small_synth_log)
@@ -410,7 +410,7 @@ class TestBuildTable:
     def test_domains_cover_observed_values(self, small_synth_log):
         table = table_of(small_synth_log)
         for i, attr in enumerate(table.schema):
-            observed = {inst.values[i] for inst in table.instances}
+            observed = {row[i] for row in table.instances}
             assert observed <= set(attr.domain)
 
 
@@ -510,3 +510,16 @@ class TestArff:
         log = TrafficLog((txn(0, req_headers=[("Accept", "a b,c")]),))
         text = to_arff(table_of(log))
         assert "'a b,c'" in text
+
+    def test_line_breaks_are_quoted_and_escaped(self):
+        log = TrafficLog((txn(0, resp_body=b'{"msg": "a\\nb\\r"}'),))
+        text = to_arff(table_of(log))
+        assert "{'a\\nb\\r'}" in text
+        assert text.split("@data\n")[1].count("\n") == 1  # one row on one line
+
+    def test_question_mark_is_quoted(self):
+        # a bare ? is ARFF's missing value
+        log = TrafficLog((txn(0, req_headers=[("Accept", "?")]),))
+        text = to_arff(table_of(log))
+        assert "{'?'}" in text
+        assert "?" not in text.replace("'?'", "")

@@ -5,33 +5,37 @@ import numpy as np
 import pytest
 
 from conftest import column, dataset_row, table_row, target_labels
-from mockskel.errors import PrunedTargetError, UnknownTargetError
-from mockskel.features import Attribute, Instance, InstanceTable, Role
-from mockskel.prep import (
-    PrepConfig,
-    coerce_to_nominal,
-    encode_table,
-    prepare_all,
-    project_for_target,
-    prune_targets,
-)
+from mockskel.features import Attribute, InstanceTable, Role
+from mockskel.prep import PrepConfig, PreparedDataset, encode_table, prepare_all
 
 
 def table_from_columns(columns: dict[str, tuple[Role, list[str]]]) -> InstanceTable:
+    """A table built by hand: names, roles and rows, no domains."""
     names = list(columns)
     n = len(next(iter(columns.values()))[1])
     schema = tuple(Attribute(name, columns[name][0]) for name in names)
-    instances = tuple(
-        Instance(tuple(columns[name][1][i] for name in names), f"t{i}") for i in range(n)
+    return InstanceTable(schema, tuple(tuple(columns[name][1][i] for name in names) for i in range(n)))
+
+
+def project(table: InstanceTable, names) -> InstanceTable:
+    """The table of the columns ``names`` of ``table``, in its order."""
+    keep = [i for i, name in enumerate(table.names) if name in names]
+    return InstanceTable(
+        tuple(table.schema[i] for i in keep),
+        tuple(tuple(row[i] for i in keep) for row in table.instances),
     )
-    return coerce_to_nominal(InstanceTable(schema, instances))
 
 
 def domain(table, name):
     return table.schema[table.names.index(name)].domain
 
 
-class TestCoerce:
+def kept_names(datasets) -> set[str]:
+    """The inputs and targets of prepared datasets."""
+    return set(datasets[0].names) | {ds.target for ds in datasets}
+
+
+class TestDerivedDomains:
     def test_numeric_status_codes_become_nominal_domain(self):
         table = table_from_columns(
             {"statusCode": (Role.TARGET, ["200", "204", "404", "503", "200", "404"])}
@@ -44,7 +48,17 @@ class TestCoerce:
 
     def test_already_nominal_unchanged(self):
         table = table_from_columns({"method": (Role.INPUT, ["GET", "POST", "GET"])})
-        assert coerce_to_nominal(table) == table
+        assert InstanceTable(table.schema, table.instances) == table
+
+    def test_given_domain_is_replaced_by_the_observed_one(self):
+        stale = (Attribute("method", Role.INPUT, domain=("GET",)),)
+        table = InstanceTable(stale, (("GET",), ("POST",), ("GET",)))
+        assert domain(table, "method") == ("GET", "POST")
+
+    def test_ragged_row_rejected(self):
+        with pytest.raises(ValueError, match="row 1 has 1 values, schema has 2"):
+            InstanceTable((Attribute("a", Role.INPUT), Attribute("b", Role.TARGET)),
+                          (("x", "y"), ("x",)))
 
     def test_numeric_domains_sort_numerically(self):
         table = table_from_columns({"x": (Role.INPUT, ["10", "2", "1"])})
@@ -59,8 +73,8 @@ class TestPruneTargets:
                 "statusCode": (Role.TARGET, ["200", "200"]),
             }
         )
-        pruned, removals = prune_targets(table)
-        assert [a.name for a in pruned.targets()] == []
+        datasets, removals = prepare_all(table)
+        assert datasets == []
         assert removals[0].attribute == "statusCode"
         assert removals[0].reason == "unary"
         assert removals[0].value == "200"
@@ -73,7 +87,7 @@ class TestPruneTargets:
                 "responsejson:message.text": (Role.TARGET, [f"msg {i}" for i in range(n)]),
             }
         )
-        _, removals = prune_targets(table)
+        _, removals = prepare_all(table)
         reasons = {r.attribute: r.reason for r in removals}
         assert reasons["responsejson:message.text"] == "high-cardinality"
 
@@ -85,30 +99,30 @@ class TestPruneTargets:
                 "t": (Role.TARGET, [str(i % 6) for i in range(10)]),
             }
         )
-        _, removals = prune_targets(table)
+        _, removals = prepare_all(table)
         assert any(r.attribute == "t" and r.reason == "high-cardinality" for r in removals)
 
     def test_constant_input_removed(self):
         table = table_from_columns(
             {
-                "host": (Role.INPUT, ["a.ex", "a.ex"]),
-                "method": (Role.INPUT, ["GET", "POST"]),
-                "statusCode": (Role.TARGET, ["200", "404"]),
+                "host": (Role.INPUT, ["a.ex"] * 4),
+                "method": (Role.INPUT, ["GET", "POST"] * 2),
+                "statusCode": (Role.TARGET, ["200", "404"] * 2),
             }
         )
-        pruned, removals = prune_targets(table)
-        assert "host" not in pruned.names
+        datasets, removals = prepare_all(table)
+        assert kept_names(datasets) == {"method", "statusCode"}
         assert any(r.attribute == "host" and r.role is Role.INPUT for r in removals)
 
     def test_constant_input_kept_when_configured(self):
         table = table_from_columns(
             {
-                "host": (Role.INPUT, ["a.ex", "a.ex"]),
-                "statusCode": (Role.TARGET, ["200", "404"]),
+                "host": (Role.INPUT, ["a.ex"] * 4),
+                "statusCode": (Role.TARGET, ["200", "404"] * 2),
             }
         )
-        pruned, _ = prune_targets(table, PrepConfig(keep_single_valued_inputs=True))
-        assert "host" in pruned.names
+        datasets, _ = prepare_all(table, PrepConfig(keep_single_valued_inputs=True))
+        assert "host" in kept_names(datasets)
 
     def test_nothing_silently_dropped(self):
         table = table_from_columns(
@@ -119,8 +133,10 @@ class TestPruneTargets:
                 "responseheader:Server": (Role.TARGET, ["nginx"] * 8),
             }
         )
-        pruned, removals = prune_targets(table)
-        assert set(pruned.names) | {r.attribute for r in removals} == set(table.names)
+        datasets, removals = prepare_all(table)
+        removed = {r.attribute for r in removals}
+        assert kept_names(datasets) | removed == set(table.names)
+        assert not kept_names(datasets) & removed
 
     def test_report_serializes(self):
         table = table_from_columns(
@@ -129,10 +145,35 @@ class TestPruneTargets:
                 "statusCode": (Role.TARGET, ["200", "404"] * 4),
             }
         )
-        _, removals = prune_targets(table)
+        _, removals = prepare_all(table)
         report = json.loads(json.dumps([r.to_json_dict() for r in removals]))
         assert report == [
             {"attribute": "host", "role": "input", "reason": "single-valued-input", "distinctCount": 1}
+        ]
+
+
+    def test_hand_built_table_needs_no_domains(self):
+        n = 20
+        table = table_from_columns(
+            {
+                "host": (Role.INPUT, ["a.ex"] * n),
+                "method": (Role.INPUT, ["GET", "POST"] * (n // 2)),
+                "statusCode": (Role.TARGET, ["200", "404"] * (n // 2)),
+                "responseheader:Server": (Role.TARGET, ["nginx"] * n),
+            }
+        )
+        datasets, removals = prepare_all(table)
+        assert [ds.target for ds in datasets] == ["statusCode"]
+        (ds,) = datasets
+        assert ds.names == ("method",) and ds.domains == (("GET", "POST"),)
+        assert ds.target_domain == ("200", "404")
+        assert [dataset_row(ds, i) for i in range(n)] == [
+            {k: v for k, v in table_row(table, i).items() if k in ("method", "statusCode")}
+            for i in range(n)
+        ]
+        assert [(r.attribute, r.reason, r.value) for r in removals] == [
+            ("host", "single-valued-input", "a.ex"),
+            ("responseheader:Server", "unary", "nginx"),
         ]
 
 
@@ -160,30 +201,6 @@ class TestProjection:
             input_names = {a.name for a in ds.input_attributes}
             assert not any(name.startswith("responsejson:") for name in input_names)
 
-    def test_projecting_pruned_target_fails(self):
-        table = table_from_columns(
-            {
-                "method": (Role.INPUT, ["GET", "POST"]),
-                "statusCode": (Role.TARGET, ["200", "404"]),
-                "responseheader:Server": (Role.TARGET, ["nginx", "nginx"]),
-            }
-        )
-        pruned, removals = prune_targets(table)
-        with pytest.raises(PrunedTargetError):
-            project_for_target(pruned, "responseheader:Server", removals)
-
-    def test_projecting_unknown_target_fails(self):
-        table = table_from_columns(
-            {
-                "method": (Role.INPUT, ["GET", "POST"]),
-                "statusCode": (Role.TARGET, ["200", "404"]),
-            }
-        )
-        with pytest.raises(UnknownTargetError):
-            project_for_target(table, "nope")
-        with pytest.raises(UnknownTargetError):
-            project_for_target(table, "method")
-
     def test_single_target_single_dataset(self):
         table = table_from_columns(
             {
@@ -200,9 +217,9 @@ def reference_codes(table: InstanceTable, role: Role) -> np.ndarray:
     table replaced."""
     cols = [i for i, a in enumerate(table.schema) if a.role is role]
     out = np.zeros((len(table.instances), len(cols)), dtype=np.int32)
-    for r, inst in enumerate(table.instances):
+    for r, row in enumerate(table.instances):
         for j, i in enumerate(cols):
-            out[r, j] = table.schema[i].domain.index(inst.values[i])
+            out[r, j] = table.schema[i].domain.index(row[i])
     return out
 
 
@@ -228,16 +245,22 @@ class TestEncodedTable:
             assert target_labels(ds) == column(table, ds.target)
 
     def test_codes_match_per_cell_reference(self):
+        # numbers written many ways, non-finite numbers and the empty string
+        spellings = ["10", "2", "1", "1e400", "nan", "1_000", "-0", "0", "", "x", "y"]
         rng = random.Random(5)
-        for _ in range(20):
+        for _ in range(40):
             n = rng.randrange(0, 40)
-            columns = {
-                f"in{i}": (Role.INPUT, [str(rng.randrange(1 + i)) for _ in range(n)])
-                for i in range(rng.randrange(1, 5))
-            }
+            columns = {}
+            for i in range(rng.randrange(1, 5)):
+                pool = rng.sample(spellings, rng.randrange(1, len(spellings) + 1))
+                columns[f"in{i}"] = (Role.INPUT, [rng.choice(pool) for _ in range(n)])
             for i in range(rng.randrange(1, 4)):
-                columns[f"responsejson:t{i}"] = (Role.TARGET, [rng.choice("xyz") for _ in range(n)])
+                pool = rng.sample(spellings, rng.randrange(1, len(spellings) + 1))
+                columns[f"responsejson:t{i}"] = (Role.TARGET, [rng.choice(pool) for _ in range(n)])
             table = table_from_columns(columns)
+            for attr in table.schema:
+                observed = column(table, attr.name)
+                assert sorted(attr.domain) == sorted(set(observed))
             encoded = encode_table(table)
             assert encoded.X.shape == (n, len(table.inputs()))
             assert encoded.Y.shape == (n, len(table.targets()))
@@ -261,8 +284,12 @@ class TestEncodedTable:
             }
         )
         datasets, removals = prepare_all(table)
-        pruned, pruned_removals = prune_targets(table)
-        assert removals == pruned_removals
+        assert [(r.attribute, r.reason) for r in removals] == [
+            ("host", "single-valued-input"),
+            ("responseheader:Server", "unary"),
+            ("responsejson:id", "high-cardinality"),
+        ]
+        pruned = project(table, {"m", "q", "statusCode", "responsejson:ok"})
         assert [ds.target for ds in datasets] == [a.name for a in pruned.targets()]
         targets = reference_codes(pruned, Role.TARGET)
         for t, ds in enumerate(datasets):
@@ -277,7 +304,7 @@ class TestEncodedTable:
                 "statusCode": (Role.TARGET, ["200", "201", "200"]),
             }
         )
-        ds = project_for_target(table, "statusCode")
+        ds = PreparedDataset(encode_table(table), 0)
         assert ds.X[:, 0].tolist() == [0, 1, 0]
         assert ds.y.tolist() == [0, 1, 0]
         assert [dataset_row(ds, i) for i in range(3)] == [table_row(table, i) for i in range(3)]
@@ -292,8 +319,8 @@ class TestPruningMonotonicity:
         table_big = table_from_columns(
             {"m": (Role.INPUT, ["GET"] * 25 + ["POST"] * 25), "statusCode": (Role.TARGET, values)}
         )
-        _, removed_small = prune_targets(table_small)
-        _, removed_big = prune_targets(table_big)
+        _, removed_small = prepare_all(table_small)
+        _, removed_big = prepare_all(table_big)
         assert {r.attribute for r in removed_big if r.reason == "unary"} <= {
             r.attribute for r in removed_small if r.reason == "unary"
         }

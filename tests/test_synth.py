@@ -67,8 +67,8 @@ class TestGeneratedSemantics:
         i_method = table.names.index("method")
         i_created = table.names.index("everCreated")
         i_status = table.names.index("statusCode")
-        for inst in table.instances:
-            if inst.values[i_method] == "GET":
-                by_request.setdefault(inst.values[i_created], set()).add(inst.values[i_status])
+        for row in table.instances:
+            if row[i_method] == "GET":
+                by_request.setdefault(row[i_created], set()).add(row[i_status])
         assert by_request["false"] == {"404"}
         assert by_request["true"] == {"200"}

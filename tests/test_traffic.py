@@ -60,6 +60,7 @@ class TestJsonlLoading:
         with pytest.raises(MalformedInputError) as exc:
             load_traffic(text.encode(), "jsonl")
         assert exc.value.index == 1
+        assert str(exc.value).startswith("line 2: invalid JSON")
 
     def test_unsupported_method_is_skipped_with_count(self):
         text = line(0) + "\n" + line(1, method="BREW") + "\n" + line(2)
