@@ -295,7 +295,7 @@ def request_feature_map(
         out.setdefault(f"uriQuery:{key}", escape_literal(value))
     if parts.fragment:
         out["uriFragment"] = escape_literal(parts.fragment)
-    has, valid, value = _json_content(request.body, request.body_content_type)
+    has, valid, value = _json_content(request.body, first_header(request.headers, "Content-Type"))
     out["hasPayload"] = "true" if has else "false"
     out["hasValidPayload"] = "true" if valid else "false"
     if valid:

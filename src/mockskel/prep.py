@@ -55,8 +55,6 @@ class EncodedTable:
     Y: np.ndarray
     inputs: tuple[Attribute, ...]
     targets: tuple[Attribute, ...]
-    #: per input, value -> code (the inverse of its domain)
-    input_codes: tuple[dict[str, int], ...]
 
 
 def encode_table(table: InstanceTable, keep: Sequence[int] | None = None) -> EncodedTable:
@@ -70,29 +68,28 @@ def encode_table(table: InstanceTable, keep: Sequence[int] | None = None) -> Enc
     targets = tuple(a for a in schema if a.role is Role.TARGET)
     X = np.empty((n, len(inputs)), dtype=np.int32, order="F")
     Y = np.empty((n, len(targets)), dtype=np.int32, order="F")
-    input_codes = []
-    y_col = 0
+    x_col = y_col = 0
     for i, attr in zip(keep, schema):
         code_of = {value: c for c, value in enumerate(attr.domain)}
         codes = np.fromiter(map(code_of.__getitem__, map(itemgetter(i), rows)), dtype=np.int32, count=n)
         if attr.role is Role.INPUT:
-            X[:, len(input_codes)] = codes
-            input_codes.append(code_of)
+            X[:, x_col] = codes
+            x_col += 1
         else:
             Y[:, y_col] = codes
             y_col += 1
-    return EncodedTable(X=X, Y=Y, inputs=inputs, targets=targets, input_codes=tuple(input_codes))
+    return EncodedTable(X=X, Y=Y, inputs=inputs, targets=targets)
 
 
 class PreparedDataset:
     """All input attributes plus exactly one target: one target column of
     an ``EncodedTable``.
 
-    Column j of ``X`` holds indices into ``domains[j]`` (``codes[j]`` maps
-    each value to its index); ``y`` holds indices into ``target_domain``.
-    ``X`` is the table's own array and ``y`` one column of its ``Y``, so
-    the datasets of one table copy nothing.  Every field is a plain
-    attribute, bound once: the learners read them in their inner loops.
+    Column j of ``X`` holds indices into ``domains[j]``; ``y`` holds
+    indices into ``target_domain``.  ``X`` is the table's own array and
+    ``y`` one column of its ``Y``, so the datasets of one table copy
+    nothing.  Every field is a plain attribute, bound once: the learners
+    read them in their inner loops.
     """
 
     def __init__(self, table: EncodedTable, target: int):
@@ -103,7 +100,6 @@ class PreparedDataset:
         self.input_attributes = table.inputs
         self.names: tuple[str, ...] = tuple(a.name for a in table.inputs)
         self.domains: tuple[tuple[str, ...], ...] = tuple(a.domain for a in table.inputs)
-        self.codes: tuple[dict[str, int], ...] = table.input_codes
         self.X = table.X
         self.y = table.Y[:, target]
 

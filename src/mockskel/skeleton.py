@@ -53,6 +53,7 @@ from .errors import SettingError, SkeletonSyntaxError, UnknownAttributeError
 from .features import ExtractionConfig, ExtractionProfile
 from .learners.model import DecisionTree, Leaf, Model, Rule, RuleList, Split
 from .settings import read_setting, settings_json
+from .traffic import json_text
 
 if TYPE_CHECKING:  # training-side types; serving does not import them
     from .evaluation import TargetMetrics
@@ -172,14 +173,9 @@ _COUNTS = re.compile(r"\((\d+)(?:/(\d+))?\)\s*$")
 _DECODER = json.JSONDecoder()
 
 
-def _json_string(text: str) -> str:
-    """``text`` as a JSON string, lone surrogates escaped so it encodes as UTF-8."""
-    return json.dumps(text, ensure_ascii=False).encode("utf-8", "backslashreplace").decode()
-
-
 def _quote(text: str, bare: re.Pattern = BARE_TOKEN) -> str:
     """``text`` as one token: bare if ``bare`` matches all of it, else a JSON string."""
-    return text if bare.fullmatch(text) else _json_string(text)
+    return text if bare.fullmatch(text) else json_text(text)
 
 
 def _class_tail(klass: str, n: int, e: int, include: bool) -> str:
@@ -462,7 +458,7 @@ def emit_skeleton(skeleton: MockSkeleton) -> str:
         lines.append("unpredicted:")
         for item in skeleton.unpredicted:
             name, reason = _quote(item.attribute, BARE_NAME), _quote(item.reason)
-            lines.append(f"  {name}  reason={reason}  default={_json_string(item.default)}")
+            lines.append(f"  {name}  reason={reason}  default={json_text(item.default)}")
     return "\n".join(lines) + "\n"
 
 

@@ -127,4 +127,4 @@ def generate_synthetic_log(
         )
         if not live[i]:
             live.pop(i)
-    return TrafficLog(transactions=tuple(transactions), source=f"synthetic(seed={seed})")
+    return TrafficLog(transactions=tuple(transactions))

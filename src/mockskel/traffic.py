@@ -9,17 +9,17 @@ between threads.
 from __future__ import annotations
 
 import base64
-import binascii
+import codecs
 import json
 import re
 from dataclasses import dataclass, field
-from datetime import datetime, timezone
+from datetime import datetime, timedelta, timezone
 from functools import lru_cache
 from pathlib import Path
 from typing import Annotated, Iterable, Mapping
 from urllib.parse import SplitResult, urlsplit
 
-from .errors import MalformedInputError, UnparseableUriError
+from .errors import MalformedInputError, MockskelError, UnparseableUriError
 from .settings import Pairs, Settings, Valid
 
 SUPPORTED_METHODS = ("GET", "HEAD", "POST", "PUT", "PATCH", "DELETE", "OPTIONS")
@@ -103,11 +103,7 @@ class ResourceKeyConfig(Settings):
 
 
 def _normalize_headers(headers: Iterable) -> tuple[tuple[str, str], ...]:
-    out = []
-    for item in headers:
-        name, value = item
-        out.append((str(name), str(value)))
-    return tuple(out)
+    return tuple((str(name), str(value)) for name, value in headers)
 
 
 def first_header(headers: tuple[tuple[str, str], ...], name: str) -> str | None:
@@ -133,7 +129,6 @@ class HttpRequest:
     uri: str
     headers: tuple[tuple[str, str], ...] = ()
     body: bytes | None = None
-    body_content_type: str | None = None
     parts: SplitResult = field(init=False, compare=False, repr=False)
     path_tokens: tuple[str, ...] = field(init=False, compare=False, repr=False)
 
@@ -151,8 +146,6 @@ class HttpRequest:
         object.__setattr__(self, "headers", _normalize_headers(self.headers))
         if self.body is not None and not isinstance(self.body, bytes):
             object.__setattr__(self, "body", bytes(self.body))
-        if self.body_content_type is None:
-            object.__setattr__(self, "body_content_type", first_header(self.headers, "Content-Type"))
 
 
 @dataclass(frozen=True)
@@ -193,7 +186,6 @@ class TrafficLog:
     """
 
     transactions: tuple[HttpTransaction, ...]
-    source: str = ""
     skipped_methods: int = 0
 
     def __post_init__(self):
@@ -224,45 +216,43 @@ def _read_source(source) -> bytes:
 
 
 def _body_from_json(obj: Mapping, where: str) -> bytes | None:
-    if "body" in obj and "bodyB64" in obj:
-        raise MalformedInputError(f"{where}: both body and bodyB64 present")
-    if "body" in obj:
-        if obj["body"] is None:
-            return None
-        return str(obj["body"]).encode("utf-8")
     if "bodyB64" in obj:
+        if "body" in obj:
+            raise MalformedInputError(f"{where}: both body and bodyB64 present")
         try:
             return base64.b64decode(obj["bodyB64"], validate=True)
-        except (binascii.Error, TypeError) as exc:
+        except (ValueError, TypeError) as exc:
             raise MalformedInputError(f"{where}: invalid base64 body: {exc}") from exc
-    return None
+    body = obj.get("body")
+    if body is not None and not isinstance(body, str):
+        raise MalformedInputError(
+            f"{where}: body must be a string or null, not {type(body).__name__}"
+            " (binary data goes under bodyB64)"
+        )
+    return None if body is None else body.encode("utf-8")
 
 
 def transaction_from_json(obj: Mapping, default_sequence: int) -> HttpTransaction:
     """Build a transaction from one native-format JSON object.
 
-    Raises ValueError for unsupported methods (callers skip those) and
-    MalformedInputError for anything structurally wrong.
+    Raises UnsupportedMethodError for a method outside the supported set;
+    a missing or ill-typed field raises what reading it raises, which
+    ``_read_records`` names by its line or entry.
     """
-    try:
-        req_obj = obj["request"]
-        resp_obj = obj["response"]
-        txn_id = str(obj["id"])
-        request = HttpRequest(
-            method=str(req_obj["method"]),
-            uri=str(req_obj["uri"]),
-            headers=_normalize_headers(req_obj.get("headers", ())),
-            body=_body_from_json(req_obj, f"transaction {obj.get('id')}: request"),
-        )
-        response = HttpResponse(
-            status_code=int(resp_obj["status"]),
-            headers=_normalize_headers(resp_obj.get("headers", ())),
-            body=_body_from_json(resp_obj, f"transaction {obj.get('id')}: response"),
-        )
-    except (UnsupportedMethodError, MalformedInputError):
-        raise
-    except (KeyError, TypeError) as exc:
-        raise MalformedInputError(f"transaction record is missing/has invalid field: {exc}") from exc
+    req_obj = obj["request"]
+    resp_obj = obj["response"]
+    txn_id = str(obj["id"])
+    request = HttpRequest(
+        method=str(req_obj["method"]),
+        uri=str(req_obj["uri"]),
+        headers=req_obj.get("headers", ()),
+        body=_body_from_json(req_obj, f"transaction {txn_id}: request"),
+    )
+    response = HttpResponse(
+        status_code=int(resp_obj["status"]),
+        headers=resp_obj.get("headers", ()),
+        body=_body_from_json(resp_obj, f"transaction {txn_id}: response"),
+    )
     sequence = int(obj.get("sequence", default_sequence))
     timestamp = obj.get("timestamp")
     return HttpTransaction(
@@ -305,31 +295,17 @@ def transaction_to_json(txn: HttpTransaction) -> dict:
     return obj
 
 
-def _load_jsonl(data: bytes, source: str) -> TrafficLog:
-    transactions = []
-    skipped = 0
-    count = 0
-    for index, raw in enumerate(data.split(b"\n")):
-        line = raw.strip()
-        if not line:
-            continue
-        where = f"line {index + 1}"  # messages count lines from 1, ``index`` from 0
-        try:
-            obj = json.loads(line.decode("utf-8"))
-        except (UnicodeDecodeError, json.JSONDecodeError) as exc:
-            raise MalformedInputError(f"{where}: invalid JSON: {exc}", index=index) from exc
-        if not isinstance(obj, dict):
-            raise MalformedInputError(f"{where}: expected a JSON object", index=index)
-        try:
-            txn = transaction_from_json(obj, default_sequence=count)
-        except UnsupportedMethodError:
-            skipped += 1
-            continue
-        except (ValueError, MalformedInputError, UnparseableUriError) as exc:
-            raise MalformedInputError(f"{where}: {exc}", index=index) from exc
-        transactions.append(txn)
-        count += 1
-    return TrafficLog(transactions=tuple(transactions), source=source, skipped_methods=skipped)
+def _jsonl_record(index: int, line: bytes) -> Mapping:
+    try:
+        obj = json.loads(line.decode("utf-8"))
+    except (UnicodeDecodeError, json.JSONDecodeError) as exc:
+        raise MalformedInputError(f"invalid JSON: {exc}") from exc
+    if not isinstance(obj, dict):
+        raise MalformedInputError("expected a JSON object")
+    return obj
+
+
+_EPOCH = datetime(1970, 1, 1, tzinfo=timezone.utc)
 
 
 def _har_timestamp(started: str | None) -> int | None:
@@ -341,82 +317,96 @@ def _har_timestamp(started: str | None) -> int | None:
         return None
     if dt.tzinfo is None:
         dt = dt.replace(tzinfo=timezone.utc)
-    return int(dt.timestamp() * 1000)
+    # integer division of timedeltas is exact; dt.timestamp() * 1000 is a
+    # float product that can truncate to one millisecond short
+    return (dt - _EPOCH) // timedelta(milliseconds=1)
 
 
-def _load_har(data: bytes, source: str) -> TrafficLog:
+def _har_record(index: int, entry) -> Mapping:
+    """HAR entry ``index`` as the native record it stands for."""
+    request, response = entry["request"], entry["response"]
+    content = response.get("content") or {}
+    text = content.get("text")
+    return {
+        "id": f"har-{index}",
+        "sequence": index,
+        "timestamp": _har_timestamp(entry.get("startedDateTime")),
+        "request": {
+            "method": request["method"],
+            "uri": request["url"],
+            "headers": [[h["name"], h["value"]] for h in request.get("headers", ())],
+            "body": (request.get("postData") or {}).get("text"),
+        },
+        "response": {
+            "status": response["status"],
+            "headers": [[h["name"], h["value"]] for h in response.get("headers", ())],
+            "bodyB64" if text is not None and content.get("encoding") == "base64" else "body": text,
+        },
+    }
+
+
+def _har_entries(data: bytes) -> list:
     try:
-        har = json.loads(data.decode("utf-8"))
-        entries = har["log"]["entries"]
+        entries = json.loads(data.decode("utf-8"))["log"]["entries"]
     except (UnicodeDecodeError, json.JSONDecodeError, KeyError, TypeError) as exc:
         raise MalformedInputError(f"not a HAR 1.2 document: {exc}") from exc
+    if not isinstance(entries, list):
+        raise MalformedInputError("not a HAR 1.2 document: log.entries is not a list")
+    return entries
+
+
+def _read_records(items: Iterable[tuple[int, object]], unit: str, to_record) -> TrafficLog:
+    """The one reader of both formats: ``to_record(index, item)`` makes each
+    item a native record, which becomes a transaction.
+
+    Records with an unsupported method are counted and skipped.  An error
+    names its ``unit`` (line or entry) counted from 1, while
+    ``MalformedInputError.index`` stays zero-based.
+    """
     transactions = []
     skipped = 0
-    for i, entry in enumerate(entries):
+    for index, item in items:
         try:
-            req = entry["request"]
-            resp = entry["response"]
-            post = req.get("postData") or {}
-            body = post.get("text")
-            request = HttpRequest(
-                method=str(req["method"]),
-                uri=str(req["url"]),
-                headers=[(h["name"], h["value"]) for h in req.get("headers", ())],
-                body=body.encode("utf-8") if body is not None else None,
-                body_content_type=post.get("mimeType"),
-            )
-            content = resp.get("content") or {}
-            text = content.get("text")
-            if text is None:
-                resp_body = None
-            elif content.get("encoding") == "base64":
-                resp_body = base64.b64decode(text)
-            else:
-                resp_body = text.encode("utf-8")
-            response = HttpResponse(
-                status_code=int(resp["status"]),
-                headers=[(h["name"], h["value"]) for h in resp.get("headers", ())],
-                body=resp_body,
-            )
+            txn = transaction_from_json(to_record(index, item), default_sequence=len(transactions))
         except UnsupportedMethodError:
             skipped += 1
             continue
-        except (ValueError, KeyError, TypeError, binascii.Error, UnparseableUriError) as exc:
-            raise MalformedInputError(f"entry {i}: {exc}", index=i) from exc
-        transactions.append(
-            HttpTransaction(
-                id=f"har-{i}",
-                sequence=i,
-                request=request,
-                response=response,
-                timestamp=_har_timestamp(entry.get("startedDateTime")),
-            )
-        )
-    return TrafficLog(transactions=tuple(transactions), source=source, skipped_methods=skipped)
+        except (KeyError, TypeError, AttributeError) as exc:
+            raise MalformedInputError(
+                f"{unit} {index + 1}: record is missing/has invalid field: {exc}", index=index
+            ) from exc
+        except (ValueError, MockskelError) as exc:
+            raise MalformedInputError(f"{unit} {index + 1}: {exc}", index=index) from exc
+        transactions.append(txn)
+    return TrafficLog(transactions=tuple(transactions), skipped_methods=skipped)
 
 
 def load_traffic(source, format: str = "jsonl") -> TrafficLog:
     """Load a traffic recording.
 
     ``source`` may be a filesystem path, raw bytes, or a file object.
-    ``format`` is "jsonl" (native) or "har".
+    ``format`` is "jsonl" (native) or "har"; one leading UTF-8 byte-order
+    mark is dropped before either.
     """
-    name = str(source) if isinstance(source, (str, Path)) else getattr(source, "name", "<stream>")
-    data = _read_source(source)
+    data = _read_source(source).removeprefix(codecs.BOM_UTF8)
     fmt = format.lower()
     if fmt == "jsonl":
-        return _load_jsonl(data, name)
+        lines = ((i, line) for i, raw in enumerate(data.split(b"\n")) if (line := raw.strip()))
+        return _read_records(lines, "line", _jsonl_record)
     if fmt == "har":
-        return _load_har(data, name)
+        return _read_records(enumerate(_har_entries(data)), "entry", _har_record)
     raise ValueError(f"unknown traffic format {format!r} (expected jsonl or har)")
+
+
+def json_text(value, **dumps_args) -> str:
+    """``value`` as JSON text.  Lone surrogates, which UTF-8 cannot encode,
+    are written as ``\\udXXX`` escapes, so the text encodes and loads back equal."""
+    return json.dumps(value, ensure_ascii=False, **dumps_args).encode("utf-8", "backslashreplace").decode()
 
 
 def dump_jsonl(log: TrafficLog) -> str:
     """Serialize a log to the native JSONL format (inverse of loading)."""
-    lines = [
-        json.dumps(transaction_to_json(t), separators=(",", ":"), ensure_ascii=False)
-        for t in log.transactions
-    ]
+    lines = [json_text(transaction_to_json(t), separators=(",", ":")) for t in log.transactions]
     return "\n".join(lines) + ("\n" if lines else "")
 
 

@@ -1,3 +1,6 @@
+import json
+from datetime import datetime, timedelta, timezone
+
 import pytest
 
 from mockskel.features import Attribute, InstanceTable, Role
@@ -55,3 +58,35 @@ def dataset_row(ds, i):
 def target_labels(ds):
     """The target column of a prepared dataset, decoded from its codes."""
     return [ds.target_domain[code] for code in ds.y]
+
+
+def har_document(records, mime_types=None):
+    """A HAR 1.2 document whose entry i stands for native record i (its
+    ``id`` and ``sequence`` aside): the inverse of the mapping the HAR
+    reader applies.  A request body's ``postData.mimeType`` is
+    ``mime_types[i]``; like the other fields written here that have no
+    native counterpart, the reader ignores it."""
+
+    def headers(pairs):
+        return [{"name": name, "value": value} for name, value in pairs]
+
+    entries = []
+    for i, record in enumerate(records):
+        req, resp = record["request"], record["response"]
+        request = {"method": req["method"], "url": req["uri"], "httpVersion": "HTTP/1.1",
+                   "headers": headers(req.get("headers", ())), "cookies": []}
+        if req.get("body") is not None:
+            mime = mime_types[i] if mime_types else "application/octet-stream"
+            request["postData"] = {"mimeType": mime, "text": req["body"]}
+        content = {"size": -1, "mimeType": "x-unmapped/ignored"}
+        if resp.get("body") is not None:
+            content["text"] = resp["body"]
+        elif "bodyB64" in resp:
+            content.update(text=resp["bodyB64"], encoding="base64")
+        entry = {"request": request, "response": {
+            "status": resp["status"], "headers": headers(resp.get("headers", ())), "content": content}}
+        if record.get("timestamp") is not None:
+            started = datetime(1970, 1, 1, tzinfo=timezone.utc) + timedelta(milliseconds=record["timestamp"])
+            entry["startedDateTime"] = started.isoformat(timespec="milliseconds").replace("+00:00", "Z")
+        entries.append(entry)
+    return json.dumps({"log": {"version": "1.2", "entries": entries}}).encode()

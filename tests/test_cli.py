@@ -10,12 +10,21 @@ from pathlib import Path
 import pytest
 
 import mockskel
+from conftest import har_document
 
 from mockskel.cli import EXIT_DEGENERATE, EXIT_IO, EXIT_OK, EXIT_PARSE, main
 from mockskel.server import MockService
 from mockskel.skeleton import MockSkeleton, UnpredictedTarget, emit_skeleton, parse_skeleton
 from mockskel.synth import generate_synthetic_log
-from mockskel.traffic import HttpRequest, HttpResponse, HttpTransaction, TrafficLog, save_jsonl
+from mockskel.traffic import (
+    HttpRequest,
+    HttpResponse,
+    HttpTransaction,
+    TrafficLog,
+    load_traffic,
+    save_jsonl,
+    transaction_to_json,
+)
 
 
 @pytest.fixture(scope="module")
@@ -472,6 +481,33 @@ class TestImportHar:
         har_path = tmp_path / "traffic.har"
         har_path.write_text("{}")
         assert run(["import-har", "--input", har_path, "--out", tmp_path / "o"]) == EXIT_PARSE
+
+    def test_lone_surrogate_header_value_is_written_escaped(self, tmp_path):
+        record = {"request": {"method": "GET", "uri": "https://a.ex/x", "headers": [["X-Odd", "\ud800"]]},
+                  "response": {"status": 200}}
+        har_path, out_path = tmp_path / "traffic.har", tmp_path / "traffic.jsonl"
+        har_path.write_bytes(har_document([record]))
+        assert run(["import-har", "--input", har_path, "--out", out_path]) == EXIT_OK
+        assert b"\\ud800" in out_path.read_bytes()
+        assert load_traffic(out_path).transactions == load_traffic(har_path, "har").transactions
+
+    def test_training_on_har_matches_training_on_its_import(self, tmp_path):
+        # every request body's postData.mimeType disagrees with its
+        # Content-Type header, which alone types the body
+        records = [transaction_to_json(t) for t in generate_synthetic_log(300, 15, seed=4).transactions]
+        har_path = tmp_path / "har" / "traffic.har"
+        har_path.parent.mkdir()
+        har_path.write_bytes(har_document(records, ["text/plain"] * len(records)))
+        jsonl_path = tmp_path / "traffic.jsonl"
+        assert run(["import-har", "--input", har_path, "--out", jsonl_path]) == EXIT_OK
+        outputs = []
+        for args in (["--input", har_path, "--format", "har"], ["--input", jsonl_path]):
+            out = tmp_path / str(len(outputs))
+            out.mkdir()
+            assert run(["train", *args, "--jobs", 1, "--learners", "c45,ripper",
+                        "--out-skeleton", out / "s.txt", "--out-report", out / "r.json"]) == EXIT_OK
+            outputs.append(((out / "s.txt").read_bytes(), (out / "r.json").read_bytes()))
+        assert outputs[0] == outputs[1]
 
 
 class TestParallelism:

@@ -512,7 +512,7 @@ class TestPart:
 
         assert isinstance(root, GrownSplit)  # not collapsed into a leaf
         assert ds.names[root.attr] == "a"
-        codes = ds.codes[root.attr]
+        codes = {value: code for code, value in enumerate(ds.domains[root.attr])}
         branch_entropy = {
             codes[value]: oracle_entropy(Counter(r[2] for r in rows if r[0] == value).values())
             for value in codes

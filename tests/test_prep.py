@@ -266,8 +266,6 @@ class TestEncodedTable:
             assert encoded.Y.shape == (n, len(table.targets()))
             np.testing.assert_array_equal(encoded.X, reference_codes(table, Role.INPUT))
             np.testing.assert_array_equal(encoded.Y, reference_codes(table, Role.TARGET))
-            for attr, codes in zip(encoded.inputs, encoded.input_codes):
-                assert [attr.domain[c] for c in codes.values()] == list(codes)
 
     def test_prepare_all_encodes_the_pruned_table(self):
         rng = random.Random(9)

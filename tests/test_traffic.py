@@ -1,11 +1,17 @@
+import base64
+import codecs
 import io
 import json
 
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
-from conftest import group_by_resource
+from conftest import group_by_resource, har_document, table_row
 from mockskel.errors import MalformedInputError, UnparseableUriError
+from mockskel.features import ResourceState, extract_table, serve_input_values
 from mockskel.traffic import (
+    SUPPORTED_METHODS,
     HttpRequest,
     HttpResponse,
     HttpTransaction,
@@ -81,6 +87,38 @@ class TestJsonlLoading:
         with pytest.raises(MalformedInputError):
             load_traffic(line(0, status=99).encode(), "jsonl")
 
+    def test_leading_byte_order_mark_is_dropped(self):
+        text = line(0) + "\n" + line(1)
+        log = load_traffic(codecs.BOM_UTF8 + text.encode(), "jsonl")
+        assert log.transactions == load_traffic(text.encode(), "jsonl").transactions
+
+    def test_only_one_byte_order_mark_is_dropped(self):
+        with pytest.raises(MalformedInputError) as exc:
+            load_traffic(codecs.BOM_UTF8 * 2 + line(0).encode(), "jsonl")
+        assert str(exc.value).startswith("line 1: invalid JSON")
+
+    @pytest.mark.parametrize("body", [{"title": "x", "done": True}, ["a"], 7, True])
+    def test_body_that_is_not_a_string_is_malformed(self, body):
+        obj = json.loads(line(0, method="POST"))
+        obj["request"]["body"] = body
+        with pytest.raises(MalformedInputError) as exc:
+            load_traffic((line(1) + "\n" + json.dumps(obj)).encode(), "jsonl")
+        assert exc.value.index == 1
+        assert str(exc.value).startswith("line 2: ") and "bodyB64" in str(exc.value)
+
+    def test_null_body_is_no_body(self):
+        obj = json.loads(line(0))
+        obj["response"]["body"] = None
+        assert load_traffic(json.dumps(obj).encode(), "jsonl").transactions[0].response.body is None
+
+    def test_bad_header_item_names_its_line(self):
+        obj = json.loads(line(0))
+        obj["request"]["headers"] = [["Accept", "a", "b"]]
+        with pytest.raises(MalformedInputError) as exc:
+            load_traffic((line(1) + "\n" + json.dumps(obj)).encode(), "jsonl")
+        assert exc.value.index == 1
+        assert str(exc.value).startswith("line 2: ")
+
 
 class TestRoundTrip:
     def test_body_and_binary_body_round_trip(self):
@@ -91,9 +129,7 @@ class TestRoundTrip:
             body=b'{"title":"x"}',
         )
         resp = HttpResponse(201, headers=[("Content-Type", "application/json")], body=bytes([0, 255, 1]))
-        log = TrafficLog(
-            (HttpTransaction("a", 0, req, resp, timestamp=1234),), source="unit"
-        )
+        log = TrafficLog((HttpTransaction("a", 0, req, resp, timestamp=1234),))
         text = dump_jsonl(log)
         obj = json.loads(text)
         assert "bodyB64" in obj["response"]  # not valid UTF-8
@@ -104,6 +140,13 @@ class TestRoundTrip:
     def test_round_trip_preserves_all_fields(self, small_synth_log):
         reloaded = load_traffic(dump_jsonl(small_synth_log).encode(), "jsonl")
         assert reloaded.transactions == small_synth_log.transactions
+
+    def test_lone_surrogates_are_escaped_and_round_trip(self):
+        req = HttpRequest("GET", "https://a.ex/\udc80", headers=[("X-\ud800", "a\udfff")])
+        log = TrafficLog((HttpTransaction("t\ud800", 0, req, HttpResponse(200, [("X", "\ud800")])),))
+        data = dump_jsonl(log).encode("utf-8")
+        assert b"\\ud800" in data
+        assert load_traffic(data, "jsonl").transactions == log.transactions
 
 
 class TestHarImport:
@@ -128,18 +171,123 @@ class TestHarImport:
         assert log.transactions[1].request.method == "POST"
         assert log.transactions[0].response.body == b'{"ok":true}'
 
+    def test_started_date_time_keeps_every_millisecond(self):
+        # 4249119.145 s times 1000 as a float is 4249119144.999...
+        entry = dict(self.entry(), startedDateTime="1970-02-19T04:18:39.145Z")
+        assert load_traffic(self.har([entry]), "har").transactions[0].timestamp == 4249119145
+
     def test_malformed_second_entry_names_entry_index(self):
         bad = {"request": {"method": "GET"}, "response": {}}
         with pytest.raises(MalformedInputError) as exc:
             load_traffic(self.har([self.entry(), bad]), "har")
         assert exc.value.index == 1
-        assert "entry 1" in str(exc.value)
+        assert str(exc.value).startswith("entry 2: ")
 
     def test_base64_response_content(self):
         entry = self.entry()
         entry["response"]["content"] = {"text": "AAECww==", "encoding": "base64"}
         log = load_traffic(self.har([entry]), "har")
         assert log.transactions[0].response.body == bytes([0, 1, 2, 0xC3])
+
+    def test_base64_content_outside_the_alphabet_is_malformed(self):
+        entry = self.entry()
+        entry["response"]["content"] = {"text": "AA!ECww==", "encoding": "base64"}
+        with pytest.raises(MalformedInputError) as exc:
+            load_traffic(self.har([self.entry(), entry]), "har")
+        assert exc.value.index == 1
+        assert str(exc.value).startswith("entry 2: ") and "invalid base64 body" in str(exc.value)
+
+    @pytest.mark.parametrize("entries", [5, {"request": {}}, None])
+    def test_entries_that_are_not_a_list_are_malformed(self, entries):
+        with pytest.raises(MalformedInputError, match="^not a HAR 1.2 document: "):
+            load_traffic(json.dumps({"log": {"entries": entries}}).encode(), "har")
+
+    def test_leading_byte_order_mark_is_dropped(self):
+        har = self.har([self.entry(), self.entry(method="POST")])
+        log = load_traffic(codecs.BOM_UTF8 + har, "har")
+        assert log.transactions == load_traffic(har, "har").transactions
+
+    def test_post_data_text_that_is_not_a_string_is_malformed(self):
+        entry = self.entry(method="POST")
+        entry["request"]["postData"] = {"mimeType": "application/json", "text": {"title": "x"}}
+        with pytest.raises(MalformedInputError) as exc:
+            load_traffic(self.har([entry]), "har")
+        assert exc.value.index == 0
+        assert str(exc.value).startswith("entry 1: ") and "bodyB64" in str(exc.value)
+
+    def test_request_body_is_typed_by_its_content_type_header(self):
+        entry = self.entry(method="POST")
+        entry["request"]["headers"] = [{"name": "Content-Type", "value": "text/plain"}]
+        entry["request"]["postData"] = {"mimeType": "application/json", "text": '{"title":"x"}'}
+        table, _ = extract_table(load_traffic(self.har([entry, self.entry()]), "har"))
+        row = table_row(table, 0)
+        assert row["hasPayload"] == "true" and row["hasValidPayload"] == "false"
+        assert not any(name.startswith("requestjson:") for name in table.names)
+
+
+def _headers(content_type):
+    names = st.sampled_from(["Accept", "ACCEPT", "x-Trace", "X-TRACE", "Authorization"])
+    others = st.lists(st.tuples(names, st.sampled_from(["a", "b", "*/*"])), max_size=3)
+    if content_type is None:
+        return others
+    spelling = st.sampled_from(["Content-Type", "content-type", "CONTENT-TYPE"])
+    return st.tuples(spelling, others).map(lambda t: [(t[0], content_type)] + t[1])
+
+
+_JSON_BODIES = ['{"title":"x"}', '{"title":"y","n":1}', '{"title":"x","tags":["a"]}']
+
+
+@st.composite
+def _records(draw):
+    """Native records with HAR-style ids and sequences, and for each the
+    ``postData.mimeType`` a HAR entry could carry for its request body."""
+    records, mime_types = [], []
+    for i in range(draw(st.integers(1, 12))):
+        method = draw(st.sampled_from(SUPPORTED_METHODS + ("BREW", "TRACE")))
+        uri = f"https://api.ex.test/tasks/{draw(st.integers(0, 3))}" + draw(st.sampled_from(["", "?q=a"]))
+        request = {"method": method, "uri": uri}
+        if draw(st.booleans()):
+            request["body"] = draw(st.sampled_from(_JSON_BODIES + ["plain words", ""]))
+        content_type = draw(st.sampled_from([None, "application/json", "text/plain"]))
+        request["headers"] = draw(_headers(content_type))
+        response = {"status": draw(st.sampled_from([200, 201, 404])),
+                    "headers": draw(_headers(draw(st.sampled_from([None, "application/json"]))))}
+        kind = draw(st.sampled_from(["none", "text", "base64"]))
+        if kind == "text":
+            response["body"] = draw(st.sampled_from(_JSON_BODIES))
+        elif kind == "base64":
+            response["bodyB64"] = base64.b64encode(draw(st.binary(max_size=8))).decode()
+        record = {"id": f"har-{i}", "sequence": i, "request": request, "response": response}
+        if draw(st.booleans()):
+            record["timestamp"] = draw(st.integers(0, 4_102_444_800_000))
+        records.append(record)
+        mime_types.append(draw(st.sampled_from(["application/json", "text/plain"])))
+    return records, mime_types
+
+
+class TestHarMatchesJsonl:
+    @settings(max_examples=60, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+    @given(drawn=_records())
+    def test_har_entry_loads_as_its_native_record(self, drawn):
+        records, mime_types = drawn
+        har = load_traffic(har_document(records, mime_types), "har")
+        native = load_traffic("\n".join(json.dumps(r) for r in records).encode(), "jsonl")
+        dumped = load_traffic(dump_jsonl(har).encode(), "jsonl")
+        table, profile = extract_table(har)
+        assert (table, profile) == extract_table(dumped)
+        assert har.transactions == native.transactions == dumped.transactions
+        assert har.skipped_methods == native.skipped_methods
+        # a live request rebuilt from a HAR-loaded one gets its training row
+        input_names = [a.name for a in table.inputs()]
+        states: dict[str, ResourceState] = {}
+        for i, t in enumerate(har.transactions):
+            request = HttpRequest(t.request.method, t.request.uri, t.request.headers, t.request.body)
+            key = resource_key(request)
+            state = states.get(key, ResourceState())
+            values, _ = serve_input_values(input_names, request, state)
+            row = table_row(table, i)
+            assert values == {name: row[name] for name in input_names}
+            states[key] = state.after(request.method, t.response.status_code, crud_class(request))
 
 
 class TestResourceKey:
