@@ -27,7 +27,7 @@ import math
 import re
 from dataclasses import dataclass, replace
 from enum import Enum
-from functools import cached_property, lru_cache
+from functools import lru_cache
 from operator import itemgetter
 from typing import Iterable, Mapping, NamedTuple, Sequence
 from urllib.parse import parse_qsl
@@ -161,22 +161,18 @@ class ExtractionConfig(Settings):
     #: bound on schema width for pathological URIs
     max_path_depth: Count = 16
 
-    @cached_property
-    def _auth_matchers(self) -> tuple[frozenset[str], re.Pattern | None]:
-        """The lower-cased auth header names, and one regex matching any
-        lower-cased auth pattern as ``fnmatchcase`` does."""
-        names = frozenset(n.lower() for n in self.auth_header_names)
-        patterns = "|".join(fnmatch.translate(p.lower()) for p in self.auth_header_patterns)
-        return names, re.compile(patterns) if patterns else None
-
-    def __getstate__(self) -> dict:
-        # pickle the fields alone, whether or not the matchers were built
-        return {k: v for k, v in self.__dict__.items() if k != "_auth_matchers"}
-
     def is_auth_header(self, name: str) -> bool:
         lname = name.lower()
-        names, pattern = self._auth_matchers
+        names, pattern = _auth_matchers(self.auth_header_names, self.auth_header_patterns)
         return lname in names or (pattern is not None and pattern.match(lname) is not None)
+
+
+@lru_cache(maxsize=32)
+def _auth_matchers(names: tuple[str, ...], patterns: tuple[str, ...]) -> tuple[frozenset, re.Pattern | None]:
+    """The lower-cased auth header ``names``, and one regex matching any
+    lower-cased auth pattern as ``fnmatchcase`` does."""
+    regex = "|".join(fnmatch.translate(p.lower()) for p in patterns)
+    return frozenset(n.lower() for n in names), re.compile(regex) if regex else None
 
 
 @dataclass(frozen=True)

@@ -97,7 +97,6 @@ class PreparedDataset:
         self.target = attr.name
         self.target_domain: tuple[str, ...] = attr.domain
         self.n_classes = len(attr.domain)
-        self.input_attributes = table.inputs
         self.names: tuple[str, ...] = tuple(a.name for a in table.inputs)
         self.domains: tuple[tuple[str, ...], ...] = tuple(a.domain for a in table.inputs)
         self.X = table.X
@@ -111,6 +110,11 @@ class PreparedDataset:
 
     def total_conditions(self) -> int:
         return sum(len(d) for d in self.domains)
+
+    @property
+    def input_attributes(self) -> tuple[Attribute, ...]:
+        """The inputs as attributes, built on demand (the bench's traced run counts them)."""
+        return tuple(Attribute(n, Role.INPUT, d) for n, d in zip(self.names, self.domains))
 
 
 def _prune(table: InstanceTable, config: PrepConfig) -> tuple[list[int], tuple[Removal, ...]]:

@@ -8,12 +8,12 @@ status code, headers and a JSON body.  ``/_mock/*`` control endpoints
 expose reset, counters, and the active skeleton text.
 
 ``MockServer`` reads HTTP/1.1 itself, a thread per connection, and
-writes each answer in one send with Nagle's algorithm off.
+writes each answer in one send with Nagle's algorithm off.  One lock per
+``MockService`` serializes the answers, which are GIL-bound Python.
 """
 
 from __future__ import annotations
 
-import contextlib
 import json
 import logging
 import re
@@ -31,9 +31,6 @@ from .skeleton import PLACEHOLDER, MockSkeleton
 from .traffic import HttpRequest, crud_class, path_shape, resource_key
 
 log = logging.getLogger(__name__)
-
-#: number of striped per-resource locks in a MockService
-LOCK_STRIPES = 64
 
 #: most resource states a ServeState holds; past it, the least recently
 #: served resource is forgotten
@@ -72,15 +69,13 @@ class ServeState:
     """Folded state of each served resource plus counters.
 
     ``per_resource`` runs from the least to the most recently served
-    resource and holds at most ``MAX_RESOURCES`` of them.  ``lock`` guards
-    changes to it and the counters, which requests for any resource
-    update.
+    resource and holds at most ``MAX_RESOURCES`` of them.  A ServeState
+    has one user at a time: ``MockService`` serializes its use.
     """
 
     per_resource: OrderedDict[str, ResourceState] = field(default_factory=OrderedDict)
     requests_served: int = 0
     unmatched_features: int = 0
-    lock: threading.Lock = field(default_factory=threading.Lock, repr=False, compare=False)
 
     def history(self, key: str) -> ResourceState:
         """The folded history of resource ``key``."""
@@ -89,17 +84,15 @@ class ServeState:
     def record(self, key: str, state: ResourceState) -> None:
         """Set the state of resource ``key``, now the most recently served,
         dropping the least recently served resource past the cap."""
-        with self.lock:
-            self.per_resource[key] = state
-            self.per_resource.move_to_end(key)
-            if len(self.per_resource) > MAX_RESOURCES:
-                self.per_resource.popitem(last=False)
+        self.per_resource[key] = state
+        self.per_resource.move_to_end(key)
+        if len(self.per_resource) > MAX_RESOURCES:
+            self.per_resource.popitem(last=False)
 
     def count(self, unmatched: int) -> None:
         """Count one served request that presented ``unmatched`` features."""
-        with self.lock:
-            self.requests_served += 1
-            self.unmatched_features += unmatched
+        self.requests_served += 1
+        self.unmatched_features += unmatched
 
     def reset(self) -> None:
         """Forget every resource's state; counters are preserved."""
@@ -136,52 +129,41 @@ def synthesize_response(
 class MockService:
     """Thread-safe skeleton server core (usable without HTTP).
 
-    States of distinct resources evolve independently; requests for one
-    resource are serialized so state features see a consistent ordering.
-    A resource's requests take one of a fixed set of striped locks, so
-    the locks do not grow with the number of resources.
+    One lock serializes ``handle``, ``reset`` and ``stats``, so state
+    features see one order of requests, and a reset waits for the
+    request in flight.  An answer is GIL-bound Python throughout, so
+    finer locks would let no two answers run in parallel anyway.
     """
 
     def __init__(self, skeleton: MockSkeleton, strict: bool = False):
         self.skeleton = skeleton
         self.strict = strict
         self.state = ServeState()
-        self._master = self.state.lock  # guards the counters, reset and stats
-        self._locks = tuple(threading.Lock() for _ in range(LOCK_STRIPES))
+        self._lock = threading.Lock()
         self._shapes = set(skeleton.profile.shapes)
 
-    def _lock_for(self, key: str) -> threading.Lock:
-        return self._locks[hash(key) % LOCK_STRIPES]
-
-    def handle(
-        self,
-        method: str,
-        uri: str,
-        headers=(),
-        body: bytes | None = None,
-    ) -> SynthesizedResponse:
-        try:
-            request = HttpRequest(method=method, uri=uri, headers=headers, body=body)
-        except (ValueError, MockskelError):
-            return SynthesizedResponse(status_code=501, headers=(), body=None)
-        if self.strict and path_shape(request, self.skeleton.config.resource) not in self._shapes:
-            self.state.count(0)
-            return SynthesizedResponse(status_code=501, headers=(), body=None)
-        key = resource_key(request, self.skeleton.config.resource)
-        with self._lock_for(key):
+    def handle(self, method: str, uri: str, headers=(), body: bytes | None = None) -> SynthesizedResponse:
+        """Answer one request.  Every answer counts as served, each 501 too: for
+        an unsupported method, an unparseable URI or, when strict, an unseen shape."""
+        with self._lock:
+            try:
+                request = HttpRequest(method=method, uri=uri, headers=headers, body=body)
+            except (ValueError, MockskelError):
+                request = None
+            if request is None or (
+                self.strict and path_shape(request, self.skeleton.config.resource) not in self._shapes
+            ):
+                self.state.count(0)
+                return SynthesizedResponse(status_code=501, headers=(), body=None)
             return synthesize_response(self.skeleton, request, self.state)
 
     def reset(self) -> None:
-        """Forget every resource's state once the requests in flight are done,
-        taking the locks in ``handle``'s order: stripes, then the state lock."""
-        with contextlib.ExitStack() as stack:
-            for lock in self._locks:
-                stack.enter_context(lock)
-            with self._master:
-                self.state.reset()
+        """Forget every resource's state once the request in flight is done."""
+        with self._lock:
+            self.state.reset()
 
     def stats(self) -> dict:
-        with self._master:
+        with self._lock:
             return {
                 "requests": self.state.requests_served,
                 "unmatchedFeatures": self.state.unmatched_features,

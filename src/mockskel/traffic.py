@@ -232,6 +232,16 @@ def _body_from_json(obj: Mapping, where: str) -> bytes | None:
     return None if body is None else body.encode("utf-8")
 
 
+def _whole_number(value, name: str) -> int:
+    """``value`` when it is a JSON number with no fractional part, so
+    ``200.0`` reads as 200; MalformedInputError naming ``name`` otherwise."""
+    if isinstance(value, float) and value.is_integer():
+        return int(value)
+    if isinstance(value, int) and not isinstance(value, bool):
+        return value
+    raise MalformedInputError(f"{name} must be a whole number, not {json_text(value)}")
+
+
 def transaction_from_json(obj: Mapping, default_sequence: int) -> HttpTransaction:
     """Build a transaction from one native-format JSON object.
 
@@ -249,18 +259,17 @@ def transaction_from_json(obj: Mapping, default_sequence: int) -> HttpTransactio
         body=_body_from_json(req_obj, f"transaction {txn_id}: request"),
     )
     response = HttpResponse(
-        status_code=int(resp_obj["status"]),
+        status_code=_whole_number(resp_obj["status"], "status"),
         headers=resp_obj.get("headers", ()),
         body=_body_from_json(resp_obj, f"transaction {txn_id}: response"),
     )
-    sequence = int(obj.get("sequence", default_sequence))
     timestamp = obj.get("timestamp")
     return HttpTransaction(
         id=txn_id,
-        sequence=sequence,
+        sequence=_whole_number(obj.get("sequence", default_sequence), "sequence"),
         request=request,
         response=response,
-        timestamp=int(timestamp) if timestamp is not None else None,
+        timestamp=None if timestamp is None else _whole_number(timestamp, "timestamp"),
     )
 
 
@@ -309,12 +318,14 @@ _EPOCH = datetime(1970, 1, 1, tzinfo=timezone.utc)
 
 
 def _har_timestamp(started: str | None) -> int | None:
+    """``startedDateTime`` in epoch milliseconds: None when it is absent or
+    empty, ValueError when ISO 8601 cannot read it."""
     if not started:
         return None
     try:
         dt = datetime.fromisoformat(started.replace("Z", "+00:00"))
     except ValueError:
-        return None
+        raise ValueError(f"startedDateTime {json_text(started)} is not an ISO 8601 date") from None
     if dt.tzinfo is None:
         dt = dt.replace(tzinfo=timezone.utc)
     # integer division of timedeltas is exact; dt.timestamp() * 1000 is a

@@ -191,15 +191,14 @@ class TestProjection:
         datasets, removals = prepare_all(table)
         assert len(datasets) == 17
         for ds in datasets:
-            assert len(ds.input_attributes) == 42
+            assert len(ds.names) == len(ds.domains) == 42
             assert ds.X.shape == (40, 42) and ds.y.shape == (40,)
 
     def test_no_foreign_target_appears_as_predictor(self):
         table = self.wide_table(n_inputs=3, n_targets=4)
         datasets, _ = prepare_all(table)
         for ds in datasets:
-            input_names = {a.name for a in ds.input_attributes}
-            assert not any(name.startswith("responsejson:") for name in input_names)
+            assert not any(name.startswith("responsejson:") for name in ds.names)
 
     def test_single_target_single_dataset(self):
         table = table_from_columns(
@@ -291,7 +290,8 @@ class TestEncodedTable:
         assert [ds.target for ds in datasets] == [a.name for a in pruned.targets()]
         targets = reference_codes(pruned, Role.TARGET)
         for t, ds in enumerate(datasets):
-            assert ds.input_attributes == pruned.inputs()
+            assert ds.names == tuple(a.name for a in pruned.inputs())
+            assert ds.domains == tuple(a.domain for a in pruned.inputs())
             np.testing.assert_array_equal(ds.X, reference_codes(pruned, Role.INPUT))
             np.testing.assert_array_equal(ds.y, targets[:, t])
 

@@ -152,12 +152,36 @@ class TestSynthesis:
         assert state.prev_status == last.status_code == 200
         assert state.crud_seen == {"create", "read"}
 
-    def test_locks_do_not_grow_with_resources(self, skeleton):
+    def test_one_lock_whatever_the_resources(self, skeleton, monkeypatch):
+        made = []
+
+        def lock():
+            made.append(threading.Lock())
+            return made[-1]
+
+        monkeypatch.setattr(server_module, "threading", SimpleNamespace(Lock=lock))
         service = MockService(skeleton)
-        locks = service._locks
         for i in range(200):
             service.handle("GET", f"{HOST}/tasks/{10_000 + i}")
-        assert service._locks is locks and len(locks) < 200
+        service.reset()
+        service.stats()
+        assert len(made) == 1
+
+    def test_one_resource_key_per_request(self, skeleton, monkeypatch):
+        keys = []
+
+        def counted(*args, **kwargs):
+            keys.append(resource_key(*args, **kwargs))
+            return keys[-1]
+
+        monkeypatch.setattr(server_module, "resource_key", counted)
+        service = MockService(skeleton)
+        headers, body = post_body()
+        service.handle("POST", f"{HOST}/tasks/11", headers, body)
+        service.handle("GET", f"{HOST}/tasks/11")
+        service.handle("GET", f"{HOST}/tasks/12")
+        config = skeleton.config.resource
+        assert keys == [resource_key(HttpRequest("GET", f"{HOST}/tasks/{i}"), config) for i in (11, 11, 12)]
 
     def test_state_holds_the_most_recently_served_resources(self, skeleton, monkeypatch):
         monkeypatch.setattr(server_module, "MAX_RESOURCES", 4)
@@ -273,6 +297,15 @@ class _YieldingCounterState(ServeState):
 
 
 class TestCounters:
+    def test_every_501_is_counted(self, skeleton):
+        service = MockService(skeleton)
+        assert service.handle("BREW", f"{HOST}/tasks/1").status_code == 501
+        assert service.handle("GET", "relative/x").status_code == 501
+        assert service.stats()["requests"] == 2
+        strict = MockService(skeleton, strict=True)
+        assert strict.handle("GET", f"{HOST}/unseen/shape").status_code == 501
+        assert strict.stats() == {"requests": 1, "unmatchedFeatures": 0, "resources": 0}
+
     def test_concurrent_requests_on_distinct_resources_all_counted(self, skeleton, monkeypatch):
         monkeypatch.setattr(server_module, "ServeState", _YieldingCounterState)
         service = MockService(skeleton)

@@ -119,6 +119,26 @@ class TestJsonlLoading:
         assert exc.value.index == 1
         assert str(exc.value).startswith("line 2: ")
 
+    @pytest.mark.parametrize("name, value", [
+        ("sequence", 2.7), ("timestamp", 1.9), ("status", 200.9), ("sequence", True),
+        ("timestamp", False), ("status", "201"), ("sequence", "3"), ("sequence", None),
+    ])
+    def test_number_that_is_not_whole_is_malformed(self, name, value):
+        obj = json.loads(line(0))
+        (obj["response"] if name == "status" else obj)[name] = value
+        with pytest.raises(MalformedInputError) as exc:
+            load_traffic((line(1) + "\n" + json.dumps(obj)).encode(), "jsonl")
+        assert exc.value.index == 1
+        assert str(exc.value).startswith(f"line 2: {name} must be a whole number")
+
+    def test_whole_number_written_with_a_fraction_reads_as_an_int(self):
+        obj = json.loads(line(0, status=201.0, timestamp=1562061600000.0))
+        obj["sequence"] = 4.0
+        txn = load_traffic(json.dumps(obj).encode(), "jsonl").transactions[0]
+        numbers = (txn.sequence, txn.timestamp, txn.response.status_code)
+        assert numbers == (4, 1562061600000, 201)
+        assert all(type(n) is int for n in numbers)
+
 
 class TestRoundTrip:
     def test_body_and_binary_body_round_trip(self):
@@ -175,6 +195,21 @@ class TestHarImport:
         # 4249119.145 s times 1000 as a float is 4249119144.999...
         entry = dict(self.entry(), startedDateTime="1970-02-19T04:18:39.145Z")
         assert load_traffic(self.har([entry]), "har").transactions[0].timestamp == 4249119145
+
+    @pytest.mark.parametrize("started", ["yesterday", "2019-13-02T10:00:00Z"])
+    def test_unreadable_started_date_time_is_malformed(self, started):
+        entry = dict(self.entry(), startedDateTime=started)
+        with pytest.raises(MalformedInputError) as exc:
+            load_traffic(self.har([self.entry(), entry]), "har")
+        assert exc.value.index == 1
+        assert str(exc.value).startswith("entry 2: startedDateTime ")
+
+    def test_absent_or_empty_started_date_time_gives_no_timestamp(self):
+        absent = self.entry()
+        del absent["startedDateTime"]
+        empty = dict(self.entry(), startedDateTime="")
+        log = load_traffic(self.har([absent, empty]), "har")
+        assert [t.timestamp for t in log.transactions] == [None, None]
 
     def test_malformed_second_entry_names_entry_index(self):
         bad = {"request": {"method": "GET"}, "response": {}}
