@@ -26,8 +26,9 @@ from .features import (
     extract_table,
     to_arff,
 )
-from .learners import DecisionTree, Rule, RuleList, classify, model_size
+from .model import DecisionTree, Rule, RuleList, classify, model_size
 from .server import MockService, ServeState, SynthesizedResponse, serve_skeleton, synthesize_response
+from .settings import LearnerParams, PrepConfig, RipperParams, TreeParams
 from .skeleton import MockSkeleton, build_skeleton, emit_skeleton, parse_skeleton
 from .synth import expected_status, generate_synthetic_log
 from .traffic import (
@@ -52,15 +53,8 @@ _LAZY = {
         ("AggregateReport", "TargetMetrics", "aggregate", "cross_validate", "stratified_folds"),
         "evaluation",
     ),
-    **dict.fromkeys(
-        ("LearnerParams", "RipperParams", "TreeParams", "entropy", "gain_ratio", "train_c45",
-         "train_part", "train_ripper"),
-        "learners",
-    ),
-    **dict.fromkeys(
-        ("PrepConfig", "PreparedDataset", "prepare_all"),
-        "prep",
-    ),
+    **dict.fromkeys(("entropy", "gain_ratio", "train_c45", "train_part", "train_ripper"), "learners"),
+    **dict.fromkeys(("PreparedDataset", "prepare_all"), "prep"),
 }
 
 

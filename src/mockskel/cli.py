@@ -27,8 +27,18 @@ from .errors import (
     UnparseableUriError,
 )
 from .features import ExtractionConfig, ExtractionProfile, InstanceTable, extract_table
-from .learners import LEARNER_ORDER, LearnerParams, Model, model_size
-from .settings import Count, PrepConfig, Settings, Valid, at_least, read_setting, setting_types
+from .model import Model, model_size
+from .settings import (
+    LEARNER_ORDER,
+    Count,
+    LearnerParams,
+    PrepConfig,
+    Settings,
+    Valid,
+    at_least,
+    read_setting,
+    setting_types,
+)
 from .skeleton import build_skeleton, emit_skeleton, parse_skeleton
 from .synth import generate_synthetic_log
 from .traffic import TrafficLog, load_traffic, save_jsonl

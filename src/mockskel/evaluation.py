@@ -101,34 +101,30 @@ class AggregateReport:
         }
 
 
-def stratified_fold_indices(labels: Sequence, k: int, seed: int) -> list[np.ndarray]:
-    """Partition indices into k folds with per-class counts differing by
-    at most one across folds."""
-    n = len(labels)
+def stratified_folds(dataset: PreparedDataset, k: int = 10, seed: int = 1) -> list[np.ndarray]:
+    """The folds ``cross_validate`` trains on: a partition of the rows of a
+    prepared dataset into k folds whose per-class counts differ by at most
+    one."""
+    n = len(dataset)
+    if n == 0:
+        raise DegenerateDatasetError("cannot fold an empty dataset")
     if n < k:
         log.warning("only %d instances for %d folds, falling back to leave-one-out", n, k)
         k = n
     rng = random.Random(seed)
     by_class: dict = {}
-    for i, label in enumerate(labels):
-        by_class.setdefault(label, []).append(i)
-    # deal the shuffled classes round-robin: position p goes to fold p % k
+    for i, code in enumerate(dataset.y.tolist()):
+        by_class.setdefault(code, []).append(i)
+    # deal the shuffled classes, in the string order of their codes,
+    # round-robin: position p goes to fold p % k
     dealt: list[int] = []
-    for label in sorted(by_class, key=str):
-        indices = by_class[label]
+    for code in sorted(by_class, key=str):
+        indices = by_class[code]
         rng.shuffle(indices)
         dealt.extend(indices)
     order = np.array(dealt, dtype=np.intp)
     fold_of = np.arange(n) % k
     return [np.sort(order[fold_of == f]) for f in range(k)]
-
-
-def stratified_folds(dataset: PreparedDataset, k: int = 10, seed: int = 1) -> list[np.ndarray]:
-    """Stratified fold assignment over a prepared dataset's target codes:
-    the folds ``cross_validate`` trains on."""
-    if len(dataset) == 0:
-        raise DegenerateDatasetError("cannot fold an empty dataset")
-    return stratified_fold_indices(dataset.y.tolist(), k, seed)
 
 
 def weighted_precision_recall(confusion: np.ndarray) -> tuple[float, float]:

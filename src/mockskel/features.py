@@ -180,7 +180,6 @@ class ExtractionProfile:
     """Dataset-wide facts discovered during extraction that the mock
     server needs again at serve time."""
 
-    path_depth: int = 0
     #: flattened JSON prefixes that were arrays in the recordings
     array_paths: tuple[str, ...] = ()
     #: "METHOD /path/{id}" shapes observed in the recordings
@@ -365,13 +364,17 @@ def _unflatten(values: dict[str, object], array_paths: Sequence[str]) -> dict:
     return root
 
 
+#: a status code the mock can serve, the range a recorded response may have
+_STATUS_CODE = re.compile("[1-5][0-9][0-9]")
+
+
 def response_from_attributes(
     nominals: Mapping[str, str], array_paths: Sequence[str] = ()
 ) -> tuple[int, list[tuple[str, str]], bytes | None]:
     """The response whose attributes are ``nominals`` (the inverse of
-    ``response_feature_map``): the status, 200 unless ``statusCode`` is
-    numeric; the headers; and the JSON body, None without a ``responsejson:``
-    attribute.  ``no-exist`` attributes are left out, ``array_paths`` become
+    ``response_feature_map``): the status, 200 unless ``statusCode`` is a
+    status code, three ASCII digits from 100 to 599; the headers; and the
+    JSON body, None without a ``responsejson:`` attribute.  ``no-exist`` attributes are left out, ``array_paths`` become
     one-element arrays, and a string that spells a JSON literal comes back
     as that literal."""
     status = 200
@@ -379,10 +382,10 @@ def response_from_attributes(
     body_values: dict[str, object] = {}
     for name, nominal in nominals.items():
         if name == "statusCode":
-            try:
-                status = int(unescape_literal(nominal))
-            except ValueError:
-                log.warning("statusCode prediction %r is not numeric, serving 200", nominal)
+            if _STATUS_CODE.fullmatch(code := unescape_literal(nominal)):
+                status = int(code)
+            else:
+                log.warning("statusCode prediction %r is not a status code, serving 200", nominal)
         elif nominal == SENTINEL_NO_EXIST:
             continue
         elif name.startswith("responseheader:"):
@@ -533,7 +536,6 @@ def extract_table(
     )
     schema = tuple(Attribute(name, role_for(name)) for name in names)
     profile = ExtractionProfile(
-        path_depth=sum(1 for name in names if name.startswith("uriPathToken")),
         array_paths=tuple(sorted(array_paths)),
         shapes=tuple(shapes),
     )

@@ -10,8 +10,8 @@ from typing import Iterable
 import numpy as np
 
 from ..errors import DegenerateDatasetError, UnknownAttributeError
+from ..model import Model, Rule, RuleList, classify, tested_attributes
 from ..prep import PreparedDataset
-from .model import Model, Rule, RuleList, classify, tested_attributes
 
 
 # ---------------------------------------------------------------------------

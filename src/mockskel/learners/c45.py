@@ -17,6 +17,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from ..errors import DegenerateDatasetError
+from ..model import DecisionTree, Leaf, Node, Split
 from ..prep import PreparedDataset
 from ..settings import TreeParams
 from .base import (
@@ -27,7 +28,6 @@ from .base import (
     gains_and_ratios,
     majority_class,
 )
-from .model import DecisionTree, Leaf, Node, Split
 
 _GAIN_EPS = 1e-12
 

@@ -12,11 +12,11 @@ from __future__ import annotations
 import numpy as np
 
 from ..errors import DegenerateDatasetError
+from ..model import RuleList
 from ..prep import PreparedDataset
 from ..settings import TreeParams
 from .base import Conjunction, counted_rule_list, covers
 from .c45 import Grown, GrownLeaf, grow
-from .model import RuleList
 
 
 def _best_leaf(node: Grown, conds: Conjunction = ()) -> tuple[GrownLeaf, Conjunction]:

@@ -16,10 +16,10 @@ import random
 import numpy as np
 
 from ..errors import DegenerateDatasetError
+from ..model import RuleList
 from ..prep import PreparedDataset
 from ..settings import RipperParams
 from .base import Conjunction, class_counts, counted_rule_list, covers
-from .model import RuleList
 
 MDL_SURPLUS_BITS = 64.0
 _EXPECTED_FP_SHARE = 0.5  # expected share of false positives among coding errors

@@ -9,7 +9,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Iterator, Mapping, Union
 
-from ..errors import SchemaMismatchError
+from .errors import SchemaMismatchError
 
 
 @dataclass

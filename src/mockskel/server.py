@@ -26,7 +26,7 @@ from http import HTTPStatus
 
 from .errors import MockskelError
 from .features import ResourceState, response_from_attributes, serve_input_values
-from .learners import classify
+from .model import classify
 from .skeleton import PLACEHOLDER, MockSkeleton
 from .traffic import HttpRequest, crud_class, path_shape, resource_key
 

@@ -11,7 +11,7 @@ module level.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, is_dataclass
+from dataclasses import dataclass, fields, is_dataclass
 from functools import cache, partial
 from typing import Annotated, Any, Callable, NamedTuple, get_args, get_origin, get_type_hints
 
@@ -148,6 +148,14 @@ class RipperParams(Settings):
 
 @dataclass(frozen=True)
 class LearnerParams(Settings):
+    """Each learner's settings, one field per learner, named after its
+    module; the field order is the order in which ties between learners
+    break."""
+
     c45: TreeParams = TreeParams()
     ripper: RipperParams = RipperParams()
     part: TreeParams = TreeParams()
+
+
+#: the learners, in the field order of ``LearnerParams``: the tie order
+LEARNER_ORDER = tuple(field.name for field in fields(LearnerParams))

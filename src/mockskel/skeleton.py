@@ -51,7 +51,7 @@ from typing import TYPE_CHECKING, Mapping
 
 from .errors import SettingError, SkeletonSyntaxError, UnknownAttributeError
 from .features import ExtractionConfig, ExtractionProfile
-from .learners.model import DecisionTree, Leaf, Model, Rule, RuleList, Split
+from .model import DecisionTree, Leaf, Model, Rule, RuleList, Split
 from .settings import read_setting, settings_json
 from .traffic import json_text
 
@@ -390,7 +390,8 @@ def _parse_rules(name: str, block: list[_Line], inputs: set[str]) -> tuple[RuleL
 # ---------------------------------------------------------------------------
 # The config: line, one JSON key per field of ExtractionConfig (with its
 # ResourceKeyConfig under "resourceKey") and ExtractionProfile, plus
-# "droppedInputs"
+# "droppedInputs".  A "pathDepth" key, which earlier skeletons carry and
+# nothing reads, is ignored.
 
 
 @cache
@@ -411,6 +412,7 @@ def _parse_config(
         raise SkeletonSyntaxError(f"bad config JSON: {exc}", line_no) from None
     if not isinstance(obj, dict):
         raise SkeletonSyntaxError("config must be a JSON object", line_no)
+    obj.pop("pathDepth", None)
     profile_keys = {_config_key(f.name) for f in fields(ExtractionProfile)}
     profile_obj = {k: obj.pop(k) for k in list(obj) if k in profile_keys}
     try:

@@ -181,8 +181,9 @@ class TrafficLog:
     """An ordered recording of HTTP transactions.
 
     Transactions are sorted ascending by their ``sequence`` number, ids
-    are unique.  ``skipped_methods`` counts records dropped at load time
-    because their method is outside the supported set.
+    are unique.  ``skipped_methods`` counts records dropped at load time:
+    those whose method is outside the supported set, and HAR entries with
+    status 0, requests that got no response.
     """
 
     transactions: tuple[HttpTransaction, ...]
@@ -333,9 +334,12 @@ def _har_timestamp(started: str | None) -> int | None:
     return (dt - _EPOCH) // timedelta(milliseconds=1)
 
 
-def _har_record(index: int, entry) -> Mapping:
-    """HAR entry ``index`` as the native record it stands for."""
+def _har_record(index: int, entry) -> Mapping | None:
+    """HAR entry ``index`` as the native record it stands for, or None for
+    a request that got no response, which browsers record with status 0."""
     request, response = entry["request"], entry["response"]
+    if type(response["status"]) in (int, float) and response["status"] == 0:
+        return None
     content = response.get("content") or {}
     text = content.get("text")
     return {
@@ -370,15 +374,20 @@ def _read_records(items: Iterable[tuple[int, object]], unit: str, to_record) -> 
     """The one reader of both formats: ``to_record(index, item)`` makes each
     item a native record, which becomes a transaction.
 
-    Records with an unsupported method are counted and skipped.  An error
-    names its ``unit`` (line or entry) counted from 1, while
-    ``MalformedInputError.index`` stays zero-based.
+    Records with an unsupported method, and items that ``to_record`` turns
+    into None, are counted and skipped.  An error names its ``unit`` (line
+    or entry) counted from 1, while ``MalformedInputError.index`` stays
+    zero-based.
     """
     transactions = []
     skipped = 0
     for index, item in items:
         try:
-            txn = transaction_from_json(to_record(index, item), default_sequence=len(transactions))
+            record = to_record(index, item)
+            if record is None:
+                skipped += 1
+                continue
+            txn = transaction_from_json(record, default_sequence=len(transactions))
         except UnsupportedMethodError:
             skipped += 1
             continue

@@ -33,7 +33,7 @@ from mockskel.learners import (
     train_part,
     train_ripper,
 )
-from mockskel.learners.model import Split
+from mockskel.model import Split
 from mockskel.prep import prepare_all
 from mockskel.server import MockService
 from mockskel.skeleton import build_skeleton, emit_skeleton, parse_skeleton

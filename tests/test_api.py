@@ -7,7 +7,6 @@ from pathlib import Path
 import pytest
 
 import mockskel
-import mockskel.learners
 from mockskel.cli import run_pipeline
 from mockskel.features import ResourceState
 from mockskel.server import MockService
@@ -19,12 +18,9 @@ BENCH = Path(__file__).resolve().parents[1] / "bench"
 
 
 def test_every_lazily_exported_name_resolves():
-    # a name left in a lazy table after its function is gone fails only
+    # a name left in the lazy table after its function is gone fails only
     # when first read
-    learners = mockskel.learners
-    names = [(mockskel, name) for name in mockskel._LAZY]
-    names += [(learners, name) for name in [*learners._LAZY, *learners.__all__]]
-    assert [f"{m.__name__}.{name}" for m, name in names if not hasattr(m, name)] == []
+    assert [name for name in mockskel._LAZY if not hasattr(mockskel, name)] == []
 
 
 @pytest.fixture

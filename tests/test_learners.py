@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 
 from conftest import dataset_row, make_dataset, table_row
 from mockskel.errors import DegenerateDatasetError
-from mockskel.evaluation import stratified_fold_indices
+from mockskel.evaluation import stratified_folds
 from mockskel.features import extract_table
 from mockskel.learners import (
     LEARNER_ORDER,
@@ -575,7 +575,7 @@ class TestEncodedPrediction:
         table, _ = extract_table(generate_synthetic_log(n_transactions, 8, seed=seed))
         datasets, _ = prepare_all(table)
         for ds in datasets:
-            held_out = stratified_fold_indices(ds.y.tolist(), 5, seed)[fold]
+            held_out = stratified_folds(ds, 5, seed)[fold]
             train_rows = np.setdiff1d(ds.all_rows(), held_out)
             if len(train_rows) == 0:
                 continue

@@ -274,7 +274,7 @@ class TestReset:
         reset = threading.Thread(target=service.reset)
         reset.start()
         reset.join(timeout=0.2)
-        assert reset.is_alive()  # the GET still holds its resource's lock
+        assert reset.is_alive()  # the GET still holds the mock's lock
         release.set()
         get.join(timeout=10)
         reset.join(timeout=10)
@@ -349,20 +349,22 @@ class TestSynthesizeResponseApi:
 
 class TestStartup:
     def test_serving_imports_no_training_module(self, skeleton, tmp_path):
-        # a served request only classifies, so `serve` starts without numpy
-        # or any training module
+        # a served request only classifies with the model forms of
+        # `mockskel.model`, so `serve` starts without numpy, the learners or
+        # any other training module
         path = tmp_path / "skeleton.txt"
         path.write_text(emit_skeleton(skeleton), encoding="utf-8")
         code = (
             "import sys\n"
             "import mockskel.cli\n"
+            "from mockskel import LearnerParams, PrepConfig\n"
             "from mockskel.server import MockService\n"
             "from mockskel.skeleton import parse_skeleton\n"
             "service = MockService(parse_skeleton(open(sys.argv[1], encoding='utf-8').read()))\n"
             "service.handle('POST', 'http://localhost/tasks/1', [('Content-Type', 'application/json')],"
             " b'{\"title\": \"x\"}')\n"
             "print(sorted(m for m in sys.modules if m == 'numpy' or m.startswith("
-            "('mockskel.evaluation', 'mockskel.prep', 'mockskel.learners.base', 'mockskel.learners.c45'))))\n"
+            "('mockskel.evaluation', 'mockskel.prep', 'mockskel.learners'))))\n"
         )
         src = str(Path(mockskel.__file__).resolve().parents[1])
         out = subprocess.run(
@@ -981,3 +983,26 @@ class TestServedHeaderBytes:
         assert received.startswith(b"HTTP/1.1 500 ")
         assert b"\r\nContent-Length: 0\r\n\r\n" in received
         assert repr(name) in caplog.text
+
+
+class TestServedStatus:
+    """A hand-edited ``statusCode`` that is not a status code is served as 200."""
+
+    @staticmethod
+    def status_skeleton(value: str) -> MockSkeleton:
+        return MockSkeleton(service_name="s", seed=1, inputs=("method",), targets={},
+                            unpredicted=(UnpredictedTarget("statusCode", "unary", value),))
+
+    @pytest.mark.parametrize("value, served", [
+        ("100", 100), ("201", 201), ("599", 599), ("1000", 200), ("42", 200), ("-5", 200),
+        ("099", 200), ("2_00", 200), ("600", 200), (" 201", 200), ("２０１", 200),
+    ])
+    def test_only_a_status_code_from_100_to_599_is_served(self, value, served, caplog):
+        skeleton = self.status_skeleton(value)
+        with caplog.at_level("WARNING", logger="mockskel.features"):
+            answer = MockService(skeleton).handle("GET", "http://localhost/a", [], None)
+        assert answer.status_code == served
+        assert (repr(value) in caplog.text) == (served == 200)
+        received = exchange_over_socketpair(skeleton, b"GET /a HTTP/1.1\r\n\r\n")
+        assert received.startswith(f"HTTP/1.1 {served} ".encode())
+        assert [status for status, _ in read_responses(received)] == [served]

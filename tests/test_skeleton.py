@@ -23,6 +23,7 @@ from mockskel.learners import (
     train_part,
 )
 from mockskel.prep import Removal
+from mockskel.server import MockService
 from mockskel.skeleton import (
     PLACEHOLDER,
     MockSkeleton,
@@ -171,7 +172,7 @@ class TestConfigLine:
                 max_path_depth=5,
             ),
             profile=ExtractionProfile(
-                path_depth=3, array_paths=("responsejson:items",), shapes=("GET /a/{id}", "POST /a")
+                array_paths=("responsejson:items",), shapes=("GET /a/{id}", "POST /a")
             ),
             dropped_inputs=("schema", "host"),
         )
@@ -215,6 +216,22 @@ class TestConfigLine:
         path = tmp_path / "skeleton.txt"
         path.write_text(text, encoding="utf-8")
         assert cli.main(["emit", "--skeleton", str(path)]) == cli.EXIT_PARSE
+
+    def test_an_earlier_path_depth_key_is_ignored(self, trained_skeleton):
+        # skeletons written before pathDepth was dropped still parse and serve
+        text = emit_skeleton(trained_skeleton[0])
+        old = text.replace('"maxPathDepth": 16, ', '"maxPathDepth": 16, "pathDepth": 2, ', 1)
+        assert old != text
+        assert parse_skeleton(old) == parse_skeleton(text)
+        assert emit_skeleton(parse_skeleton(old)) == text
+        requests = [("POST", "/tasks/3", [("Content-Type", "application/json")], b'{"title": "x"}'),
+                    ("GET", "/tasks/3", [], None), ("DELETE", "/tasks/3", [], None),
+                    ("GET", "/tasks/3", [], None), ("PATCH", "/tasks/9", [], None)]
+        services = [MockService(parse_skeleton(t)) for t in (old, text)]
+        answers = [[service.handle(method, "http://localhost" + path, headers, body)
+                    for method, path, headers, body in requests] for service in services]
+        assert answers[0] == answers[1]
+        assert {answer.status_code for answer in answers[0]} >= {200, 201}
 
     @pytest.mark.parametrize("config, key", [
         ('{"maxPathdepth": 3}', "'maxPathdepth'"),

@@ -211,6 +211,15 @@ class TestHarImport:
         log = load_traffic(self.har([absent, empty]), "har")
         assert [t.timestamp for t in log.transactions] == [None, None]
 
+    def test_entry_without_a_response_is_skipped_with_count(self):
+        # browsers record a request that got no response with status 0
+        log = load_traffic(self.har([self.entry(status=0), self.entry(method="POST")]), "har")
+        assert [(t.id, t.request.method) for t in log.transactions] == [("har-1", "POST")]
+        assert log.skipped_methods == 1
+        # a native record keeps its rule: status 0 there is an error
+        with pytest.raises(MalformedInputError, match="^line 1: status code 0 outside"):
+            load_traffic(line(0, status=0).encode(), "jsonl")
+
     def test_malformed_second_entry_names_entry_index(self):
         bad = {"request": {"method": "GET"}, "response": {}}
         with pytest.raises(MalformedInputError) as exc:
