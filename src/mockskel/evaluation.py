@@ -43,7 +43,6 @@ class TargetMetrics:
     per_fold: tuple[FoldMetrics, ...] = ()
     #: pooled confusion matrix, rows = actual, columns = predicted
     confusion: tuple[tuple[int, ...], ...] = ()
-    classes: tuple[str, ...] = ()
     folds: int = 10
     seed: int = 1
 
@@ -198,7 +197,6 @@ def cross_validate(
         model_size=float(np.mean(sizes)) if sizes else 0.0,
         per_fold=tuple(per_fold),
         confusion=tuple(tuple(int(x) for x in row) for row in pooled),
-        classes=dataset.target_domain,
         folds=len(folds),
         seed=seed,
     )

@@ -364,8 +364,8 @@ def _unflatten(values: dict[str, object], array_paths: Sequence[str]) -> dict:
     return root
 
 
-#: a status code the mock can serve, the range a recorded response may have
-_STATUS_CODE = re.compile("[1-5][0-9][0-9]")
+#: a final status code, the only kind the mock serves: a 1xx is interim
+_STATUS_CODE = re.compile("[2-5][0-9][0-9]")
 
 
 def response_from_attributes(
@@ -373,10 +373,11 @@ def response_from_attributes(
 ) -> tuple[int, list[tuple[str, str]], bytes | None]:
     """The response whose attributes are ``nominals`` (the inverse of
     ``response_feature_map``): the status, 200 unless ``statusCode`` is a
-    status code, three ASCII digits from 100 to 599; the headers; and the
-    JSON body, None without a ``responsejson:`` attribute.  ``no-exist`` attributes are left out, ``array_paths`` become
-    one-element arrays, and a string that spells a JSON literal comes back
-    as that literal."""
+    final status code, three ASCII digits from 200 to 599; the headers;
+    and the JSON body, None without a ``responsejson:`` attribute.
+    ``no-exist`` attributes are left out, ``array_paths`` become
+    one-element arrays, and a string that spells a JSON literal comes
+    back as that literal."""
     status = 200
     headers: list[tuple[str, str]] = []
     body_values: dict[str, object] = {}
@@ -385,7 +386,8 @@ def response_from_attributes(
             if _STATUS_CODE.fullmatch(code := unescape_literal(nominal)):
                 status = int(code)
             else:
-                log.warning("statusCode prediction %r is not a status code, serving 200", nominal)
+                log.warning("statusCode prediction %r is not a final status code, serving 200",
+                            nominal)
         elif nominal == SENTINEL_NO_EXIST:
             continue
         elif name.startswith("responseheader:"):

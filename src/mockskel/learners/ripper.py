@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import math
 import random
+from collections.abc import Iterator
 
 import numpy as np
 
@@ -19,7 +20,7 @@ from ..errors import DegenerateDatasetError
 from ..model import RuleList
 from ..prep import PreparedDataset
 from ..settings import RipperParams
-from .base import Conjunction, class_counts, counted_rule_list, covers
+from .base import Conjunction, class_counts, contingency_tables, counted_rule_list, covers
 
 MDL_SURPLUS_BITS = 64.0
 _EXPECTED_FP_SHARE = 0.5  # expected share of false positives among coding errors
@@ -93,39 +94,47 @@ def _grow_rule(
     """Add attribute=value conditions maximizing FOIL information gain
     until no covered negatives remain (or no condition helps)."""
     conds = list(start)
-    used = {attr for attr, _ in conds}
+    unused = np.ones(len(ds.names), dtype=bool)
+    unused[[attr for attr, _ in conds]] = False
     covered = grow_rows[covers(ds, grow_rows, tuple(conds))]
     while True:
-        is_pos = ds.y[covered] == pos
-        p0 = int(is_pos.sum())
+        p0 = int((ds.y[covered] == pos).sum())
         n0 = len(covered) - p0
         if n0 == 0 or p0 == 0:
             break
         acc0 = _log2(p0 / (p0 + n0))
-        best_gain, best_attr, best_value = 0.0, None, None
-        for attr in range(len(ds.names)):
-            if attr in used:
-                continue
-            values = ds.X[covered, attr]
-            totals = np.bincount(values, minlength=len(ds.domains[attr]))
-            positives = np.bincount(values[is_pos], minlength=len(ds.domains[attr]))
-            for vi in range(len(totals)):
-                p1 = int(positives[vi])
-                if p1 == 0:
-                    continue
-                gain = p1 * (_log2(p1 / totals[vi]) - acc0)
-                if gain > best_gain + 1e-12:
-                    best_gain, best_attr, best_value = gain, attr, vi
-        if best_attr is None:
+        attrs = np.flatnonzero(unused)
+        tables, starts = contingency_tables(ds, covered, attrs)
+        positives, totals = tables[:, pos], tables.sum(axis=1)
+        # cells run in (attribute, value) order: a later one wins only by over 1e-12
+        best_gain, best_cell = 0.0, None
+        for cell in np.flatnonzero(positives).tolist():
+            p1 = int(positives[cell])
+            gain = p1 * (_log2(p1 / totals[cell]) - acc0)
+            if gain > best_gain + 1e-12:
+                best_gain, best_cell = gain, cell
+        if best_cell is None:
             break
-        conds.append((best_attr, best_value))
-        used.add(best_attr)
-        covered = covered[ds.X[covered, best_attr] == best_value]
+        slot = int(np.searchsorted(starts, best_cell, side="right")) - 1
+        attr, value = int(attrs[slot]), best_cell - int(starts[slot])
+        conds.append((attr, value))
+        unused[attr] = False
+        covered = covered[ds.X[covered, attr] == value]
     return tuple(conds)
 
 
 def _prune_value(p: int, n: int) -> float:
     return (p - n) / (p + n) if p + n > 0 else 0.0
+
+
+def _prefix_masks(
+    ds: PreparedDataset, rows: np.ndarray, conds: Conjunction
+) -> Iterator[np.ndarray]:
+    """Per prefix of ``conds``, shortest first, which of ``rows`` it covers."""
+    mask = np.ones(len(rows), dtype=bool)
+    for attr, value in conds:
+        mask = mask & (ds.X[rows, attr] == value)
+        yield mask
 
 
 def _prune_rule(
@@ -136,17 +145,12 @@ def _prune_rule(
     if len(conds) <= 1 or len(prune_rows) == 0:
         return conds
     is_pos = ds.y[prune_rows] == pos
-    mask = np.ones(len(prune_rows), dtype=bool)
-    worths = []
-    for attr, value in conds:
-        mask = mask & (ds.X[prune_rows, attr] == value)
+    best_len, best_worth = 0, None
+    for j, mask in enumerate(_prefix_masks(ds, prune_rows, conds), 1):
         p = int((mask & is_pos).sum())
-        n = int(mask.sum()) - p
-        worths.append(_prune_value(p, n))
-    best_len = 1
-    for j in range(2, len(conds) + 1):
-        if worths[j - 1] > worths[best_len - 1] + 1e-12:
-            best_len = j
+        worth = _prune_value(p, int(mask.sum()) - p)
+        if best_worth is None or worth > best_worth + 1e-12:
+            best_len, best_worth = j, worth
     return conds[:best_len]
 
 
@@ -203,14 +207,6 @@ def _build_stage(
     return ruleset
 
 
-def _whole_list_error(
-    ds: PreparedDataset, rows: np.ndarray, ruleset: list[Conjunction], pos: int
-) -> int:
-    covered = _union_coverage(ds, rows, ruleset)
-    is_pos = ds.y[rows] == pos
-    return int((covered & ~is_pos).sum() + (~covered & is_pos).sum())
-
-
 def _prune_for_list(
     ds: PreparedDataset,
     prune_rows: np.ndarray,
@@ -218,12 +214,15 @@ def _prune_for_list(
     conds: Conjunction,
     pos: int,
 ) -> Conjunction:
-    """Prune a candidate by the error of the whole ruleset on the prune set."""
+    """Prune a candidate by the error of the whole ruleset on the prune set
+    (ties prefer the shorter rule)."""
     if len(conds) <= 1 or len(prune_rows) == 0:
         return conds
-    best_len, best_err = None, None
-    for j in range(1, len(conds) + 1):
-        err = _whole_list_error(ds, prune_rows, others + [conds[:j]], pos)
+    is_pos = ds.y[prune_rows] == pos
+    others_cover = _union_coverage(ds, prune_rows, others)
+    best_len, best_err = 0, None
+    for j, mask in enumerate(_prefix_masks(ds, prune_rows, conds), 1):
+        err = int(((others_cover | mask) != is_pos).sum())
         if best_err is None or err < best_err:
             best_len, best_err = j, err
     return conds[:best_len]
@@ -266,12 +265,12 @@ def _sweep_deletions(
 ) -> list[Conjunction]:
     """Drop rules whose removal does not increase the description length."""
     result = list(ruleset)
-    i = len(result) - 1
-    while i >= 0:
+    dl = _stage_dl(ds, stage_rows, result, pos)
+    for i in reversed(range(len(result))):
         without = result[:i] + result[i + 1:]
-        if _stage_dl(ds, stage_rows, without, pos) <= _stage_dl(ds, stage_rows, result, pos):
-            result = without
-        i -= 1
+        without_dl = _stage_dl(ds, stage_rows, without, pos)
+        if without_dl <= dl:
+            result, dl = without, without_dl
     return result
 
 

@@ -53,6 +53,8 @@ MAX_BODY = 64 * 1024 * 1024
 _REASONS = {status.value: status.phrase for status in HTTPStatus}
 _VERSION = re.compile(r"HTTP/([0-9]{1,10})\.([0-9]{1,10})")
 _TOKEN = re.compile(r"[-!#$%&'*+.^_`|~0-9A-Za-z]+")  # RFC 9110 field name
+_ABSOLUTE_FORM = re.compile(r"[A-Za-z][-+.0-9A-Za-z]*://[^/?#]*")  # scheme and authority
+_NOT_IN_HOST = re.compile(r"[/?#@\s]")  # would end the authority, or start its userinfo
 _DAYS = ("Mon", "Tue", "Wed", "Thu", "Fri", "Sat", "Sun")
 _MONTHS = ("Jan", "Feb", "Mar", "Apr", "May", "Jun", "Jul", "Aug", "Sep", "Oct", "Nov", "Dec")
 
@@ -209,6 +211,20 @@ class _Refused(Exception):
         self.status = status
 
 
+def _request_uri(target: str, host: str) -> tuple[str, str]:
+    """The URI a request target names, and its path (RFC 9112 3.2): an
+    absolute-form target is the URI, whatever ``host`` says; another is
+    a path on ``host``, which is refused with 400 if it cannot be an
+    authority."""
+    if absolute := _ABSOLUTE_FORM.match(target):
+        return target, target[absolute.end():].partition("?")[0]
+    if _NOT_IN_HOST.search(host):
+        raise _Refused(400)
+    if target.startswith("//"):  # not to be read as a scheme-relative URI
+        target = "/" + target.lstrip("/")
+    return f"http://{host}{target}", target.partition("?")[0]
+
+
 class MockRequestHandler(socketserver.StreamRequestHandler):
     """One connection: read each request in turn and answer it in one write.
 
@@ -256,12 +272,12 @@ class MockRequestHandler(socketserver.StreamRequestHandler):
             raise _Refused(400)
         if length > MAX_BODY:
             raise _Refused(413)
+        host = lookup.get("host", "").rstrip(" \t") or "localhost"  # RFC 9110 5.5: less its OWS
+        uri, path = _request_uri(target, host)
         if version >= (1, 1) and lookup.get("expect", "").lower() == "100-continue":
             self.wfile.write(b"HTTP/1.1 100 Continue\r\n\r\n")
         body = self.rfile.read(length) if length else None
-        if target.startswith("//"):  # not to be read as a scheme-relative URI
-            target = "/" + target.lstrip("/")
-        self._answer(method, target, headers, lookup.get("host") or "localhost", body)
+        self._answer(method, uri, path, headers, body)
         return keep_alive
 
     def _read_headers(self) -> tuple[list[tuple[str, str]], dict[str, str]]:
@@ -280,12 +296,11 @@ class MockRequestHandler(socketserver.StreamRequestHandler):
             lookup.setdefault(name.lower(), value)
         return headers, lookup
 
-    def _answer(self, method: str, target: str, headers, host: str, body: bytes | None) -> None:
-        path = target.partition("?")[0]
+    def _answer(self, method: str, uri: str, path: str, headers, body: bytes | None) -> None:
         service = self.server.mock_service
         if not path.startswith("/_mock/"):
-            response = service.handle(method, f"http://{host}{target}", headers, body)
-            log.info("%s %s -> %d", method, target, response.status_code)
+            response = service.handle(method, uri, headers, body)
+            log.info("%s %s -> %d", method, uri, response.status_code)
             self._send(response.status_code, response.headers, response.body, method == "HEAD")
         elif path == "/_mock/reset" and method == "POST":
             service.reset()
@@ -301,9 +316,9 @@ class MockRequestHandler(socketserver.StreamRequestHandler):
     def _send(self, status: int, headers, body: bytes | None = None, head: bool = False) -> None:
         """Write the status line, headers and body in one write, with a
         Date unless ``headers`` has one.  A HEAD answer (``head``) has the
-        body's length but no body; a 1xx, 204 or 304, which ends at its
-        headers, has neither.  A header that cannot be written turns the
-        answer into a 500 with no body."""
+        body's length but no body; a 204 or 304, which ends at its headers,
+        has neither.  A header that cannot be written turns the answer
+        into a 500 with no body."""
         lines = [f"HTTP/1.1 {status} {_REASONS.get(status, '')}".encode()]
         if not any(name.lower() == "date" for name, _ in headers):
             lines.append(f"Date: {http_date()}".encode())
@@ -314,7 +329,7 @@ class MockRequestHandler(socketserver.StreamRequestHandler):
                 log.error("cannot send header %r: %s; answered 500", name, error)
                 self._send(500, [])
                 return
-        bodiless = status < 200 or status in (204, 304)
+        bodiless = status in (204, 304)
         if not bodiless:
             lines.append(f"Content-Length: {len(body) if body else 0}".encode())
         message = b"\r\n".join(lines) + b"\r\n\r\n"

@@ -95,11 +95,6 @@ class MockSkeleton:
     #: input attributes dropped during preparation (constant values);
     #: live requests presenting them are not counted as unmatched
     dropped_inputs: tuple[str, ...] = ()
-    schema_digest: str = ""
-
-    def __post_init__(self):
-        if not self.schema_digest:
-            self.schema_digest = self.computed_digest()
 
     def computed_digest(self) -> str:
         material = "\n".join(self.inputs)
@@ -564,7 +559,6 @@ def parse_skeleton(text: str) -> MockSkeleton:
         config=config,
         profile=profile,
         dropped_inputs=dropped_inputs,
-        schema_digest=digest,
     )
     if digest and digest != skeleton.computed_digest():
         log.warning(

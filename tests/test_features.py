@@ -476,12 +476,16 @@ class TestServeMatchesTraining:
         seed=st.integers(0, 10_000),
         n_transactions=st.integers(1, 150),
         n_resources=st.integers(1, 12),
-        rng=st.randoms(use_true_random=False),
+        # one drawn seed: st.randoms would record every recasing draw, and a
+        # long log overruns Hypothesis's entropy budget
+        recase_seed=st.integers(0, 2**32 - 1),
     )
-    def test_replay_reproduces_training_inputs(self, seed, n_transactions, n_resources, rng):
+    def test_replay_reproduces_training_inputs(self, seed, n_transactions, n_resources,
+                                               recase_seed):
         # replaying a recording in order, with each resource's state folded
         # over its predecessors, gives every transaction its training row
-        log = _recased(generate_synthetic_log(n_transactions, n_resources, seed=seed), rng)
+        log = _recased(generate_synthetic_log(n_transactions, n_resources, seed=seed),
+                       random.Random(recase_seed))
         config = ExtractionConfig()
         table, _ = extract_table(log, config)
         input_names = [a.name for a in table.inputs()]

@@ -29,8 +29,8 @@ from mockskel.learners import (
     train_part,
     train_ripper,
 )
-from mockskel.learners import c45
-from mockskel.learners.base import added_errors
+from mockskel.learners import c45, ripper
+from mockskel.learners.base import added_errors, covers
 from mockskel.learners.c45 import GrownSplit, best_split, grow
 from mockskel.prep import prepare_all
 from mockskel.skeleton import render_model, render_rules
@@ -103,6 +103,56 @@ def oracle_best_split(ds, rows, available, min_leaf):
         if best[0] is None or ratio > best[1] + 1e-12:
             best = (int(a), ratio, cont)
     return best
+
+
+def oracle_grow_rule(ds, grow_rows, pos, start=()):
+    """RIPPER's rule growth scoring one attribute at a time, each with its
+    own counts, with the first-maximum rule over (attribute, value)."""
+    conds = list(start)
+    used = {attr for attr, _ in conds}
+    covered = grow_rows[covers(ds, grow_rows, tuple(conds))]
+    while True:
+        is_pos = ds.y[covered] == pos
+        p0 = int(is_pos.sum())
+        n0 = len(covered) - p0
+        if n0 == 0 or p0 == 0:
+            break
+        acc0 = ripper._log2(p0 / (p0 + n0))
+        best_gain, best_attr, best_value = 0.0, None, None
+        for attr in range(len(ds.names)):
+            if attr in used:
+                continue
+            values = ds.X[covered, attr]
+            totals = np.bincount(values, minlength=len(ds.domains[attr]))
+            positives = np.bincount(values[is_pos], minlength=len(ds.domains[attr]))
+            for vi in range(len(totals)):
+                p1 = int(positives[vi])
+                if p1 == 0:
+                    continue
+                gain = p1 * (ripper._log2(p1 / totals[vi]) - acc0)
+                if gain > best_gain + 1e-12:
+                    best_gain, best_attr, best_value = gain, attr, vi
+        if best_attr is None:
+            break
+        conds.append((best_attr, best_value))
+        used.add(best_attr)
+        covered = covered[ds.X[covered, best_attr] == best_value]
+    return tuple(conds)
+
+
+def oracle_prune_for_list(ds, prune_rows, others, conds, pos):
+    """The shortest prefix of ``conds`` with the fewest errors of the rule
+    set ``others`` plus that prefix, its coverage rebuilt per prefix."""
+    if len(conds) <= 1 or len(prune_rows) == 0:
+        return conds
+    is_pos = ds.y[prune_rows] == pos
+    errors = []
+    for j in range(1, len(conds) + 1):
+        covered = np.zeros(len(prune_rows), dtype=bool)
+        for rule in others + [conds[:j]]:
+            covered |= covers(ds, prune_rows, rule)
+        errors.append(int((covered & ~is_pos).sum() + (~covered & is_pos).sum()))
+    return conds[:errors.index(min(errors)) + 1]
 
 
 def random_rows(rng, n, attrs, domain_sizes, n_classes):
@@ -361,6 +411,56 @@ class TestSplitSearch:
                 patched.setattr(c45, "best_split", oracle_best_split)
                 assert [train_c45(ds), train_part(ds)] == models
             assert model_size(models[0]) > 5 and len(models[1].rules) > 2
+
+
+@st.composite
+def rule_search_cases(draw):
+    """A ``split_search_cases`` table and rows, a class, and up to three
+    conjunctions over its columns, each testing a column at most once."""
+    ds, rows, _, _ = draw(split_search_cases())
+    pos = draw(st.integers(0, ds.n_classes - 1))
+    conjunctions = []
+    for _ in range(draw(st.integers(0, 3))):
+        attrs = draw(st.lists(st.integers(0, len(ds.names) - 1), unique=True, max_size=5))
+        conjunctions.append(
+            tuple((a, draw(st.integers(0, len(ds.domains[a]) - 1))) for a in attrs))
+    return ds, rows, pos, conjunctions
+
+
+class TestRuleSearch:
+    """RIPPER grows a rule from one contingency stack per step and prunes
+    from one sweep of prefix masks; the oracles count per attribute and
+    per prefix."""
+
+    @settings(max_examples=300, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+    @given(case=rule_search_cases())
+    def test_growth_matches_the_per_attribute_scan(self, case):
+        ds, rows, pos, conjunctions = case
+        for start in [(), *conjunctions]:
+            expected = oracle_grow_rule(ds, rows, pos, start)
+            assert ripper._grow_rule(ds, rows, pos, start) == expected
+
+    @settings(max_examples=300, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+    @given(case=rule_search_cases())
+    def test_pruning_matches_the_per_prefix_error(self, case):
+        ds, rows, pos, conjunctions = case
+        for i, conds in enumerate(conjunctions):
+            others = conjunctions[:i] + conjunctions[i + 1:]
+            assert (ripper._prune_for_list(ds, rows, others, conds, pos)
+                    == oracle_prune_for_list(ds, rows, others, conds, pos))
+
+    @pytest.mark.parametrize("seed", [1, 2])
+    def test_whole_rule_lists_equal_those_of_the_oracles(self, seed, monkeypatch):
+        names = [f"in{j:02d}" for j in range(40)]
+        rows = wide_rows(seed)
+        for target, column in (("statusCode", -2), ("responsejson:flag", -1)):
+            ds = make_dataset([[*row[:40], row[column]] for row in rows], names, target)
+            model = train_ripper(ds)
+            with monkeypatch.context() as patched:
+                patched.setattr(ripper, "_grow_rule", oracle_grow_rule)
+                patched.setattr(ripper, "_prune_for_list", oracle_prune_for_list)
+                assert train_ripper(ds) == model
+            assert len(model.rules) > 2
 
 
 class TestRuleListSemantics:

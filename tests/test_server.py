@@ -474,7 +474,7 @@ class TestResponseRoundTrip:
             profile=ExtractionProfile(array_paths=tuple(sorted(found))),
         )
         served = MockService(mock).handle("GET", f"{HOST}/items/1")
-        assert served.status_code == status
+        assert served.status_code == (status if status >= 200 else 200)  # a 1xx is interim
         assert dict(served.headers)["X-Recorded"] == header
         assert served_json(served.body) == body
 
@@ -900,6 +900,36 @@ class TestHttpReader:
         (answer,) = read_responses(exchange_over_socketpair(skeleton, b"GET / HTTP/2.0\r\n\r\n"))
         assert answer[0] == 505 and answer[1]["Connection"] == "close"
 
+    def test_an_absolute_form_target_is_the_uri_and_host_is_ignored(self, skeleton):
+        def without_date(received):
+            return re.sub(rb"\r\nDate: [^\r]*", b"", received)
+
+        requests = [(b"POST %s HTTP/1.1\r\nHost: %s\r\nContent-Type: application/json\r\n"
+                     b"Content-Length: 14\r\n\r\n{\"title\": \"x\"}"),
+                    b"GET %s HTTP/1.1\r\nHost: %s\r\n\r\n", b"GET %s HTTP/1.1\r\nHost: %s\r\n\r\n"]
+        targets = [b"/tasks/7", b"/tasks/7", b"/tasks/8"]
+        origin = b"".join(r % (t, b"tasks.example.test") for r, t in zip(requests, targets))
+        absolute = b"".join(r % (b"http://tasks.example.test" + t, b"other.example.test")
+                            for r, t in zip(requests, targets))
+        received = exchange_over_socketpair(skeleton, origin)
+        assert [status for status, _ in read_responses(received)] == [201, 200, 404]
+        assert without_date(exchange_over_socketpair(skeleton, absolute)) == without_date(received)
+        # the control endpoints are matched on the URI's path
+        (answer,) = read_responses(exchange_over_socketpair(
+            skeleton, b"GET http://tasks.example.test/_mock/stats?x HTTP/1.1\r\n\r\n"))
+        assert answer[0] == 200 and answer[1]["Content-Type"] == "application/json"
+
+    @pytest.mark.parametrize("host", [b"a?b", b"a/b", b"a#b", b"u@a", b"a b", b"a\tb"])
+    def test_a_host_that_cannot_be_an_authority_gets_400_and_close(self, skeleton, host):
+        request = b"POST /tasks/7 HTTP/1.1\r\nHost: %s\r\n\r\nGET /tasks/8 HTTP/1.1\r\n\r\n" % host
+        (answer,) = read_responses(exchange_over_socketpair(skeleton, request))
+        assert answer[0] == 400 and answer[1]["Connection"] == "close"
+
+    def test_whitespace_after_the_host_is_not_part_of_it(self, skeleton):
+        request = b"GET /tasks/8 HTTP/1.1\r\nHost: tasks.example.test \t\r\n\r\n"
+        (answer,) = read_responses(exchange_over_socketpair(skeleton, request))
+        assert answer[0] == 404
+
     def test_recorded_server_and_date_headers_are_served_once(self):
         date = "Tue, 15 Nov 1994 08:12:31 GMT"
         skeleton = MockSkeleton(
@@ -986,7 +1016,8 @@ class TestServedHeaderBytes:
 
 
 class TestServedStatus:
-    """A hand-edited ``statusCode`` that is not a status code is served as 200."""
+    """A hand-edited ``statusCode`` is served only when it is a final status
+    code, from 200 to 599; anything else, a 1xx included, is served as 200."""
 
     @staticmethod
     def status_skeleton(value: str) -> MockSkeleton:
@@ -994,8 +1025,9 @@ class TestServedStatus:
                             unpredicted=(UnpredictedTarget("statusCode", "unary", value),))
 
     @pytest.mark.parametrize("value, served", [
-        ("100", 100), ("201", 201), ("599", 599), ("1000", 200), ("42", 200), ("-5", 200),
-        ("099", 200), ("2_00", 200), ("600", 200), (" 201", 200), ("２０１", 200),
+        ("100", 200), ("101", 200), ("199", 200), ("201", 201), ("599", 599), ("1000", 200),
+        ("42", 200), ("-5", 200), ("099", 200), ("2_00", 200), ("600", 200), (" 201", 200),
+        ("２０１", 200),
     ])
     def test_only_a_status_code_from_100_to_599_is_served(self, value, served, caplog):
         skeleton = self.status_skeleton(value)
@@ -1006,3 +1038,14 @@ class TestServedStatus:
         received = exchange_over_socketpair(skeleton, b"GET /a HTTP/1.1\r\n\r\n")
         assert received.startswith(f"HTTP/1.1 {served} ".encode())
         assert [status for status, _ in read_responses(received)] == [served]
+
+    def test_a_served_100_reaches_http_client_as_200(self):
+        with running(self.status_skeleton("100")) as srv:
+            conn = http.client.HTTPConnection("127.0.0.1", srv.server_address[1], timeout=5)
+            try:
+                conn.request("GET", "/a")
+                response = conn.getresponse()
+                response.read()
+                assert response.status == 200
+            finally:
+                conn.close()
