@@ -26,8 +26,8 @@ from .features import (
     extract_table,
     to_arff,
 )
-from .model import DecisionTree, Rule, RuleList, classify, model_size
-from .server import MockService, ServeState, SynthesizedResponse, serve_skeleton, synthesize_response
+from .model import Leaf, Rule, RuleList, Split, classify, model_size
+from .server import MockService, ServeState, serve_skeleton, synthesize_response
 from .settings import LearnerParams, PrepConfig, RipperParams, TreeParams
 from .skeleton import MockSkeleton, build_skeleton, emit_skeleton, parse_skeleton
 from .synth import expected_status, generate_synthetic_log

@@ -7,7 +7,7 @@ imports this package.
 
 from __future__ import annotations
 
-from ..model import DecisionTree, Leaf, Model, Rule, RuleList, Split, classify, model_size
+from ..model import Leaf, Model, Rule, RuleList, Split, classify, model_size
 from ..settings import LEARNER_ORDER, LearnerParams, RipperParams, TreeParams
 from .base import added_errors, entropy, gain_ratio, predict_encoded
 from .c45 import train_c45

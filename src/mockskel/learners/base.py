@@ -62,9 +62,7 @@ def counted_rule_list(
              int(covered[i]), int(errors[i]))
         for i, (conds, ci) in enumerate(zip(rules, classes))
     )
-    return RuleList(
-        ds.target, named, ds.target_domain[default], int(covered[-1]), int(errors[-1])
-    )
+    return RuleList(named, ds.target_domain[default], int(covered[-1]), int(errors[-1]))
 
 
 def predict_encoded(model: Model, ds: PreparedDataset, rows: np.ndarray) -> np.ndarray:

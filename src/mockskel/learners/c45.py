@@ -17,7 +17,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from ..errors import DegenerateDatasetError
-from ..model import DecisionTree, Leaf, Node, Split
+from ..model import Leaf, Node, Split
 from ..prep import PreparedDataset
 from ..settings import TreeParams
 from .base import (
@@ -147,11 +147,10 @@ def train_c45(
     params: TreeParams = TreeParams(),
     prune: bool = True,
     rows: np.ndarray | None = None,
-) -> DecisionTree:
-    """Fit a tree on ``rows`` of ``ds`` (every row when None)."""
+) -> Node:
+    """Fit a tree on ``rows`` of ``ds`` (every row when None); returns its root."""
     rows = ds.all_rows() if rows is None else rows
     if len(rows) == 0:
         raise DegenerateDatasetError("cannot train a tree on 0 instances")
     available = np.ones(len(ds.names), dtype=bool)
-    root = grow(ds, rows, available, params, prune)
-    return DecisionTree(target=ds.target, root=_named(ds, root))
+    return _named(ds, grow(ds, rows, available, params, prune))

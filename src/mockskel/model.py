@@ -1,4 +1,5 @@
-"""Symbolic model forms: decision trees and ordered rule lists.
+"""Symbolic model forms: decision trees, each its root ``Split`` or
+``Leaf``, and ordered rule lists.  Neither holds its target's name.
 
 Both forms classify nominal instances given as name->value mappings;
 ``mockskel.skeleton`` writes and reads their text form.
@@ -6,7 +7,7 @@ Both forms classify nominal instances given as name->value mappings;
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Iterator, Mapping, Union
 
 from .errors import SchemaMismatchError
@@ -23,14 +24,13 @@ class Leaf:
 class Split:
     attribute: str
     branches: dict[str, "Node"]
-    #: branch value followed for values never seen in training
-    missing_value: str = ""
+    #: branch value followed for values without a branch: the heaviest branch's
+    missing_value: str = field(init=False)
 
     def __post_init__(self):
         if not self.branches:
             raise ValueError("split node needs at least one branch")
-        if self.missing_value not in self.branches:
-            self.missing_value = _heaviest_branch(self.branches)
+        self.missing_value = _heaviest_branch(self.branches)
 
 
 Node = Union[Leaf, Split]
@@ -46,22 +46,18 @@ def _nodes(node: Node) -> Iterator[Node]:
             stack.extend(reversed(node.branches.values()))
 
 
+def leaves(tree: Node) -> Iterator[Leaf]:
+    """The leaves of ``tree``, in pre-order."""
+    return (node for node in _nodes(tree) if isinstance(node, Leaf))
+
+
 def _heaviest_branch(branches: dict[str, Node]) -> str:
     best_value, best_total = None, -1
     for value, child in branches.items():
-        total = sum(n.train_count for n in _nodes(child) if isinstance(n, Leaf))
+        total = sum(leaf.train_count for leaf in leaves(child))
         if total > best_total:
             best_value, best_total = value, total
     return best_value
-
-
-@dataclass
-class DecisionTree:
-    target: str
-    root: Node
-
-    def leaves(self) -> Iterator[Leaf]:
-        return (node for node in _nodes(self.root) if isinstance(node, Leaf))
 
 
 @dataclass(frozen=True)
@@ -81,14 +77,13 @@ class Rule:
 class RuleList:
     """Ordered rules evaluated first-match-wins with a trailing default."""
 
-    target: str
     rules: tuple[Rule, ...]
     default_class: str
     default_count: int = 0
     default_errors: int = 0
 
 
-Model = Union[DecisionTree, RuleList]
+Model = Union[Leaf, Split, RuleList]
 
 
 def classify(model: Model, values: Mapping[str, str]) -> str:
@@ -97,11 +92,11 @@ def classify(model: Model, values: Mapping[str, str]) -> str:
     Total over any instance: tree branches route unseen values to the
     most-populated branch, rule lists fall through to the default.
     """
-    if isinstance(model, DecisionTree):
-        node = model.root
-        while isinstance(node, Split):
-            value = values.get(node.attribute)
-            node = node.branches.get(value) or node.branches[node.missing_value]
+    node = model
+    while isinstance(node, Split):
+        value = values.get(node.attribute)
+        node = node.branches.get(value) or node.branches[node.missing_value]
+    if isinstance(node, Leaf):
         return node.klass
     if isinstance(model, RuleList):
         for rule in model.rules:
@@ -113,13 +108,13 @@ def classify(model: Model, values: Mapping[str, str]) -> str:
 
 def tested_attributes(model: Model) -> set[str]:
     """The attributes ``model``'s splits or rule conditions test: all ``classify`` reads."""
-    if isinstance(model, DecisionTree):
-        return {node.attribute for node in _nodes(model.root) if isinstance(node, Split)}
-    return {attr for rule in model.rules for attr, _ in rule.conditions}
+    if isinstance(model, RuleList):
+        return {attr for rule in model.rules for attr, _ in rule.conditions}
+    return {node.attribute for node in _nodes(model) if isinstance(node, Split)}
 
 
 def model_size(model: Model) -> int:
     """Tree: total node count.  Rule list: rule count including the default."""
-    if isinstance(model, DecisionTree):
-        return sum(1 for _ in _nodes(model.root))
-    return len(model.rules) + 1
+    if isinstance(model, RuleList):
+        return len(model.rules) + 1
+    return sum(1 for _ in _nodes(model))

@@ -28,7 +28,7 @@ from .errors import MockskelError
 from .features import ResourceState, response_from_attributes, serve_input_values
 from .model import classify
 from .skeleton import PLACEHOLDER, MockSkeleton
-from .traffic import HttpRequest, crud_class, path_shape, resource_key
+from .traffic import HttpRequest, HttpResponse, crud_class, first_header, path_shape, resource_key
 
 log = logging.getLogger(__name__)
 
@@ -55,15 +55,10 @@ _VERSION = re.compile(r"HTTP/([0-9]{1,10})\.([0-9]{1,10})")
 _TOKEN = re.compile(r"[-!#$%&'*+.^_`|~0-9A-Za-z]+")  # RFC 9110 field name
 _ABSOLUTE_FORM = re.compile(r"[A-Za-z][-+.0-9A-Za-z]*://[^/?#]*")  # scheme and authority
 _NOT_IN_HOST = re.compile(r"[/?#@\s]")  # would end the authority, or start its userinfo
+_JSON = (("Content-Type", "application/json"),)
+_TEXT = (("Content-Type", "text/plain; charset=utf-8"),)
 _DAYS = ("Mon", "Tue", "Wed", "Thu", "Fri", "Sat", "Sun")
 _MONTHS = ("Jan", "Feb", "Mar", "Apr", "May", "Jun", "Jul", "Aug", "Sep", "Oct", "Nov", "Dec")
-
-
-@dataclass
-class SynthesizedResponse:
-    status_code: int
-    headers: tuple[tuple[str, str], ...]
-    body: bytes | None
 
 
 @dataclass
@@ -103,7 +98,7 @@ class ServeState:
 
 def synthesize_response(
     skeleton: MockSkeleton, request: HttpRequest, state: ServeState
-) -> SynthesizedResponse:
+) -> HttpResponse:
     """Classify every predicted target for one request and write the response
     they and the unpredicted defaults spell, a prediction overriding a
     default; the served transaction is folded into the state."""
@@ -119,13 +114,13 @@ def synthesize_response(
     nominals.update({name: classify(e.model, values) for name, e in skeleton.targets.items()})
     status, written, body = response_from_attributes(nominals, skeleton.profile.array_paths)
     headers = [(name, value) for name, value in written if name.lower() not in FRAMING_HEADERS]
-    if body is not None and not any(name.lower() == "content-type" for name, _ in headers):
+    if body is not None and first_header(headers, "Content-Type") is None:
         headers.append(("Content-Type", "application/json"))
 
     state.record(key, resource.after(
         request.method, status, crud_class(request, skeleton.config.resource)
     ))
-    return SynthesizedResponse(status_code=status, headers=tuple(headers), body=body)
+    return HttpResponse(status, headers, body)
 
 
 class MockService:
@@ -144,7 +139,7 @@ class MockService:
         self._lock = threading.Lock()
         self._shapes = set(skeleton.profile.shapes)
 
-    def handle(self, method: str, uri: str, headers=(), body: bytes | None = None) -> SynthesizedResponse:
+    def handle(self, method: str, uri: str, headers=(), body: bytes | None = None) -> HttpResponse:
         """Answer one request.  Every answer counts as served, each 501 too: for
         an unsupported method, an unparseable URI or, when strict, an unseen shape."""
         with self._lock:
@@ -156,7 +151,7 @@ class MockService:
                 self.strict and path_shape(request, self.skeleton.config.resource) not in self._shapes
             ):
                 self.state.count(0)
-                return SynthesizedResponse(status_code=501, headers=(), body=None)
+                return HttpResponse(501)
             return synthesize_response(self.skeleton, request, self.state)
 
     def reset(self) -> None:
@@ -241,7 +236,7 @@ class MockRequestHandler(socketserver.StreamRequestHandler):
                 pass
         except _Refused as refused:
             log.debug("refused a request with %d", refused.status)
-            self._send(refused.status, [("Connection", "close")])
+            self._send(HttpResponse(refused.status, (("Connection", "close"),)))
 
     def _serve_one(self) -> bool:
         """Read one request and answer it; whether the connection stays open."""
@@ -282,7 +277,10 @@ class MockRequestHandler(socketserver.StreamRequestHandler):
 
     def _read_headers(self) -> tuple[list[tuple[str, str]], dict[str, str]]:
         """The header lines up to the blank one, as (name, value) pairs in
-        order, and the first value of each name, by its lower case."""
+        order, and the first value of each name, by its lower case.  A
+        second Host line, or a Content-Length line that differs from the
+        first, leaves the request's target or framing ambiguous: a 400
+        (RFC 9112 3.2, 6.3)."""
         headers: list[tuple[str, str]] = []
         lookup: dict[str, str] = {}
         while (line := self.rfile.readline(MAX_LINE + 1)) not in (b"\r\n", b"\n", b""):
@@ -293,7 +291,11 @@ class MockRequestHandler(socketserver.StreamRequestHandler):
                 raise _Refused(400)
             value = value.lstrip(" \t").rstrip("\r\n")
             headers.append((name, value))
-            lookup.setdefault(name.lower(), value)
+            key = name.lower()
+            if key in lookup and (key == "host" or (
+                    key == "content-length" and lookup[key].strip() != value.strip())):
+                raise _Refused(400)
+            lookup.setdefault(key, value)
         return headers, lookup
 
     def _answer(self, method: str, uri: str, path: str, headers, body: bytes | None) -> None:
@@ -301,33 +303,33 @@ class MockRequestHandler(socketserver.StreamRequestHandler):
         if not path.startswith("/_mock/"):
             response = service.handle(method, uri, headers, body)
             log.info("%s %s -> %d", method, uri, response.status_code)
-            self._send(response.status_code, response.headers, response.body, method == "HEAD")
         elif path == "/_mock/reset" and method == "POST":
             service.reset()
-            self._send(200, [("Content-Type", "application/json")], b'{"reset":true}')
+            response = HttpResponse(200, _JSON, b'{"reset":true}')
         elif path == "/_mock/stats" and method == "GET":
-            payload = json.dumps(service.stats()).encode()
-            self._send(200, [("Content-Type", "application/json")], payload)
+            response = HttpResponse(200, _JSON, json.dumps(service.stats()).encode())
         elif path == "/_mock/skeleton" and method == "GET":
-            self._send(200, [("Content-Type", "text/plain; charset=utf-8")], self.server.skeleton_bytes)
+            response = HttpResponse(200, _TEXT, self.server.skeleton_bytes)
         else:
-            self._send(404, [])
+            response = HttpResponse(404)
+        self._send(response, method == "HEAD")
 
-    def _send(self, status: int, headers, body: bytes | None = None, head: bool = False) -> None:
+    def _send(self, response: HttpResponse, head: bool = False) -> None:
         """Write the status line, headers and body in one write, with a
-        Date unless ``headers`` has one.  A HEAD answer (``head``) has the
+        Date unless the headers have one.  A HEAD answer (``head``) has the
         body's length but no body; a 204 or 304, which ends at its headers,
         has neither.  A header that cannot be written turns the answer
         into a 500 with no body."""
+        status, body = response.status_code, response.body
         lines = [f"HTTP/1.1 {status} {_REASONS.get(status, '')}".encode()]
-        if not any(name.lower() == "date" for name, _ in headers):
+        if first_header(response.headers, "Date") is None:
             lines.append(f"Date: {http_date()}".encode())
-        for name, value in headers:
+        for name, value in response.headers:
             try:
                 lines.append(_header_line(name, value))
             except ValueError as error:
                 log.error("cannot send header %r: %s; answered 500", name, error)
-                self._send(500, [])
+                self._send(HttpResponse(500))
                 return
         bodiless = status in (204, 304)
         if not bodiless:

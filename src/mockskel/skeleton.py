@@ -51,7 +51,7 @@ from typing import TYPE_CHECKING, Mapping
 
 from .errors import SettingError, SkeletonSyntaxError, UnknownAttributeError
 from .features import ExtractionConfig, ExtractionProfile
-from .model import DecisionTree, Leaf, Model, Rule, RuleList, Split
+from .model import Leaf, Model, Node, Rule, RuleList, Split, leaves
 from .settings import read_setting, settings_json
 from .traffic import json_text
 
@@ -231,12 +231,12 @@ def _take_class(text: str, line_no: int) -> tuple[str, int, int, bool]:
 # Model bodies
 
 
-def render_tree(tree: DecisionTree, indent: str = "", include_counts: bool = True) -> list[str]:
+def render_tree(tree: Node, indent: str = "", include_counts: bool = True) -> list[str]:
     def leaf(node: Leaf) -> str:
         return _class_tail(node.klass, node.train_count, node.error_count, include_counts)
 
-    if isinstance(tree.root, Leaf):
-        return [f"{indent}{leaf(tree.root)}"]
+    if isinstance(tree, Leaf):
+        return [f"{indent}{leaf(tree)}"]
     lines: list[str] = []
 
     def walk(node: Split, pad: str) -> None:
@@ -248,26 +248,31 @@ def render_tree(tree: DecisionTree, indent: str = "", include_counts: bool = Tru
                 lines.append(prefix)
                 walk(child, pad + "  ")
 
-    walk(tree.root, indent)
+    walk(tree, indent)
     return lines
 
 
-def render_rules(rules: RuleList, indent: str = "", include_counts: bool = True) -> list[str]:
+def render_rules(
+    rules: RuleList, target: str, indent: str = "", include_counts: bool = True
+) -> list[str]:
+    """``rules`` as the lines of a ``target <target> rules:`` section."""
     lines = []
     for rule in rules.rules:
         conds = " and ".join(
             f"{_quote(attr, BARE_NAME)} = {_quote(value)}" for attr, value in rule.conditions
         )
         tail = _class_tail(rule.klass, rule.train_count, rule.error_count, include_counts)
-        lines.append(f"{indent}({conds}) => {_quote(rules.target, BARE_NAME)}={tail}")
+        lines.append(f"{indent}({conds}) => {_quote(target, BARE_NAME)}={tail}")
     tail = _class_tail(rules.default_class, rules.default_count, rules.default_errors, include_counts)
     return lines + [f"{indent}default: {tail}"]
 
 
-def render_model(model: Model, indent: str = "", include_counts: bool = True) -> list[str]:
-    if isinstance(model, DecisionTree):
-        return render_tree(model, indent, include_counts)
-    return render_rules(model, indent, include_counts)
+def render_model(
+    model: Model, target: str, indent: str = "", include_counts: bool = True
+) -> list[str]:
+    if isinstance(model, RuleList):
+        return render_rules(model, target, indent, include_counts)
+    return render_tree(model, indent, include_counts)
 
 
 @dataclass
@@ -278,23 +283,26 @@ class _Line:
 
 
 def _model_lines(block: list[_Line]) -> tuple[list[_Line], dict[str, float]]:
+    """A target block's model lines, and the metrics of its comment lines
+    made only of ``key=value`` tokens, as ``emit_skeleton`` writes them;
+    any other comment line is a note, read as nothing."""
     metrics: dict[str, float] = {}
     kept = []
     for line in block:
-        if line.text.startswith("#"):
-            for token in line.text[1:].split():
-                key, _, value = token.partition("=")
-                if key and value:
-                    try:
-                        metrics[key] = float(value)
-                    except ValueError:
-                        metrics[key] = value  # e.g. learner=c45
-        else:
+        if not line.text.startswith("#"):
             kept.append(line)
+            continue
+        pairs = [token.partition("=") for token in line.text[1:].split()]
+        if all(key and value for key, _, value in pairs):
+            for key, _, value in pairs:
+                try:
+                    metrics[key] = float(value)
+                except ValueError:
+                    metrics[key] = value  # e.g. learner=c45
     return kept, metrics
 
 
-def _parse_tree(name: str, block: list[_Line], inputs: set[str]) -> tuple[DecisionTree, bool]:
+def _parse_tree(name: str, block: list[_Line], inputs: set[str]) -> tuple[Node, bool]:
     edited = False
 
     def leaf(text: str, line_no: int) -> Leaf:
@@ -335,11 +343,11 @@ def _parse_tree(name: str, block: list[_Line], inputs: set[str]) -> tuple[Decisi
     # a branch line is a name and " = "; a single-leaf body is one class
     _, rest = _take_value(block[0].text, block[0].number, BARE_NAME)
     if len(block) == 1 and not _EQUALS.match(rest):
-        return DecisionTree(target=name, root=leaf(block[0].text, block[0].number)), edited
+        return leaf(block[0].text, block[0].number), edited
     root, end = parse_level(0, block[0].indent)
     if end != len(block):
         raise SkeletonSyntaxError("unexpected indentation", block[end].number)
-    return DecisionTree(target=name, root=root), edited
+    return root, edited
 
 
 def _parse_rules(name: str, block: list[_Line], inputs: set[str]) -> tuple[RuleList, bool]:
@@ -379,7 +387,7 @@ def _parse_rules(name: str, block: list[_Line], inputs: set[str]) -> tuple[RuleL
     if default is None:
         raise SkeletonSyntaxError(f"target {name!r} rules have no default line")
     klass, n, e = default
-    return RuleList(name, tuple(rules), klass, default_count=n, default_errors=e), edited
+    return RuleList(tuple(rules), klass, default_count=n, default_errors=e), edited
 
 
 # ---------------------------------------------------------------------------
@@ -440,7 +448,7 @@ def emit_skeleton(skeleton: MockSkeleton) -> str:
     ]
     lines += [f"  {_quote(name, BARE_NAME)}" for name in skeleton.inputs]
     for name, entry in skeleton.targets.items():
-        kind = "tree" if isinstance(entry.model, DecisionTree) else "rules"
+        kind = "rules" if isinstance(entry.model, RuleList) else "tree"
         lines.append("")
         lines.append(f"target {_quote(name, BARE_NAME)} {kind}:")
         meta = [f"learner={entry.learner}"] if entry.learner else []
@@ -449,7 +457,7 @@ def emit_skeleton(skeleton: MockSkeleton) -> str:
         if meta and learned:
             lines.append("  # " + " ".join(meta))
         # edited models stay count-free so their provenance survives re-emission
-        lines += render_model(entry.model, indent="  ", include_counts=learned)
+        lines += render_model(entry.model, name, indent="  ", include_counts=learned)
     if skeleton.unpredicted:
         lines.append("")
         lines.append("unpredicted:")
@@ -573,13 +581,13 @@ def parse_skeleton(text: str) -> MockSkeleton:
 def _warn_unknown_values(name: str, model: Model) -> None:
     learned: set[str] = set()
     introduced: set[str] = set()
-    if isinstance(model, DecisionTree):
-        for leaf in model.leaves():
-            (learned if leaf.train_count or leaf.error_count else introduced).add(leaf.klass)
-    else:
+    if isinstance(model, RuleList):
         for rule in model.rules:
             (learned if rule.train_count or rule.error_count else introduced).add(rule.klass)
         (learned if model.default_count else introduced).add(model.default_class)
+    else:
+        for leaf in leaves(model):
+            (learned if leaf.train_count or leaf.error_count else introduced).add(leaf.klass)
     if not learned:
         return  # fully count-free model: no training baseline to compare against
     for value in sorted(introduced - learned):

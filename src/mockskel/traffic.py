@@ -106,7 +106,7 @@ def _normalize_headers(headers: Iterable) -> tuple[tuple[str, str], ...]:
     return tuple((str(name), str(value)) for name, value in headers)
 
 
-def first_header(headers: tuple[tuple[str, str], ...], name: str) -> str | None:
+def first_header(headers: Iterable[tuple[str, str]], name: str) -> str | None:
     """First value of header ``name``, matched case-insensitively, or None."""
     lname = name.lower()
     for hname, value in headers:

@@ -79,7 +79,7 @@ def model_state_attributes(model):
     """The attributes a tree splits on or a rule list's rules test."""
     if isinstance(model, RuleList):
         return {attr for rule in model.rules for attr, _ in rule.conditions}
-    attributes, stack = set(), [model.root]
+    attributes, stack = set(), [model]
     while stack:
         node = stack.pop()
         if isinstance(node, Split):
@@ -121,7 +121,7 @@ def test_criterion_2_extreme_imbalance():
         majority = 4999 / 5000
 
         tree = train_c45(ds)
-        assert isinstance(tree.root, Leaf)
+        assert isinstance(tree, Leaf)
         for model in (train_ripper(ds), train_part(ds)):
             assert model.rules == ()
         for learner in ("c45", "ripper", "part"):
@@ -152,7 +152,7 @@ def test_criterion_3_learner_micro_oracles():
             attrs = [f"a{i}" for i in range(rng.randrange(1, 5))]
             rows = random_rows(rng, rng.randrange(8, 65), attrs, [2] * len(attrs), 2)
             tree = train_c45(dataset_from_rows(rows, attrs))
-            if not isinstance(tree.root, Split):
+            if not isinstance(tree, Split):
                 continue
             admissible = {}
             for attr in attrs:
@@ -160,7 +160,7 @@ def test_criterion_3_learner_micro_oracles():
                 branch_sizes = Counter(r[attr] for r in rows)
                 if gain > 1e-12 and sum(1 for c in branch_sizes.values() if c >= 2) >= 2:
                     admissible[attr] = ratio
-            assert admissible[tree.root.attribute] >= max(admissible.values()) - 1e-9
+            assert admissible[tree.attribute] >= max(admissible.values()) - 1e-9
         elapsed = time.monotonic() - start
         assert elapsed < 10, f"took {elapsed:.1f}s"
 

@@ -45,7 +45,7 @@ def test_train_outputs_match_golden(tmp_path, monkeypatch):
     skeleton = skeleton_path.read_text(encoding="utf-8")
     report = report_path.read_text(encoding="utf-8")
     models = "".join(
-        f"{target} {learner}\n" + "".join(f"{line}\n" for line in render_model(model))
+        f"{target} {learner}\n" + "".join(f"{line}\n" for line in render_model(model, target))
         for (target, learner), model in sorted(results[0].models.items())
     )
     assert skeleton == GOLDEN_SKELETON.read_text(encoding="utf-8")

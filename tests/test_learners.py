@@ -13,7 +13,6 @@ from mockskel.evaluation import stratified_folds
 from mockskel.features import extract_table
 from mockskel.learners import (
     LEARNER_ORDER,
-    DecisionTree,
     Leaf,
     Rule,
     RuleList,
@@ -32,6 +31,7 @@ from mockskel.learners import (
 from mockskel.learners import c45, ripper
 from mockskel.learners.base import added_errors, covers
 from mockskel.learners.c45 import GrownSplit, best_split, grow
+from mockskel.model import leaves
 from mockskel.prep import prepare_all
 from mockskel.skeleton import render_model, render_rules
 from mockskel.synth import generate_synthetic_log
@@ -267,8 +267,8 @@ class TestC45:
         rows = [["GET", "a", "200"]] * 4999 + [["GET", "b", "500"]]
         ds = make_dataset(rows, ["method", "noise"])
         tree = train_c45(ds)
-        assert isinstance(tree.root, Leaf)
-        assert tree.root.klass == "200"
+        assert isinstance(tree, Leaf)
+        assert tree.klass == "200"
 
     def test_single_class_gives_single_leaf(self):
         ds = make_dataset([["GET", "200"]] * 10, ["method"])
@@ -286,7 +286,7 @@ class TestC45:
             [rng.choice("ab"), rng.choice("cd"), rng.choice(["200", "404"])] for _ in range(60)
         ]
         ds = make_dataset(rows, ["x", "y"])
-        assert render_model(train_c45(ds)) == render_model(train_c45(ds))
+        assert render_model(train_c45(ds), ds.target) == render_model(train_c45(ds), ds.target)
 
     def test_instance_permutation_does_not_change_tree(self):
         rng = random.Random(4)
@@ -298,13 +298,13 @@ class TestC45:
         rng.shuffle(shuffled)
         t1 = train_c45(make_dataset(rows, ["x", "y"]))
         t2 = train_c45(make_dataset(shuffled, ["x", "y"]))
-        assert render_model(t1) == render_model(t2)
+        assert render_model(t1, "statusCode") == render_model(t2, "statusCode")
 
     def test_pruning_never_grows_tree_or_estimated_error(self):
         def estimated_errors(tree):
             return sum(
                 leaf.error_count + added_errors(leaf.train_count, leaf.error_count, 0.25)
-                for leaf in tree.leaves()
+                for leaf in leaves(tree)
             )
 
         rng = random.Random(6)
@@ -331,7 +331,7 @@ class TestC45:
             rows = random_rows(rng, n, attrs, [2] * len(attrs), 2)
             ds = dataset_from_rows(rows, attrs)
             tree = train_c45(ds)
-            if not isinstance(tree.root, Split):
+            if not isinstance(tree, Split):
                 continue
             admissible = {}
             for attr in attrs:
@@ -340,7 +340,7 @@ class TestC45:
                 if gain > 1e-12 and sum(1 for c in branch_sizes.values() if c >= 2) >= 2:
                     admissible[attr] = ratio
             best = max(admissible.values())
-            assert admissible[tree.root.attribute] == pytest.approx(best, abs=1e-9)
+            assert admissible[tree.attribute] == pytest.approx(best, abs=1e-9)
 
 
 @st.composite
@@ -466,7 +466,6 @@ class TestRuleSearch:
 class TestRuleListSemantics:
     def list_model(self):
         return RuleList(
-            target="statusCode",
             rules=(
                 Rule((("method", "DELETE"),), "204"),
                 Rule((("method", "GET"), ("everCreated", "true")), "200"),
@@ -487,15 +486,18 @@ class TestRuleListSemantics:
         assert classify(model, {"method": "martian"}) == "201"
 
     def test_tree_routes_unseen_to_heaviest_branch(self):
-        tree = DecisionTree(
-            target="statusCode",
-            root=Split(
-                "method",
-                {"GET": Leaf("200", 80, 0), "DELETE": Leaf("204", 20, 0)},
-            ),
-        )
+        tree = Split("method", {"GET": Leaf("200", 80, 0), "DELETE": Leaf("204", 20, 0)})
         assert classify(tree, {"method": "PATCH"}) == "200"
         assert classify(tree, {}) == "200"
+
+    def test_a_blank_branch_does_not_catch_unseen_values(self):
+        # "" is a value like any other (``?q=``), so the heaviest branch takes unseen ones
+        tree = Split("uriQuery:q", {"": Leaf("404", 1), "a": Leaf("200", 50)})
+        assert tree.missing_value == "a"
+        assert classify(tree, {"uriQuery:q": "b"}) == "200"
+        assert classify(tree, {"uriQuery:q": ""}) == "404"
+        with pytest.raises(TypeError):
+            Split("k", {"a": Leaf("200")}, missing_value="a")
 
 
 class TestRipper:
@@ -551,7 +553,7 @@ class TestRipper:
     def test_deterministic(self):
         rows = self.stateful_rows(seed=13)
         ds = make_dataset(rows, ["method", "everCreated", "hasValidPayload"])
-        assert render_model(train_ripper(ds)) == render_model(train_ripper(ds))
+        assert render_model(train_ripper(ds), ds.target) == render_model(train_ripper(ds), ds.target)
 
     def test_conditions_reference_distinct_attributes(self):
         rows = self.stateful_rows(seed=21)
@@ -598,7 +600,7 @@ class TestPart:
     def test_deterministic(self):
         rows = TestRipper().stateful_rows(seed=29)
         ds = make_dataset(rows, ["method", "everCreated", "hasValidPayload"])
-        assert render_model(train_part(ds)) == render_model(train_part(ds))
+        assert render_model(train_part(ds), ds.target) == render_model(train_part(ds), ds.target)
 
     def test_partial_tree_stops_after_the_first_subtree(self):
         # a=x is the purest branch (entropy 0.95) and b decides it; a=z
@@ -688,13 +690,13 @@ class TestEncodedPrediction:
         rows = [["a", "x", "200"]] * 6 + [["b", "y", "404"]] * 6 + [["c", "x", "500"]] * 2
         ds = make_dataset(rows, ["k", "j"])
         tree = train("c45", ds, rows=ds.all_rows()[:12])
-        assert _has_empty_leaf(tree.root)
+        assert _has_empty_leaf(tree)
         assert_predictions_match_classify(tree, ds, ds.all_rows())
 
     def test_tree_without_a_branch_takes_the_missing_value_branch(self):
         ds = make_dataset([["a", "200"], ["b", "404"], ["c", "500"], ["c", "500"]], ["k"])
-        tree = DecisionTree("statusCode", Split("k", {"a": Leaf("200", 1), "b": Leaf("404", 5)}))
-        assert tree.root.missing_value == "b"
+        tree = Split("k", {"a": Leaf("200", 1), "b": Leaf("404", 5)})
+        assert tree.missing_value == "b"
         assert_predictions_match_classify(tree, ds, ds.all_rows())
         assert [ds.target_domain[c] for c in predict_encoded(tree, ds, ds.all_rows())] == [
             "200", "404", "404", "404"]
@@ -706,7 +708,6 @@ class TestEncodedPrediction:
             ["method", "everCreated"],
         )
         model = RuleList(
-            target="statusCode",
             rules=(
                 Rule((("method", "PATCH"),), "204"),  # value never encoded
                 Rule((("nosuch", "GET"),), "204"),  # attribute not an input
@@ -731,7 +732,6 @@ class TestEncodedPrediction:
             rows += [["0", *rest, "200"], ["2", *rest, "404"]]
         ds = make_dataset(rows, names)
         model = RuleList(
-            "statusCode",
             (Rule((("a00", "2"),), "404"), *(Rule(((name, "7"),), "200") for name in names[1:])),
             "200",
         )
@@ -739,10 +739,9 @@ class TestEncodedPrediction:
         assert_predictions_match_classify(model, ds, ds.all_rows())
 
     @pytest.mark.parametrize("model", [
-        DecisionTree("statusCode", Split("k", {
-            "a": Split("j", {"x": Leaf("200", 3), "y": Leaf("404", 1)}), "b": Leaf("500", 2)})),
-        RuleList("statusCode", (Rule((("k", "a"), ("j", "x")), "200"),
-                                Rule((("k", "b"),), "500")), "404"),
+        Split("k", {
+            "a": Split("j", {"x": Leaf("200", 3), "y": Leaf("404", 1)}), "b": Leaf("500", 2)}),
+        RuleList((Rule((("k", "a"), ("j", "x")), "200"), Rule((("k", "b"),), "500")), "404"),
     ])
     def test_classify_runs_once_per_combination_of_tested_values(self, model, monkeypatch):
         rng = random.Random(5)
@@ -785,7 +784,7 @@ class TestTreeCounts:
             rows = random_rows(rng, rng.randrange(10, 80), ["a", "b"], [3, 2], 2)
             ds = dataset_from_rows(rows, ["a", "b"])
             tree = train_c45(ds)
-            assert sum(leaf.train_count for leaf in tree.leaves()) == len(rows)
+            assert sum(leaf.train_count for leaf in leaves(tree)) == len(rows)
 
     def test_unpruned_pure_tree_has_perfect_training_accuracy(self):
         # no two identical inputs with conflicting classes
@@ -806,33 +805,30 @@ class TestTreeCounts:
 
 class TestModelSize:
     def test_single_leaf(self):
-        tree = DecisionTree("statusCode", Leaf("200", 10, 0))
+        tree = Leaf("200", 10, 0)
         assert model_size(tree) == 1
-        assert len(list(tree.leaves())) == 1
+        assert len(list(leaves(tree))) == 1
 
     def test_status_code_tree_shape(self):
         # a 4-way method split where one branch tests a second attribute:
         # 7 nodes, 5 leaves
-        tree = DecisionTree(
-            "statusCode",
-            root=Split(
-                "method",
-                {
-                    "DELETE": Leaf("204", 1, 0),
-                    "GET": Leaf("200", 2, 0),
-                    "PATCH": Split(
-                        "hasValidPayload",
-                        {"false": Leaf("400", 1, 0), "true": Leaf("200", 2, 0)},
-                    ),
-                    "POST": Leaf("201", 1, 0),
-                },
-            ),
+        tree = Split(
+            "method",
+            {
+                "DELETE": Leaf("204", 1, 0),
+                "GET": Leaf("200", 2, 0),
+                "PATCH": Split(
+                    "hasValidPayload",
+                    {"false": Leaf("400", 1, 0), "true": Leaf("200", 2, 0)},
+                ),
+                "POST": Leaf("201", 1, 0),
+            },
         )
         assert model_size(tree) == 7
-        assert len(list(tree.leaves())) == 5
+        assert len(list(leaves(tree))) == 5
 
     def test_rule_count_includes_default(self):
-        model = RuleList("t", (Rule((("a", "b"),), "x"),), default_class="y")
+        model = RuleList((Rule((("a", "b"),), "x"),), default_class="y")
         assert model_size(model) == 2
 
 
@@ -840,7 +836,7 @@ class TestRendering:
     def test_tree_lines_follow_figure_style(self):
         rows = [["GET", "200"]] * 5 + [["DELETE", "204"]] * 5
         ds = make_dataset(rows, ["method"])
-        lines = render_model(train_c45(ds))
+        lines = render_model(train_c45(ds), ds.target)
         assert "method = DELETE: 204 (5)" in lines
         assert "method = GET: 200 (5)" in lines
 
@@ -849,15 +845,13 @@ class TestRendering:
             ["DELETE", "true", "204"]
         ] * 3
         ds = make_dataset(rows, ["method", "everCreated"])
-        lines = render_model(train_part(ds))
+        lines = render_model(train_part(ds), ds.target)
         assert lines[-1].startswith("default: ")
         assert any(" => statusCode=" in line for line in lines[:-1])
 
     def test_values_with_spaces_are_quoted(self):
         model = RuleList(
-            "responseheader:Server",
-            (Rule((("requestheader:Agent", "a b"),), "x y", 3, 0),),
-            default_class="no-exist",
+            (Rule((("requestheader:Agent", "a b"),), "x y", 3, 0),), default_class="no-exist"
         )
-        lines = render_rules(model)
+        lines = render_rules(model, "responseheader:Server")
         assert lines[0] == '(requestheader:Agent = "a b") => responseheader:Server="x y" (3)'

@@ -20,7 +20,7 @@ import mockskel
 from mockskel import server as server_module
 from mockskel.cli import RunConfig, choose_models, run_pipeline
 from mockskel.features import ExtractionProfile, ResourceState, response_feature_map
-from mockskel.learners import DecisionTree, Leaf
+from mockskel.learners import Leaf
 from mockskel.server import (
     MockRequestHandler,
     MockServer,
@@ -502,16 +502,13 @@ class TestResponseRoundTrip:
                                             "seven": 7, "yes": True, "id": 1}
 
     def test_a_prediction_overrides_an_unpredicted_default(self):
-        def entry(name, klass):
-            return TargetEntry(DecisionTree(name, Leaf(klass)))
-
         mock = MockSkeleton(
             service_name="s",
             seed=1,
             inputs=("method",),
             targets={
-                "responseheader:X-Gone": entry("responseheader:X-Gone", "no-exist"),
-                "responsejson:b": entry("responsejson:b", "2"),
+                "responseheader:X-Gone": TargetEntry(Leaf("no-exist")),
+                "responsejson:b": TargetEntry(Leaf("2")),
             },
             unpredicted=(
                 UnpredictedTarget("responseheader:X-Gone", "unary", "a"),
@@ -889,12 +886,23 @@ class TestHttpReader:
     @pytest.mark.parametrize("request_bytes", [
         b"GET /\r\n", b"GET / HTTP/1.1\r\nX: a\r\n folded\r\n\r\n",
         b"GET / HTTP/1.1\r\nBad Name: x\r\n\r\n", b"GET / HTTP/x.y\r\n\r\n",
-    ], ids=["http-0.9", "obs-fold", "space-in-name", "bad-version"])
+        b"GET /tasks/1 HTTP/1.1\r\nHost: a\r\nHost: b\r\n\r\n",
+        (b"POST /tasks/1 HTTP/1.1\r\nContent-Type: application/json\r\nContent-Length: 2\r\n"
+         b"Content-Length: 14\r\n\r\n{\"title\": \"x\"}"),
+    ], ids=["http-0.9", "obs-fold", "space-in-name", "bad-version", "two-hosts",
+            "two-content-lengths"])
     def test_malformed_requests_get_400_and_close(self, skeleton, request_bytes):
         # the request after the refused one is never read
         request_bytes += b"GET / HTTP/1.1\r\n\r\n"
         (answer,) = read_responses(exchange_over_socketpair(skeleton, request_bytes))
         assert answer[0] == 400 and answer[1]["Connection"] == "close"
+
+    def test_equal_content_lengths_frame_one_body(self, skeleton):
+        request = (b"POST /tasks/46 HTTP/1.1\r\nContent-Type: application/json\r\n"
+                   b"Content-Length: 14\r\nContent-Length: 14\r\n\r\n{\"title\": \"x\"}"
+                   b"GET /tasks/46 HTTP/1.1\r\nConnection: close\r\n\r\n")
+        answers = read_responses(exchange_over_socketpair(skeleton, request))
+        assert [status for status, _ in answers] == [201, 200]
 
     def test_http_2_gets_505(self, skeleton):
         (answer,) = read_responses(exchange_over_socketpair(skeleton, b"GET / HTTP/2.0\r\n\r\n"))

@@ -2,6 +2,7 @@ import dataclasses
 import json
 import logging
 import random
+import re
 
 import pytest
 from hypothesis import given, settings
@@ -13,7 +14,6 @@ from mockskel.cli import RunConfig, choose_models, run_pipeline
 from mockskel.errors import SettingError, SkeletonSyntaxError, UnknownAttributeError
 from mockskel.features import ExtractionConfig, ExtractionProfile, Role
 from mockskel.learners import (
-    DecisionTree,
     Leaf,
     Rule,
     RuleList,
@@ -150,6 +150,17 @@ class TestRoundTrip:
         for name, entry in reparsed.targets.items():
             assert entry.learner in ("c45", "ripper", "part")
             assert "cv-accuracy" in entry.metrics
+
+    def test_a_note_under_a_target_is_not_read_as_metrics(self, trained_skeleton):
+        skeleton, _ = trained_skeleton
+        text = emit_skeleton(skeleton)
+        note = "  # reviewed by ops, timeout=30 cv-accuracy=0.5\n"
+        noted = re.sub(r"(target [^\n]*:\n)(  # [^\n]*\n)", rf"\1{note}\2{note}", text)
+        assert noted.count(note) == 2 * len(skeleton.targets)
+        reparsed = parse_skeleton(noted)
+        assert emit_skeleton(reparsed) == text
+        for name, entry in reparsed.targets.items():
+            assert entry.metrics == skeleton.targets[name].metrics
 
 
 class TestConfigLine:
@@ -404,24 +415,20 @@ COUNT = st.integers(0, 99)
 LEAVES = st.builds(Leaf, TEXT, COUNT, COUNT)
 
 
-def models(target: str, attributes):
-    """Trees and rule lists for ``target`` that test ``attributes``."""
-    trees = st.builds(
-        DecisionTree,
-        st.just(target),
-        st.recursive(
-            LEAVES,
-            lambda children: st.builds(
-                Split, attributes, st.dictionaries(TEXT, children, min_size=1, max_size=3)
-            ),
-            max_leaves=8,
+def models(attributes):
+    """Trees and rule lists that test ``attributes``."""
+    trees = st.recursive(
+        LEAVES,
+        lambda children: st.builds(
+            Split, attributes, st.dictionaries(TEXT, children, min_size=1, max_size=3)
         ),
+        max_leaves=8,
     )
     rules = st.builds(
         Rule, st.lists(st.tuples(attributes, TEXT), max_size=3).map(tuple), TEXT, COUNT, COUNT
     )
     rule_lists = st.builds(
-        RuleList, st.just(target), st.lists(rules, max_size=4).map(tuple), TEXT, COUNT, COUNT
+        RuleList, st.lists(rules, max_size=4).map(tuple), TEXT, COUNT, COUNT
     )
     return st.one_of(trees, rule_lists)
 
@@ -430,7 +437,7 @@ def models(target: str, attributes):
 def skeletons(draw) -> MockSkeleton:
     inputs = tuple(draw(st.lists(TEXT, min_size=1, max_size=4, unique=True)))
     targets = {
-        name: TargetEntry(draw(models(name, st.sampled_from(inputs))), learner="c45")
+        name: TargetEntry(draw(models(st.sampled_from(inputs))), learner="c45")
         for name in draw(st.lists(TEXT, min_size=1, max_size=2, unique=True))
     }
     unpredicted = st.builds(
