@@ -36,6 +36,7 @@ from .settings import (
     Settings,
     Valid,
     at_least,
+    read_json,
     read_setting,
     setting_types,
 )
@@ -142,7 +143,7 @@ def resolve_run_config(args: argparse.Namespace) -> RunConfig:
     one raises SettingError naming the config key or the flag."""
     given = []  # (name in messages, key, value)
     if getattr(args, "config", None):
-        file_values = json.loads(_read_user_text(args.config))
+        file_values = read_json(_read_user_text(args.config))
         if not isinstance(file_values, dict):
             raise SettingError(f"config file must be a JSON object, not {file_values!r}")
         if unknown := sorted(file_values.keys() - CONFIG_KEYS.keys()):

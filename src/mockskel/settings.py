@@ -11,6 +11,7 @@ module level.
 
 from __future__ import annotations
 
+import json
 from dataclasses import dataclass, fields, is_dataclass
 from functools import cache, partial
 from typing import Annotated, Any, Callable, NamedTuple, get_args, get_origin, get_type_hints
@@ -94,6 +95,22 @@ def read_setting(hint, value, key: str, key_of: Callable[[str], str] = str):
         raise SettingError(f"{key} must be {_JSON_TYPES.get(plain, 'an object')}, not {value!r}")
     _check(hint, setting, key)
     return setting
+
+
+def _unique_keys(pairs: list[tuple[str, Any]]) -> dict:
+    obj = {}
+    for key, value in pairs:
+        if key in obj:
+            raise SettingError(f"repeated key {key!r} in a JSON object")
+        obj[key] = value
+    return obj
+
+
+def read_json(text: str):
+    """The JSON value ``text`` holds.  An object that repeats a key, at
+    any depth, raises SettingError naming the key, so that no setting is
+    silently given twice; text that is not JSON raises JSONDecodeError."""
+    return json.loads(text, object_pairs_hook=_unique_keys)
 
 
 def settings_json(obj, key_of: Callable[[str], str] = str) -> dict:

@@ -35,8 +35,10 @@ other token, and every ``default=``, is a JSON string whose lone
 surrogates are ``\\udXXX`` escapes, so the document always encodes as
 UTF-8.  (Skeletons written before names were quoted need any name that
 holds whitespace quoted by hand.)  Comment lines may stand in every
-block.  Lines without a trailing ``(N)``/``(N/E)`` count are treated as
-hand edits and flag their target's model as edited.
+block.  A line owns the more deeply indented lines under it.  Each
+directive, name, field and tree branch is defined once; only rule lines
+and comments may repeat.  Class lines without a trailing
+``(N)``/``(N/E)`` count are hand edits and flag their model as edited.
 """
 
 from __future__ import annotations
@@ -47,12 +49,12 @@ import logging
 import re
 from dataclasses import dataclass, field, fields
 from functools import cache
-from typing import TYPE_CHECKING, Mapping
+from typing import TYPE_CHECKING, Iterator, Mapping
 
 from .errors import SettingError, SkeletonSyntaxError, UnknownAttributeError
-from .features import ExtractionConfig, ExtractionProfile
-from .model import Leaf, Model, Node, Rule, RuleList, Split, leaves
-from .settings import read_setting, settings_json
+from .features import ExtractionConfig, ExtractionProfile, Role, role_for
+from .model import Leaf, Model, Node, Rule, RuleList, Split
+from .settings import read_json, read_setting, settings_json
 from .traffic import json_text
 
 if TYPE_CHECKING:  # training-side types; serving does not import them
@@ -165,7 +167,12 @@ BARE_NAME = re.compile(r"(?![#)])[^\s\"\ud800-\udfff]+")
 _EQUALS = re.compile(r"\s* = ")
 _FIELD = re.compile(r"\s+(reason|default)\s*=")
 _COUNTS = re.compile(r"\((\d+)(?:/(\d+))?\)\s*$")
+#: the keywords of the top-level directives; only a section owns the lines under it
+_SECTIONS = ("inputs", "unpredicted")
+_DIRECTIVES = ("service", "schema-digest", "seed", "config", *_SECTIONS)
 _DECODER = json.JSONDecoder()
+#: a model's class lines as they are parsed: (class, counts present)
+_Classes = list[tuple[str, bool]]
 
 
 def _quote(text: str, bare: re.Pattern = BARE_TOKEN) -> str:
@@ -211,20 +218,27 @@ def _take_test(text: str, line_no: int, target: str, inputs: set[str]) -> tuple[
     return attribute, value, rest.lstrip()
 
 
-def _take_class(text: str, line_no: int) -> tuple[str, int, int, bool]:
-    """A line's ``<class> (N/E)`` tail: (class, train count, error count,
-    counts present)."""
+def _take_class(text: str, line_no: int, classes: _Classes) -> tuple[str, int, int]:
+    """A line's ``<class> (N/E)`` tail: (class, train count, error count),
+    also appended to ``classes`` as (class, counts present)."""
     klass, rest = _take_value(text, line_no)
     match = _COUNTS.search(rest)
+    classes.append((klass, match is not None))
     if not match:
         if rest.strip():
             raise SkeletonSyntaxError(f"unexpected trailing text {rest.strip()!r}", line_no)
-        return klass, 0, 0, False
+        return klass, 0, 0
     if rest[: match.start()].strip():
         raise SkeletonSyntaxError(
             f"unexpected text before counts: {rest[: match.start()].strip()!r}", line_no
         )
-    return klass, int(match.group(1)), int(match.group(2) or 0), True
+    return klass, int(match.group(1)), int(match.group(2) or 0)
+
+
+def _response_attribute(name: str, line_no: int) -> None:
+    """Refuse a target or unpredicted name that the mock cannot serve."""
+    if role_for(name) is not Role.TARGET:
+        raise SkeletonSyntaxError(f"{name!r} is not a response attribute", line_no)
 
 
 # ---------------------------------------------------------------------------
@@ -232,23 +246,16 @@ def _take_class(text: str, line_no: int) -> tuple[str, int, int, bool]:
 
 
 def render_tree(tree: Node, indent: str = "", include_counts: bool = True) -> list[str]:
-    def leaf(node: Leaf) -> str:
-        return _class_tail(node.klass, node.train_count, node.error_count, include_counts)
-
     if isinstance(tree, Leaf):
-        return [f"{indent}{leaf(tree)}"]
-    lines: list[str] = []
-
-    def walk(node: Split, pad: str) -> None:
-        for value, child in node.branches.items():
-            prefix = f"{pad}{_quote(node.attribute, BARE_NAME)} = {_quote(value)}:"
-            if isinstance(child, Leaf):
-                lines.append(f"{prefix} {leaf(child)}")
-            else:
-                lines.append(prefix)
-                walk(child, pad + "  ")
-
-    walk(tree, indent)
+        tail = _class_tail(tree.klass, tree.train_count, tree.error_count, include_counts)
+        return [indent + tail]
+    lines = []
+    for value, child in tree.branches.items():
+        branch = f"{indent}{_quote(tree.attribute, BARE_NAME)} = {_quote(value)}:"
+        if isinstance(child, Leaf):  # the leaf ends its branch's line
+            lines += render_tree(child, branch + " ", include_counts)
+        else:
+            lines += [branch, *render_tree(child, indent + "  ", include_counts)]
     return lines
 
 
@@ -282,6 +289,22 @@ class _Line:
     text: str
 
 
+def _groups(lines: list[_Line]) -> Iterator[tuple[_Line, list[_Line]]]:
+    """Each line at the first line's indentation, with the more deeply
+    indented lines under it, which it owns.  A line that is neither under
+    another nor at the first line's indentation is a syntax error."""
+    start = 0
+    while start < len(lines):
+        head = lines[start]
+        if head.indent != lines[0].indent:
+            raise SkeletonSyntaxError("unexpected indentation", head.number)
+        end = start + 1
+        while end < len(lines) and lines[end].indent > head.indent:
+            end += 1
+        yield head, lines[start + 1 : end]
+        start = end
+
+
 def _model_lines(block: list[_Line]) -> tuple[list[_Line], dict[str, float]]:
     """A target block's model lines, and the metrics of its comment lines
     made only of ``key=value`` tokens, as ``emit_skeleton`` writes them;
@@ -302,56 +325,48 @@ def _model_lines(block: list[_Line]) -> tuple[list[_Line], dict[str, float]]:
     return kept, metrics
 
 
-def _parse_tree(name: str, block: list[_Line], inputs: set[str]) -> tuple[Node, bool]:
-    edited = False
-
-    def leaf(text: str, line_no: int) -> Leaf:
-        nonlocal edited
-        klass, n, e, counted = _take_class(text, line_no)
-        edited = edited or not counted
-        return Leaf(klass, n, e)
-
-    def parse_level(start: int, indent: int) -> tuple[Split, int]:
-        """Parse the sibling branch group starting at ``start``."""
-        branches: dict[str, object] = {}
-        attribute = None
-        i = start
-        while i < len(block) and block[i].indent == indent:
-            line = block[i]
-            tested, value, rest = _take_test(line.text, line.number, name, inputs)
-            if attribute is None:
-                attribute = tested
-            elif tested != attribute:
-                raise SkeletonSyntaxError(
-                    f"sibling branches must test one attribute ({attribute!r}), got {tested!r}",
-                    line.number,
-                )
-            if not rest.startswith(":"):
-                raise SkeletonSyntaxError("expected ':' after branch value", line.number)
-            rest = rest[1:].strip()
-            if rest:
-                branches[value] = leaf(rest, line.number)
-                i += 1
-            else:
-                if i + 1 >= len(block) or block[i + 1].indent <= indent:
-                    raise SkeletonSyntaxError("branch subtree is empty", line.number)
-                branches[value], i = parse_level(i + 1, block[i + 1].indent)
-        return Split(attribute, branches), i
-
+def _parse_tree(name: str, block: list[_Line], inputs: set[str], classes: _Classes) -> Node:
+    """A tree body: one class line, or the branch lines of its root."""
     if not block:
         raise SkeletonSyntaxError(f"target {name!r} has an empty model body")
     # a branch line is a name and " = "; a single-leaf body is one class
     _, rest = _take_value(block[0].text, block[0].number, BARE_NAME)
     if len(block) == 1 and not _EQUALS.match(rest):
-        return leaf(block[0].text, block[0].number), edited
-    root, end = parse_level(0, block[0].indent)
-    if end != len(block):
-        raise SkeletonSyntaxError("unexpected indentation", block[end].number)
-    return root, edited
+        return Leaf(*_take_class(block[0].text, block[0].number, classes))
+    return _parse_branches(name, block, inputs, classes)
 
 
-def _parse_rules(name: str, block: list[_Line], inputs: set[str]) -> tuple[RuleList, bool]:
-    edited = False
+def _parse_branches(name: str, lines: list[_Line], inputs: set[str], classes: _Classes) -> Split:
+    """One level of a tree: its branch lines, each ending in a leaf or
+    owning its subtree's lines."""
+    attribute = None
+    branches: dict[str, Node] = {}
+    for line, under in _groups(lines):
+        tested, value, rest = _take_test(line.text, line.number, name, inputs)
+        if attribute is None:
+            attribute = tested
+        elif tested != attribute:
+            raise SkeletonSyntaxError(
+                f"sibling branches must test one attribute ({attribute!r}), got {tested!r}",
+                line.number,
+            )
+        if not rest.startswith(":"):
+            raise SkeletonSyntaxError("expected ':' after branch value", line.number)
+        if value in branches:
+            raise SkeletonSyntaxError(f"duplicate branch {attribute!r} = {value!r}", line.number)
+        rest = rest[1:].strip()
+        if rest:
+            branches[value] = Leaf(*_take_class(rest, line.number, classes))
+            if under:
+                raise SkeletonSyntaxError("unexpected indentation", under[0].number)
+        elif not under:
+            raise SkeletonSyntaxError("branch subtree is empty", line.number)
+        else:
+            branches[value] = _parse_branches(name, under, inputs, classes)
+    return Split(attribute, branches)
+
+
+def _parse_rules(name: str, block: list[_Line], inputs: set[str], classes: _Classes) -> RuleList:
     rules: list[Rule] = []
     default: tuple[str, int, int] | None = None
     assigns = re.compile(rf"\)\s*=>\s*{re.escape(_quote(name, BARE_NAME))}\s*=")
@@ -360,9 +375,7 @@ def _parse_rules(name: str, block: list[_Line], inputs: set[str]) -> tuple[RuleL
         if text.startswith("default:"):
             if default is not None:
                 raise SkeletonSyntaxError("duplicate default line", line.number)
-            klass, n, e, counted = _take_class(text[len("default:"):], line.number)
-            edited = edited or not counted
-            default = (klass, n, e)
+            default = _take_class(text[len("default:"):], line.number, classes)
             continue
         if not text.startswith("("):
             raise SkeletonSyntaxError(f"expected a rule or default line, got {text!r}", line.number)
@@ -381,13 +394,21 @@ def _parse_rules(name: str, block: list[_Line], inputs: set[str]) -> tuple[RuleL
                 f"expected '=> {_quote(name, BARE_NAME)}=<class>' after rule conditions",
                 line.number,
             )
-        klass, n, e, counted = _take_class(rest[head.end():], line.number)
-        edited = edited or not counted
-        rules.append(Rule(tuple(conditions), klass, n, e))
+        rules.append(Rule(tuple(conditions), *_take_class(rest[head.end():], line.number, classes)))
     if default is None:
         raise SkeletonSyntaxError(f"target {name!r} rules have no default line")
     klass, n, e = default
-    return RuleList(tuple(rules), klass, default_count=n, default_errors=e), edited
+    return RuleList(tuple(rules), klass, default_count=n, default_errors=e)
+
+
+def _origin(name: str, classes: _Classes) -> str:
+    """A model's origin: edited if a class line lacks counts.  A class
+    found only on such lines draws a warning, unless no line has counts."""
+    learned = {klass for klass, counted in classes if counted}
+    introduced = {klass for klass, counted in classes if not counted}
+    for value in sorted(introduced - learned if learned else ()):
+        log.warning("target %s: class value %r not seen in training, accepting edit", name, value)
+    return ORIGIN_EDITED if introduced else ORIGIN_LEARNED
 
 
 # ---------------------------------------------------------------------------
@@ -410,9 +431,11 @@ def _parse_config(
 ) -> tuple[ExtractionConfig, ExtractionProfile, tuple[str, ...]]:
     """The config, profile and dropped inputs of a ``config:`` line."""
     try:
-        obj = json.loads(text)
+        obj = read_json(text)
     except json.JSONDecodeError as exc:
         raise SkeletonSyntaxError(f"bad config JSON: {exc}", line_no) from None
+    except SettingError as exc:
+        raise SkeletonSyntaxError(str(exc), line_no) from None
     if not isinstance(obj, dict):
         raise SkeletonSyntaxError("config must be a JSON object", line_no)
     obj.pop("pathDepth", None)
@@ -470,9 +493,10 @@ def emit_skeleton(skeleton: MockSkeleton) -> str:
 def parse_skeleton(text: str) -> MockSkeleton:
     """Parse a skeleton document; syntax errors report line numbers.
 
-    Models whose lines lack count annotations are marked as edited.
-    Class values never seen in the learned (counted) lines are accepted
-    with a warning, since edits may introduce new response literals.
+    Models with class lines that lack count annotations are marked as
+    edited.  A class found only on such lines is accepted with a warning
+    (if the model has counted lines), since edits may introduce new
+    response literals.
     """
     lines: list[_Line] = []
     for number, raw in enumerate(text.split("\n"), start=1):
@@ -482,6 +506,7 @@ def parse_skeleton(text: str) -> MockSkeleton:
         indent = len(stripped) - len(stripped.lstrip())
         lines.append(_Line(number=number, indent=indent, text=stripped.strip()))
 
+    directives: set[str] = set()
     service_name = ""
     seed = 0
     digest = ""
@@ -490,45 +515,13 @@ def parse_skeleton(text: str) -> MockSkeleton:
     dropped_inputs: tuple[str, ...] = ()
     inputs: list[str] = []
     targets: dict[str, TargetEntry] = {}
-    unpredicted: list[UnpredictedTarget] = []
+    unpredicted: dict[str, UnpredictedTarget] = {}
 
-    i = 0
-
-    def collect_block(start: int, comments: bool = False) -> tuple[list[_Line], int]:
-        end = start
-        while end < len(lines) and lines[end].indent > 0:
-            end += 1
-        return [b for b in lines[start:end] if comments or not b.text.startswith("#")], end
-
-    while i < len(lines):
-        line = lines[i]
-        i += 1
+    for line, block in _groups(lines):
         if line.indent != 0:
             raise SkeletonSyntaxError(f"unexpected indented line {line.text!r}", line.number)
-        if line.text.startswith("#"):
-            continue
-        if line.text.startswith("service:"):
-            service_name = line.text[len("service:"):].strip()
-        elif line.text.startswith("schema-digest:"):
-            digest = line.text[len("schema-digest:"):].strip()
-        elif line.text.startswith("seed:"):
-            try:
-                seed = int(line.text[len("seed:"):].strip())
-            except ValueError:
-                raise SkeletonSyntaxError("seed must be an integer", line.number) from None
-        elif line.text.startswith("config:"):
-            config, profile, dropped_inputs = _parse_config(
-                line.text[len("config:"):], line.number
-            )
-        elif line.text == "inputs:":
-            block, i = collect_block(i)
-            inputs = []
-            for b in block:
-                name, rest = _take_value(b.text, b.number, BARE_NAME)
-                if rest:
-                    raise SkeletonSyntaxError(f"unexpected text {rest!r} after an input", b.number)
-                inputs.append(name)
-        elif line.text.startswith("target "):
+        entries = [b for b in block if not b.text.startswith("#")]
+        if line.text.startswith("target "):
             name, rest = _take_value(line.text[len("target "):], line.number, BARE_NAME)
             kind = rest.strip()
             if kind not in ("tree:", "rules:"):
@@ -537,24 +530,60 @@ def parse_skeleton(text: str) -> MockSkeleton:
                 )
             if name in targets:
                 raise SkeletonSyntaxError(f"duplicate target section {name!r}", line.number)
-            block, i = collect_block(i, comments=True)
+            _response_attribute(name, line.number)
             body, meta = _model_lines(block)
+            classes: _Classes = []
             parse = _parse_tree if kind == "tree:" else _parse_rules
-            model, edited = parse(name, body, set(inputs))
+            model = parse(name, body, set(inputs), classes)
             learner = meta.pop("learner", None)
             targets[name] = TargetEntry(
                 model=model,
                 learner=str(learner) if learner is not None else None,
-                origin=ORIGIN_EDITED if edited else ORIGIN_LEARNED,
+                origin=_origin(name, classes),
                 metrics={k: v for k, v in meta.items() if isinstance(v, float)},
             )
-            _warn_unknown_values(name, model)
-        elif line.text == "unpredicted:":
-            block, i = collect_block(i)
-            for b in block:
-                unpredicted.append(_parse_unpredicted(b))
-        else:
+            continue
+        directive, colon, value = line.text.partition(":")
+        if line.text.startswith("#"):
+            directive = "#"  # a comment, which no branch below reads
+        elif not colon or directive not in _DIRECTIVES or (value and directive in _SECTIONS):
             raise SkeletonSyntaxError(f"unrecognized directive {line.text!r}", line.number)
+        elif directive in directives:
+            raise SkeletonSyntaxError(f"duplicate '{directive}:' line", line.number)
+        else:
+            directives.add(directive)
+        if directive == "service":
+            service_name = value.strip()
+        elif directive == "schema-digest":
+            digest = value.strip()
+        elif directive == "seed":
+            try:
+                seed = int(value.strip())
+            except ValueError:
+                raise SkeletonSyntaxError("seed must be an integer", line.number) from None
+        elif directive == "config":
+            config, profile, dropped_inputs = _parse_config(value, line.number)
+        elif directive == "inputs":
+            for b in entries:
+                name, rest = _take_value(b.text, b.number, BARE_NAME)
+                if rest:
+                    raise SkeletonSyntaxError(f"unexpected text {rest!r} after an input", b.number)
+                if name in inputs:
+                    raise SkeletonSyntaxError(f"duplicate input {name!r}", b.number)
+                inputs.append(name)
+            continue
+        elif directive == "unpredicted":
+            for b in entries:
+                item = _parse_unpredicted(b)
+                if item.attribute in unpredicted:
+                    raise SkeletonSyntaxError(
+                        f"duplicate unpredicted attribute {item.attribute!r}", b.number
+                    )
+                unpredicted[item.attribute] = item
+            continue
+        if block:  # a comment or a one-line directive owns no lines
+            line = block[0]
+            raise SkeletonSyntaxError(f"unexpected indented line {line.text!r}", line.number)
 
     if not inputs:
         raise SkeletonSyntaxError("skeleton has no inputs section")
@@ -563,7 +592,7 @@ def parse_skeleton(text: str) -> MockSkeleton:
         seed=seed,
         inputs=tuple(inputs),
         targets=targets,
-        unpredicted=tuple(unpredicted),
+        unpredicted=tuple(unpredicted.values()),
         config=config,
         profile=profile,
         dropped_inputs=dropped_inputs,
@@ -578,22 +607,6 @@ def parse_skeleton(text: str) -> MockSkeleton:
     return skeleton
 
 
-def _warn_unknown_values(name: str, model: Model) -> None:
-    learned: set[str] = set()
-    introduced: set[str] = set()
-    if isinstance(model, RuleList):
-        for rule in model.rules:
-            (learned if rule.train_count or rule.error_count else introduced).add(rule.klass)
-        (learned if model.default_count else introduced).add(model.default_class)
-    else:
-        for leaf in leaves(model):
-            (learned if leaf.train_count or leaf.error_count else introduced).add(leaf.klass)
-    if not learned:
-        return  # fully count-free model: no training baseline to compare against
-    for value in sorted(introduced - learned):
-        log.warning("target %s: class value %r not seen in training, accepting edit", name, value)
-
-
 def _parse_unpredicted(line: _Line) -> UnpredictedTarget:
     name, rest = _take_value(line.text, line.number, BARE_NAME)
     values: dict[str, str] = {}
@@ -601,7 +614,10 @@ def _parse_unpredicted(line: _Line) -> UnpredictedTarget:
         field_match = _FIELD.match(rest)
         if not field_match:
             raise SkeletonSyntaxError(f"unexpected field {rest!r} in unpredicted entry", line.number)
+        if field_match[1] in values:
+            raise SkeletonSyntaxError(f"duplicate {field_match[1]}= field", line.number)
         values[field_match[1]], rest = _take_value(rest[field_match.end():], line.number)
     if "reason" not in values:
         raise SkeletonSyntaxError("unpredicted entry is missing reason=", line.number)
+    _response_attribute(name, line.number)
     return UnpredictedTarget(name, values["reason"], values.get("default", PLACEHOLDER))

@@ -286,6 +286,18 @@ class TestConfigFile:
         )
         assert code == EXIT_PARSE
 
+    def test_repeated_config_key_rejected(self, fixture_log, tmp_path, capsys):
+        config_path = tmp_path / "config.json"
+        config_path.write_text('{"seed": 5, "seed": 6}')
+        report_path = tmp_path / "r.json"
+        code = run(
+            ["evaluate", "--input", fixture_log, "--config", config_path,
+             "--out-report", report_path]
+        )
+        assert code == EXIT_PARSE
+        assert "repeated key 'seed'" in capsys.readouterr().err
+        assert not report_path.exists()
+
     def test_an_integer_is_accepted_for_a_float(self, tmp_path):
         import argparse
 

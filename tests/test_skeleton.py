@@ -32,6 +32,7 @@ from mockskel.skeleton import (
     build_skeleton,
     emit_skeleton,
     parse_skeleton,
+    render_rules,
 )
 from mockskel.traffic import CRUD_CLASSES, ResourceKeyConfig
 
@@ -252,6 +253,15 @@ class TestConfigLine:
         with pytest.raises(SkeletonSyntaxError, match=key):
             parse_skeleton(f"service: s\nconfig: {config}\ninputs:\n  method\n")
 
+    @pytest.mark.parametrize("config, key", [
+        ('{"maxPathDepth": 3, "maxPathDepth": 16}', "maxPathDepth"),
+        ('{"resourceKey": {"stripTokens": [], "stripTokens": ["v1"]}}', "stripTokens"),
+    ])
+    def test_a_repeated_key_is_a_parse_error_on_its_line(self, config, key):
+        with pytest.raises(SkeletonSyntaxError, match=f"repeated key '{key}'") as exc:
+            parse_skeleton(f"service: s\nconfig: {config}\ninputs:\n  method\n")
+        assert exc.value.line == 2
+
 
 class TestHandEdits:
     def test_hand_prepended_rule_wins(self, trained_skeleton):
@@ -283,6 +293,19 @@ class TestHandEdits:
         with caplog.at_level(logging.WARNING):
             parse_skeleton("\n".join(lines) + "\n")
         assert any("599" in record.message for record in caplog.records)
+
+    def test_only_a_class_on_no_counted_line_draws_a_warning(self, caplog):
+        text = (
+            "service: s\ninputs:\n  method\ntarget statusCode tree:\n"
+            "  method = GET: 200 (5)\n  method = PUT: 409 (0)\n"
+            "  method = POST: 201\n  method = PATCH: 200\n"
+        )
+        with caplog.at_level(logging.WARNING):
+            parsed = parse_skeleton(text)
+        assert parsed.targets["statusCode"].origin == "edited"
+        assert [r.getMessage() for r in caplog.records] == [
+            "target statusCode: class value '201' not seen in training, accepting edit"
+        ]
 
     def test_edits_are_localized(self, trained_skeleton, small_synth_log):
         skeleton, result = trained_skeleton
@@ -373,6 +396,61 @@ class TestSyntaxErrors:
         with pytest.raises(UnknownAttributeError, match="line 6: unknown attribute 'nosuch'"):
             parse_skeleton(text)
 
+    def test_a_second_branch_for_a_value_is_refused(self):
+        text = (
+            "service: s\ninputs:\n  method\n"
+            "target statusCode tree:\n"
+            "  method = GET: 200 (5)\n"
+            "  method = GET: 404 (3)\n"
+        )
+        with pytest.raises(SkeletonSyntaxError, match="duplicate branch 'method' = 'GET'") as exc:
+            parse_skeleton(text)
+        assert exc.value.line == 6
+
+    @pytest.mark.parametrize("text, line", [
+        ("service: a\nservice: b\ninputs:\n  method\n", 2),
+        ("schema-digest: ab\nschema-digest: ab\ninputs:\n  method\n", 2),
+        ("seed: 1\nseed: 9\ninputs:\n  method\n", 2),
+        ('config: {"maxPathDepth": 3}\nconfig: {}\ninputs:\n  method\n', 2),
+        ("inputs:\n  method\ninputs:\n  path\n", 3),
+        ("inputs:\n  method\n  # note\n  method\n", 4),
+        ("inputs:\n  method\nunpredicted:\n  statusCode  reason=unary\n"
+         "unpredicted:\n  responsejson:a  reason=unary\n", 5),
+        ('inputs:\n  method\nunpredicted:\n  statusCode  reason=unary  default="1"\n'
+         '  statusCode  reason=unary  default="2"\n', 5),
+        ("inputs:\n  method\nunpredicted:\n  statusCode  reason=unary  reason=unary\n", 4),
+        ('inputs:\n  method\nunpredicted:\n  statusCode  reason=unary  default="1"  default="2"\n',
+         4),
+    ], ids=["service", "schema-digest", "seed", "config", "inputs", "input", "unpredicted",
+            "unpredicted-attribute", "reason", "default"])
+    def test_each_directive_name_and_field_is_defined_once(self, text, line):
+        with pytest.raises(SkeletonSyntaxError, match="duplicate") as exc:
+            parse_skeleton(text)
+        assert exc.value.line == line
+
+    def test_rules_notes_and_a_predicted_unpredicted_attribute_may_repeat(self):
+        text = (
+            "service: s\n# a\n# a\ninputs:\n  method\n"
+            "target statusCode rules:\n  # note\n  # note\n"
+            "  (method = GET) => statusCode=200\n"
+            "  (method = GET) => statusCode=404\n"
+            "  default: 500\n"
+            'unpredicted:\n  statusCode  reason=unary  default="201"\n'
+        )
+        parsed = parse_skeleton(text)
+        assert classify(parsed.targets["statusCode"].model, {"method": "GET"}) == "200"
+        assert parsed.unpredicted == (UnpredictedTarget("statusCode", "unary", "201"),)
+
+    @pytest.mark.parametrize("text, line", [
+        ("inputs:\n  method\ntarget responsejsn:ok tree:\n  true (1)\n", 3),
+        ("inputs:\n  method\ntarget method rules:\n  default: GET (1)\n", 3),
+        ('inputs:\n  method\nunpredicted:\n  responsheader:X-B  reason=unary  default="1"\n', 4),
+    ], ids=["target", "input-as-target", "unpredicted"])
+    def test_target_and_unpredicted_names_are_response_attributes(self, text, line):
+        with pytest.raises(SkeletonSyntaxError, match="is not a response attribute") as exc:
+            parse_skeleton(text)
+        assert exc.value.line == line
+
     def test_digest_mismatch_warns_but_parses(self, trained_skeleton, caplog):
         skeleton, _ = trained_skeleton
         text = emit_skeleton(skeleton).replace(
@@ -413,6 +491,12 @@ TEXT = (
 )
 COUNT = st.integers(0, 99)
 LEAVES = st.builds(Leaf, TEXT, COUNT, COUNT)
+#: names of response attributes, which alone can be targets or unpredicted
+RESPONSE_NAMES = st.one_of(
+    st.just("statusCode"),
+    TEXT.map("responseheader:".__add__),
+    TEXT.map("responsejson:".__add__),
+)
 
 
 def models(attributes):
@@ -438,12 +522,13 @@ def skeletons(draw) -> MockSkeleton:
     inputs = tuple(draw(st.lists(TEXT, min_size=1, max_size=4, unique=True)))
     targets = {
         name: TargetEntry(draw(models(st.sampled_from(inputs))), learner="c45")
-        for name in draw(st.lists(TEXT, min_size=1, max_size=2, unique=True))
+        for name in draw(st.lists(RESPONSE_NAMES, min_size=1, max_size=2, unique=True))
     }
     unpredicted = st.builds(
-        UnpredictedTarget, TEXT, st.sampled_from(("unary", "high-cardinality")), TEXT
+        UnpredictedTarget, RESPONSE_NAMES, st.sampled_from(("unary", "high-cardinality")), TEXT
     )
-    return MockSkeleton("s", 1, inputs, targets, tuple(draw(st.lists(unpredicted, max_size=3))))
+    unpredicted_list = st.lists(unpredicted, max_size=3, unique_by=lambda u: u.attribute)
+    return MockSkeleton("s", 1, inputs, targets, tuple(draw(unpredicted_list)))
 
 
 def compile_together(patterns) -> bool:
@@ -483,6 +568,23 @@ class TestTextFormProperties:
         }
         assert parsed.unpredicted == skeleton.unpredicted
         assert emit_skeleton(parsed).encode("utf-8") == text.encode("utf-8")
+
+    @settings(max_examples=300, deadline=None)
+    @given(skeleton=skeletons(), data=st.data())
+    def test_no_definition_is_silently_overwritten(self, skeleton, data):
+        lines = emit_skeleton(skeleton).split("\n")
+        i = data.draw(st.sampled_from([i for i, line in enumerate(lines) if line.strip()]))
+        rule_lines = {
+            line
+            for name, entry in skeleton.targets.items()
+            if isinstance(entry.model, RuleList)
+            for line in render_rules(entry.model, name, indent="  ")[:-1]
+        }
+        try:
+            parse_skeleton("\n".join(lines[: i + 1] + lines[i:]))
+        except SkeletonSyntaxError:
+            return
+        assert lines[i] in rule_lines or lines[i].lstrip().startswith("#")
 
     @settings(max_examples=150, deadline=None)
     @given(config=CONFIGS)
