@@ -53,7 +53,10 @@ _LAZY = {
         ("AggregateReport", "TargetMetrics", "aggregate", "cross_validate", "stratified_folds"),
         "evaluation",
     ),
-    **dict.fromkeys(("entropy", "gain_ratio", "train_c45", "train_part", "train_ripper"), "learners"),
+    **dict.fromkeys(("entropy", "gain_ratio"), "learners.base"),
+    "train_c45": "learners.c45",
+    "train_part": "learners.part",
+    "train_ripper": "learners.ripper",
     **dict.fromkeys(("PreparedDataset", "prepare_all"), "prep"),
 }
 

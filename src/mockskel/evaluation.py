@@ -10,29 +10,54 @@ import json
 import logging
 import math
 import random
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass, fields
 from typing import Sequence
 
 import numpy as np
 
 from .errors import DegenerateDatasetError
-from .learners import LearnerParams, model_size, predict_encoded, train
+from .learners import train
+from .learners.base import predict_encoded
+from .model import model_size
 from .prep import PreparedDataset
+from .settings import LearnerParams
 
 log = logging.getLogger(__name__)
 
 
 @dataclass(frozen=True)
-class FoldMetrics:
+class Scores:
+    """The four scores a learner is judged by, of one fold, one target or,
+    as a mean or a spread, of a dataset's targets."""
+
     accuracy: float
     precision: float
     recall: float
-    model_size: int
+    model_size: float
+
+
+_SCORE_NAMES = tuple(f.name for f in fields(Scores))
+#: each score's report key, alone and after ``mean``/``std``
+_REPORT_KEYS = {"accuracy": ("accuracy", "Accuracy"), "precision": ("precision", "Precision"),
+                "recall": ("recall", "Recall"), "model_size": ("modelSize", "Size")}
+
+
+def _score_keys(*halves: tuple[str, Scores]) -> dict:
+    """The report keys of each ``(prefix, scores)`` half, score by score and
+    rounded to 6 places: ``("", s)`` gives ``accuracy`` ... ``modelSize``,
+    and an aggregate's ``("mean", m), ("std", s)`` give ``meanAccuracy``,
+    ``stdAccuracy`` ... ``meanSize``, ``stdSize``.  A ``TargetMetrics``,
+    which has the four fields of ``Scores``, stands for its own scores."""
+    return {
+        prefix + suffix if prefix else key: round(getattr(scores, name), 6)
+        for name, (key, suffix) in _REPORT_KEYS.items()
+        for prefix, scores in halves
+    }
 
 
 @dataclass(frozen=True)
 class TargetMetrics:
-    """Cross-validated metrics of one learner on one target."""
+    """Cross-validated scores of one learner on one target."""
 
     target: str
     learner: str
@@ -40,7 +65,7 @@ class TargetMetrics:
     precision: float
     recall: float
     model_size: float  # mean over folds
-    per_fold: tuple[FoldMetrics, ...] = ()
+    per_fold: tuple[Scores, ...] = ()
     #: pooled confusion matrix, rows = actual, columns = predicted
     confusion: tuple[tuple[int, ...], ...] = ()
     folds: int = 10
@@ -50,63 +75,42 @@ class TargetMetrics:
         return {
             "target": self.target,
             "learner": self.learner,
-            "accuracy": round(self.accuracy, 6),
-            "precision": round(self.precision, 6),
-            "recall": round(self.recall, 6),
-            "modelSize": round(self.model_size, 6),
+            **_score_keys(("", self)),
             "folds": self.folds,
             "seed": self.seed,
-            "perFold": [
-                {
-                    "accuracy": round(f.accuracy, 6),
-                    "precision": round(f.precision, 6),
-                    "recall": round(f.recall, 6),
-                    "modelSize": f.model_size,
-                }
-                for f in self.per_fold
-            ],
+            "perFold": [_score_keys(("", f)) for f in self.per_fold],
         }
 
 
 @dataclass(frozen=True)
 class AggregateReport:
-    """Mean and sample standard deviation over all evaluated targets."""
+    """Mean and sample standard deviation of each score over the targets."""
 
     dataset: str
     learner: str
     n_targets: int
-    mean_accuracy: float
-    std_accuracy: float
-    mean_precision: float
-    std_precision: float
-    mean_recall: float
-    std_recall: float
-    mean_size: float
-    std_size: float
+    mean: Scores
+    std: Scores
 
     def to_json_dict(self) -> dict:
         return {
             "dataset": self.dataset,
             "learner": self.learner,
             "targets": self.n_targets,
-            "meanAccuracy": round(self.mean_accuracy, 6),
-            "stdAccuracy": round(self.std_accuracy, 6),
-            "meanPrecision": round(self.mean_precision, 6),
-            "stdPrecision": round(self.std_precision, 6),
-            "meanRecall": round(self.mean_recall, 6),
-            "stdRecall": round(self.std_recall, 6),
-            "meanSize": round(self.mean_size, 6),
-            "stdSize": round(self.std_size, 6),
+            **_score_keys(("mean", self.mean), ("std", self.std)),
         }
 
 
 def stratified_folds(dataset: PreparedDataset, k: int = 10, seed: int = 1) -> list[np.ndarray]:
     """The folds ``cross_validate`` trains on: a partition of the rows of a
     prepared dataset into k folds whose per-class counts differ by at most
-    one."""
+    one.  With at least 2 rows and 2 folds, every fold holds a row and
+    leaves a row to train on."""
     n = len(dataset)
-    if n == 0:
-        raise DegenerateDatasetError("cannot fold an empty dataset")
+    if k < 2:
+        raise ValueError(f"cannot cross-validate with {k} folds")
+    if n < 2:
+        raise DegenerateDatasetError(f"cannot fold {n} rows: a fold needs a row to train on")
     if n < k:
         log.warning("only %d instances for %d folds, falling back to leave-one-out", n, k)
         k = n
@@ -149,6 +153,13 @@ def weighted_precision_recall(confusion: np.ndarray) -> tuple[float, float]:
     return float(precision), float(recall)
 
 
+def _scores(confusion: np.ndarray, model_size: float) -> Scores:
+    """The scores of the predictions a confusion matrix counts, made by
+    models of (mean) size ``model_size``."""
+    precision, recall = weighted_precision_recall(confusion)
+    return Scores(float(np.trace(confusion) / confusion.sum()), precision, recall, model_size)
+
+
 def cross_validate(
     dataset: PreparedDataset,
     learner: str,
@@ -165,36 +176,21 @@ def cross_validate(
     folds = stratified_folds(dataset, k, seed)
     n_classes = dataset.n_classes
     pooled = np.zeros((n_classes, n_classes), dtype=np.int64)
-    per_fold: list[FoldMetrics] = []
-    sizes: list[int] = []
-
+    per_fold: list[Scores] = []
     for held_out in folds:
-        if len(held_out) == 0:
-            continue
         mask = np.ones(len(dataset), dtype=bool)
         mask[held_out] = False
-        train_rows = np.flatnonzero(mask)
-        if len(train_rows) == 0:
-            continue
-        model = train(learner, dataset, params, rows=train_rows)
-        size = model_size(model)
-        sizes.append(size)
+        model = train(learner, dataset, params, rows=np.flatnonzero(mask))
         cells = dataset.y[held_out] * n_classes + predict_encoded(model, dataset, held_out)
         fold_confusion = np.bincount(cells, minlength=n_classes * n_classes).reshape(n_classes, n_classes)
         pooled += fold_confusion
-        facc = float(np.trace(fold_confusion) / fold_confusion.sum())
-        fprec, frec = weighted_precision_recall(fold_confusion)
-        per_fold.append(FoldMetrics(facc, fprec, frec, size))
+        per_fold.append(_scores(fold_confusion, model_size(model)))
 
-    accuracy = float(np.trace(pooled) / pooled.sum())
-    precision, recall = weighted_precision_recall(pooled)
+    scores = _scores(pooled, float(np.mean([f.model_size for f in per_fold])))
     return TargetMetrics(
         target=dataset.target,
         learner=learner,
-        accuracy=accuracy,
-        precision=precision,
-        recall=recall,
-        model_size=float(np.mean(sizes)) if sizes else 0.0,
+        **asdict(scores),
         per_fold=tuple(per_fold),
         confusion=tuple(tuple(int(x) for x in row) for row in pooled),
         folds=len(folds),
@@ -217,23 +213,8 @@ def aggregate(metrics: Sequence[TargetMetrics], dataset: str = "") -> AggregateR
     learners = {m.learner for m in metrics}
     if len(learners) != 1:
         raise ValueError(f"aggregate() expects one learner, got {sorted(learners)}")
-    acc = _mean_std([m.accuracy for m in metrics])
-    prec = _mean_std([m.precision for m in metrics])
-    rec = _mean_std([m.recall for m in metrics])
-    size = _mean_std([m.model_size for m in metrics])
-    return AggregateReport(
-        dataset=dataset,
-        learner=metrics[0].learner,
-        n_targets=len(metrics),
-        mean_accuracy=acc[0],
-        std_accuracy=acc[1],
-        mean_precision=prec[0],
-        std_precision=prec[1],
-        mean_recall=rec[0],
-        std_recall=rec[1],
-        mean_size=size[0],
-        std_size=size[1],
-    )
+    means, stds = zip(*(_mean_std([getattr(m, name) for m in metrics]) for name in _SCORE_NAMES))
+    return AggregateReport(dataset, metrics[0].learner, len(metrics), Scores(*means), Scores(*stds))
 
 
 # ---------------------------------------------------------------------------
@@ -276,28 +257,15 @@ def render_aggregate_table(aggregates: Sequence[AggregateReport]) -> str:
     datasets = list(dict.fromkeys(a.dataset for a in aggregates))
     learners = list(dict.fromkeys(a.learner for a in aggregates))
     by_key = {(a.dataset, a.learner): a for a in aggregates}
-    blocks = [
-        ("Accuracy", "mean_accuracy", "std_accuracy"),
-        ("Precision", "mean_precision", "std_precision"),
-        ("Recall", "mean_recall", "std_recall"),
-        ("Tree size / number of rules", "mean_size", "std_size"),
-    ]
+    titles = ("Accuracy", "Precision", "Recall", "Tree size / number of rules")
     width = max([len(d) for d in datasets] + [7]) + 2
     out = []
-    for title, mean_attr, std_attr in blocks:
+    for title, score in zip(titles, _SCORE_NAMES):
         out.append(title)
-        header = " " * width + "".join(f"{name:>18}" for name in learners)
-        out.append(header)
+        out.append(" " * width + "".join(f"{learner:>18}" for learner in learners))
         for ds in datasets:
-            cells = []
-            for learner in learners:
-                agg = by_key.get((ds, learner))
-                cell = (
-                    f"{getattr(agg, mean_attr):.4f}±{getattr(agg, std_attr):.4f}"
-                    if agg
-                    else "-"
-                )
-                cells.append(f"{cell:>18}")
-            out.append(f"{ds:<{width}}" + "".join(cells))
+            aggs = (by_key.get((ds, learner)) for learner in learners)
+            cells = (f"{getattr(a.mean, score):.4f}±{getattr(a.std, score):.4f}" if a else "-" for a in aggs)
+            out.append(f"{ds:<{width}}" + "".join(f"{cell:>18}" for cell in cells))
         out.append("")
     return "\n".join(out)

@@ -7,9 +7,10 @@ imports this package.
 
 from __future__ import annotations
 
-from ..model import Leaf, Model, Rule, RuleList, Split, classify, model_size
-from ..settings import LEARNER_ORDER, LearnerParams, RipperParams, TreeParams
-from .base import added_errors, entropy, gain_ratio, predict_encoded
+# the benchmark harness (``bench/tracing.py``) imports ``classify``,
+# ``model_size`` and ``LEARNER_ORDER`` from here
+from ..model import classify, model_size
+from ..settings import LEARNER_ORDER, LearnerParams
 from .c45 import train_c45
 from .part import train_part
 from .ripper import train_ripper

@@ -208,12 +208,14 @@ class _Refused(Exception):
 
 def _request_uri(target: str, host: str) -> tuple[str, str]:
     """The URI a request target names, and its path (RFC 9112 3.2): an
-    absolute-form target is the URI, whatever ``host`` says; another is
-    a path on ``host``, which is refused with 400 if it cannot be an
-    authority."""
+    absolute-form target is the URI, whatever ``host`` says; an
+    origin-form one, which starts with ``/``, is a path on ``host``.  Any
+    other target (``*`` too: no request is answered for the whole
+    server), or a ``host`` that cannot be an authority, is refused with
+    400."""
     if absolute := _ABSOLUTE_FORM.match(target):
         return target, target[absolute.end():].partition("?")[0]
-    if _NOT_IN_HOST.search(host):
+    if not target.startswith("/") or _NOT_IN_HOST.search(host):
         raise _Refused(400)
     if target.startswith("//"):  # not to be read as a scheme-relative URI
         target = "/" + target.lstrip("/")

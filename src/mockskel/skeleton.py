@@ -33,12 +33,15 @@ lone surrogate, or starts with ``#`` or ``)``; a value, class or reason
 is bare only if it is made of ``A-Z a-z 0-9 _ . - { } / @ +``.  Any
 other token, and every ``default=``, is a JSON string whose lone
 surrogates are ``\\udXXX`` escapes, so the document always encodes as
-UTF-8.  (Skeletons written before names were quoted need any name that
-holds whitespace quoted by hand.)  Comment lines may stand in every
-block.  A line owns the more deeply indented lines under it.  Each
-directive, name, field and tree branch is defined once; only rule lines
-and comments may repeat.  Class lines without a trailing
-``(N)``/``(N/E)`` count are hand edits and flag their model as edited.
+UTF-8.  The service name is bare unless it would not read back the same
+(it has edge spaces, a line break or another non-printable character, a
+lone surrogate, or starts with ``"``); then it too is a JSON string.
+(Skeletons written before names were quoted need any name that holds
+whitespace quoted by hand.)  Comment lines may stand in every block.
+A line owns the more deeply indented lines under it.  Each directive,
+name, field and tree branch is defined once; only rule lines and
+comments may repeat.  Class lines without a trailing ``(N)``/``(N/E)``
+count are hand edits and flag their model as edited.
 """
 
 from __future__ import annotations
@@ -178,6 +181,13 @@ _Classes = list[tuple[str, bool]]
 def _quote(text: str, bare: re.Pattern = BARE_TOKEN) -> str:
     """``text`` as one token: bare if ``bare`` matches all of it, else a JSON string."""
     return text if bare.fullmatch(text) else json_text(text)
+
+
+def _service_text(name: str) -> str:
+    """The ``service:`` value of ``name``: bare when it reads back unchanged,
+    else a JSON string."""
+    bare = name == name.strip() and name.isprintable() and not name.startswith('"')
+    return name if bare else json_text(name)
 
 
 def _class_tail(klass: str, n: int, e: int, include: bool) -> str:
@@ -462,7 +472,7 @@ def emit_skeleton(skeleton: MockSkeleton) -> str:
     config["droppedInputs"] = skeleton.dropped_inputs
     lines = [
         "# mock skeleton v1",
-        f"service: {skeleton.service_name}",
+        f"service: {_service_text(skeleton.service_name)}",
         f"schema-digest: {skeleton.computed_digest()}",
         f"seed: {skeleton.seed}",
         f"config: {json.dumps(config, separators=(', ', ': '))}",
@@ -554,6 +564,12 @@ def parse_skeleton(text: str) -> MockSkeleton:
             directives.add(directive)
         if directive == "service":
             service_name = value.strip()
+            if service_name.startswith('"'):
+                service_name, rest = _take_value(service_name, line.number)
+                if rest:
+                    raise SkeletonSyntaxError(
+                        f"unexpected text {rest!r} after the service name", line.number
+                    )
         elif directive == "schema-digest":
             digest = value.strip()
         elif directive == "seed":

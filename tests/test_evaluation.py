@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 
 from conftest import make_dataset, target_labels
+from mockskel.errors import DegenerateDatasetError
 from mockskel.evaluation import (
     TargetMetrics,
     aggregate,
@@ -17,7 +18,9 @@ from mockskel.evaluation import (
     stratified_folds,
     weighted_precision_recall,
 )
-from mockskel.learners import LearnerParams, TreeParams, model_size, train
+from mockskel.learners import train
+from mockskel.model import model_size
+from mockskel.settings import LearnerParams, TreeParams
 
 
 def imbalanced_rows(n=1000, share=0.635, seed=3):
@@ -69,6 +72,20 @@ class TestStratifiedFolds:
         folds = stratified_folds(ds, k=10, seed=1)
         assert len(folds) == 3
         assert all(len(f) == 1 for f in folds)
+
+    def test_one_row_cannot_be_folded(self):
+        # the fold holding the only row would leave nothing to train on
+        ds = make_dataset([["x", "200"]], ["a"])
+        with pytest.raises(DegenerateDatasetError):
+            stratified_folds(ds, k=10, seed=1)
+        with pytest.raises(DegenerateDatasetError):
+            cross_validate(ds, "c45", k=10, seed=1)
+
+    @pytest.mark.parametrize("k", [0, 1])
+    def test_fewer_than_two_folds_are_refused(self, k):
+        ds = make_dataset([["x", "200"], ["y", "404"]], ["a"])
+        with pytest.raises(ValueError):
+            stratified_folds(ds, k=k, seed=1)
 
     def test_folds_are_the_ones_cross_validation_trains_on(self):
         # the labels sort 9 < 10 < 200 in the domain but "10" < "200" < "9"
@@ -178,13 +195,13 @@ class TestAggregate:
 
     def test_single_target_std_zero(self):
         report = aggregate([self.metric("t", 0.9)], dataset="d")
-        assert report.mean_accuracy == pytest.approx(0.9)
-        assert report.std_accuracy == 0.0
+        assert report.mean.accuracy == pytest.approx(0.9)
+        assert report.std.accuracy == 0.0
 
     def test_two_targets_hand_computed(self):
         report = aggregate([self.metric("a", 0.9), self.metric("b", 1.0)], dataset="d")
-        assert report.mean_accuracy == pytest.approx(0.95)
-        assert report.std_accuracy == pytest.approx(0.0707, abs=1e-4)
+        assert report.mean.accuracy == pytest.approx(0.95)
+        assert report.std.accuracy == pytest.approx(0.0707, abs=1e-4)
 
     def test_empty_raises(self):
         with pytest.raises(ValueError):

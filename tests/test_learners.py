@@ -11,28 +11,14 @@ from conftest import dataset_row, make_dataset, table_row
 from mockskel.errors import DegenerateDatasetError
 from mockskel.evaluation import stratified_folds
 from mockskel.features import extract_table
-from mockskel.learners import (
-    LEARNER_ORDER,
-    Leaf,
-    Rule,
-    RuleList,
-    Split,
-    TreeParams,
-    classify,
-    entropy,
-    gain_ratio,
-    model_size,
-    predict_encoded,
-    train,
-    train_c45,
-    train_part,
-    train_ripper,
-)
-from mockskel.learners import c45, ripper
-from mockskel.learners.base import added_errors, covers
-from mockskel.learners.c45 import GrownSplit, best_split, grow
-from mockskel.model import leaves
+from mockskel.learners import c45, ripper, train
+from mockskel.learners.base import added_errors, covers, entropy, gain_ratio, predict_encoded
+from mockskel.learners.c45 import GrownSplit, best_split, grow, train_c45
+from mockskel.learners.part import train_part
+from mockskel.learners.ripper import train_ripper
+from mockskel.model import Leaf, Rule, RuleList, Split, classify, leaves, model_size
 from mockskel.prep import prepare_all
+from mockskel.settings import LEARNER_ORDER, TreeParams
 from mockskel.skeleton import render_model, render_rules
 from mockskel.synth import generate_synthetic_log
 

@@ -20,7 +20,7 @@ import mockskel
 from mockskel import server as server_module
 from mockskel.cli import RunConfig, choose_models, run_pipeline
 from mockskel.features import ExtractionProfile, ResourceState, response_feature_map
-from mockskel.learners import Leaf
+from mockskel.model import Leaf
 from mockskel.server import (
     MockRequestHandler,
     MockServer,
@@ -889,8 +889,11 @@ class TestHttpReader:
         b"GET /tasks/1 HTTP/1.1\r\nHost: a\r\nHost: b\r\n\r\n",
         (b"POST /tasks/1 HTTP/1.1\r\nContent-Type: application/json\r\nContent-Length: 2\r\n"
          b"Content-Length: 14\r\n\r\n{\"title\": \"x\"}"),
+        b"GET foo HTTP/1.1\r\n\r\n", b"GET @evil.example/x HTTP/1.1\r\n\r\n",
+        b"GET .evil.example/x HTTP/1.1\r\n\r\n", b"OPTIONS * HTTP/1.1\r\n\r\n",
     ], ids=["http-0.9", "obs-fold", "space-in-name", "bad-version", "two-hosts",
-            "two-content-lengths"])
+            "two-content-lengths", "bare-word-target", "userinfo-target", "host-suffix-target",
+            "asterisk-form"])
     def test_malformed_requests_get_400_and_close(self, skeleton, request_bytes):
         # the request after the refused one is never read
         request_bytes += b"GET / HTTP/1.1\r\n\r\n"

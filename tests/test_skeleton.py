@@ -13,15 +13,9 @@ from mockskel import cli
 from mockskel.cli import RunConfig, choose_models, run_pipeline
 from mockskel.errors import SettingError, SkeletonSyntaxError, UnknownAttributeError
 from mockskel.features import ExtractionConfig, ExtractionProfile, Role
-from mockskel.learners import (
-    Leaf,
-    Rule,
-    RuleList,
-    Split,
-    classify,
-    train_c45,
-    train_part,
-)
+from mockskel.learners.c45 import train_c45
+from mockskel.learners.part import train_part
+from mockskel.model import Leaf, Rule, RuleList, Split, classify
 from mockskel.prep import Removal
 from mockskel.server import MockService
 from mockskel.skeleton import (
@@ -463,6 +457,12 @@ class TestSyntaxErrors:
 
 
 class TestQuotedValues:
+    @pytest.mark.parametrize("name", ["a\nb", " padded ", '"q"', "", "#x"])
+    def test_service_name_round_trips(self, name):
+        skeleton = MockSkeleton(service_name=name, seed=1, inputs=("method",), targets={},
+                                unpredicted=())
+        assert parse_skeleton(emit_skeleton(skeleton)).service_name == name
+
     def test_values_with_spaces_round_trip(self):
         rows = [["Bearer a b", "200"]] * 6 + [["no-exist", "401"]] * 6
         ds = make_dataset(rows, ["requestheader:Authorization"])
@@ -528,7 +528,7 @@ def skeletons(draw) -> MockSkeleton:
         UnpredictedTarget, RESPONSE_NAMES, st.sampled_from(("unary", "high-cardinality")), TEXT
     )
     unpredicted_list = st.lists(unpredicted, max_size=3, unique_by=lambda u: u.attribute)
-    return MockSkeleton("s", 1, inputs, targets, tuple(draw(unpredicted_list)))
+    return MockSkeleton(draw(TEXT), 1, inputs, targets, tuple(draw(unpredicted_list)))
 
 
 def compile_together(patterns) -> bool:
@@ -562,6 +562,7 @@ class TestTextFormProperties:
     def test_any_model_survives_emit_parse_emit(self, skeleton):
         text = emit_skeleton(skeleton)
         parsed = parse_skeleton(text)
+        assert parsed.service_name == skeleton.service_name
         assert parsed.inputs == skeleton.inputs
         assert {name: entry.model for name, entry in parsed.targets.items()} == {
             name: entry.model for name, entry in skeleton.targets.items()
