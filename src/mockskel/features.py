@@ -180,7 +180,7 @@ class ExtractionProfile:
     """Dataset-wide facts discovered during extraction that the mock
     server needs again at serve time."""
 
-    #: flattened JSON prefixes that were arrays in the recordings
+    #: flattened response JSON prefixes that were arrays in the recordings
     array_paths: tuple[str, ...] = ()
     #: "METHOD /path/{id}" shapes observed in the recordings
     shapes: tuple[str, ...] = ()
@@ -203,15 +203,24 @@ def canonical_scalar(value) -> str:
     return str(value)
 
 
-def _flatten(value, path: str, out: dict[str, str], arrays: set[str]) -> None:
+#: most arrays and objects a JSON body's values may be nested in.  A body
+#: nested deeper is not valid JSON: the cap, far below the interpreter's
+#: recursion limit, makes that so at any depth of the caller's stack, so
+#: training and serving read such a body alike.
+MAX_JSON_DEPTH = 500
+
+
+def _flatten(value, path: str, out: dict[str, str], arrays: set[str], depth: int = 0) -> None:
+    if depth > MAX_JSON_DEPTH:
+        raise RecursionError(f"JSON nested over {MAX_JSON_DEPTH} deep")
     if isinstance(value, dict):
         for key, sub in value.items():
-            _flatten(sub, f"{path}.{key}" if path else str(key), out, arrays)
+            _flatten(sub, f"{path}.{key}" if path else str(key), out, arrays, depth + 1)
     elif isinstance(value, list):
         if path:
             arrays.add(path)
         for element in value:
-            _flatten(element, path, out, arrays)
+            _flatten(element, path, out, arrays, depth + 1)
     else:
         if not path:
             return
@@ -221,30 +230,34 @@ def _flatten(value, path: str, out: dict[str, str], arrays: set[str]) -> None:
             out[path] = text
 
 
-def _json_content(body: bytes | None, content_type: str | None):
-    """(has_payload, is_valid_json, parsed_value)."""
+def _add_json(
+    out: dict[str, str],
+    prefix: str,
+    body: bytes | None,
+    content_type: str | None,
+    arrays: set[str] | None = None,
+) -> tuple[bool, bool]:
+    """Add the escaped ``prefix:dot.path`` attributes of a JSON body to
+    ``out``, and its ``prefix:dot.path`` array prefixes to ``arrays``;
+    returns (has_payload, is_valid_json).  Arrays are merged index-free:
+    the union of their elements' keys, where the first non-null value wins.
+    A body nested too deep to decode or over ``MAX_JSON_DEPTH`` is not
+    valid JSON."""
     if body is None or len(body) == 0:
-        return False, False, None
+        return False, False
     if content_type is not None and "json" not in content_type.lower():
-        return True, False, None
-    try:
-        return True, True, json.loads(body.decode("utf-8"))
-    except (UnicodeDecodeError, json.JSONDecodeError):
-        return True, False, None
-
-
-def _add_json(out: dict[str, str], prefix: str, value, arrays: set[str] | None) -> None:
-    """Add the escaped ``prefix:dot.path`` attributes of a parsed JSON body
-    to ``out``, and its ``prefix:dot.path`` array prefixes to ``arrays``.
-    Arrays are merged index-free: the union of their elements' keys, where
-    the first non-null value wins."""
+        return True, False
     flat: dict[str, str] = {}
     found: set[str] = set()
-    _flatten(value, "", flat, found)
+    try:
+        _flatten(json.loads(body.decode("utf-8")), "", flat, found)
+    except (UnicodeDecodeError, json.JSONDecodeError, RecursionError):
+        return True, False
     for path, text in flat.items():
         out[f"{prefix}:{path}"] = escape_literal(text)
     if arrays is not None:
         arrays.update(f"{prefix}:{path}" for path in found)
+    return True, True
 
 
 def _add_headers(out: dict[str, str], side: str, headers, spelling: dict[str, str] | None) -> None:
@@ -268,15 +281,12 @@ def request_feature_map(
     request: HttpRequest,
     config: ExtractionConfig = ExtractionConfig(),
     spelling: dict[str, str] | None = None,
-    arrays: set[str] | None = None,
 ) -> dict[str, str]:
     """All request-side attributes of a request (no response, no state).
 
     The one request-side extractor: training rows and the mock server's
     input vectors are both built with it.  ``spelling`` maps lower-cased
-    header names onto attribute spellings (see ``_add_headers``); when
-    given, ``arrays`` collects the ``requestjson:`` prefixes that were
-    arrays.
+    header names onto attribute spellings (see ``_add_headers``).
     """
     parts = request.parts
     out = {
@@ -290,11 +300,10 @@ def request_feature_map(
         out.setdefault(f"uriQuery:{key}", escape_literal(value))
     if parts.fragment:
         out["uriFragment"] = escape_literal(parts.fragment)
-    has, valid, value = _json_content(request.body, first_header(request.headers, "Content-Type"))
+    content_type = first_header(request.headers, "Content-Type")
+    has, valid = _add_json(out, "requestjson", request.body, content_type)
     out["hasPayload"] = "true" if has else "false"
     out["hasValidPayload"] = "true" if valid else "false"
-    if valid:
-        _add_json(out, "requestjson", value, arrays)
     has_auth = any(config.is_auth_header(name) for name, _ in request.headers)
     out["hasAuthorisationToken"] = "true" if has_auth else "false"
     _add_headers(out, "requestheader", request.headers, spelling)
@@ -309,13 +318,13 @@ def response_feature_map(
     """All response-side attributes (the prediction targets): ``statusCode``,
     ``responseheader:*`` and ``responsejson:*``.
 
-    ``spelling`` and ``arrays`` work as in ``request_feature_map``.
+    ``spelling`` works as in ``request_feature_map``; when given, ``arrays``
+    collects the ``responsejson:`` prefixes that were arrays.
     """
     out = {"statusCode": str(response.status_code)}
     _add_headers(out, "responseheader", response.headers, spelling)
-    _, valid, value = _json_content(response.body, first_header(response.headers, "Content-Type"))
-    if valid:
-        _add_json(out, "responsejson", value, arrays)
+    content_type = first_header(response.headers, "Content-Type")
+    _add_json(out, "responsejson", response.body, content_type, arrays)
     return out
 
 
@@ -349,7 +358,8 @@ def _unflatten(values: dict[str, object], array_paths: Sequence[str]) -> dict:
                 break  # scalar and object predictions collide on this path
         else:
             node[leaf] = value
-    # merged arrays re-materialize as single-element arrays, deepest first
+    # merged arrays re-materialize as single-element arrays, deepest first;
+    # older skeletons also list request-side prefixes, which serve nothing
     relative = sorted(
         (p.split(":", 1)[1] for p in array_paths if p.startswith("responsejson:")),
         key=lambda p: -p.count("."),
@@ -516,7 +526,7 @@ def extract_table(
 
     for txn in log.transactions:
         request, response = txn.request, txn.response
-        row = request_feature_map(request, config, request_spelling, array_paths)
+        row = request_feature_map(request, config, request_spelling)
         row.update(response_feature_map(response, response_spelling, array_paths))
         key = resource_key(request, config.resource)
         state = states.get(key, ResourceState())

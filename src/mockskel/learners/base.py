@@ -121,19 +121,17 @@ def _xlogx_sums(counts: np.ndarray, starts: np.ndarray) -> np.ndarray:
     return np.add.reduceat(counts * np.log2(np.maximum(counts, 1.0)), starts)
 
 
-def contingency_tables(
-    ds: PreparedDataset, rows: np.ndarray, attrs: np.ndarray
-) -> tuple[np.ndarray, np.ndarray]:
-    """The (domain size x class count) contingency tables of the input
-    columns ``attrs`` over ``rows``, stacked, and the first row of each.
+def contingency_tables(ds: PreparedDataset, rows: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The (domain size x class count) contingency tables of every input
+    column over ``rows``, stacked, and the first row of each.
 
     One bincount counts them all: each column's codes are shifted past
     the domains of the columns before it.
     """
-    sizes = np.array([len(ds.domains[a]) for a in attrs], dtype=np.intp)
+    sizes = np.array([len(domain) for domain in ds.domains], dtype=np.intp)
     starts = np.cumsum(sizes) - sizes
     k = ds.n_classes
-    cells = ds.X.T.take(rows, axis=1)[attrs] + starts[:, None]
+    cells = ds.X.T.take(rows, axis=1) + starts[:, None]
     cells *= k
     cells += ds.y[rows]
     return np.bincount(cells.ravel(), minlength=int(sizes.sum()) * k).reshape(-1, k), starts
@@ -184,9 +182,9 @@ def gain_ratio(dataset: PreparedDataset, attribute: str, target: str | None = No
     except ValueError:
         raise UnknownAttributeError(f"no input attribute named {attribute!r}") from None
     rows = dataset.all_rows()
-    tables, starts = contingency_tables(dataset, rows, np.array([idx]))
+    tables, starts = contingency_tables(dataset, rows)
     _, ratios = gains_and_ratios(tables, starts, class_counts(dataset, rows))
-    return float(ratios[0])
+    return float(ratios[idx])
 
 
 def added_errors(n: float, e: float, cf: float) -> float:

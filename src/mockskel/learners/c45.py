@@ -56,17 +56,17 @@ def _estimated_errors(node: Grown, cf: float) -> float:
 
 
 def best_split(
-    ds: PreparedDataset, rows: np.ndarray, available: np.ndarray, min_leaf: int
+    ds: PreparedDataset, rows: np.ndarray, min_leaf: int
 ) -> tuple[int | None, float, np.ndarray | None]:
     """Index, gain ratio and contingency table over ``rows`` of the best
     admissible split attribute; (None, 0.0, None) when none is admissible.
 
-    One pass over ``rows`` counts the tables of every available attribute.
+    One pass over ``rows`` counts the tables of every input; one that a
+    split above fixed has a single non-empty branch, so is not admissible.
     """
-    attrs = np.flatnonzero(available)
-    if len(rows) == 0 or len(attrs) == 0:
+    if len(rows) == 0 or not ds.names:
         return None, 0.0, None
-    tables, starts = contingency_tables(ds, rows, attrs)
+    tables, starts = contingency_tables(ds, rows)
     large = np.add.reduceat((tables.sum(axis=1) >= min_leaf).astype(np.intp), starts)
     gains, ratios = gains_and_ratios(tables, starts, class_counts(ds, rows))
     admissible = (large >= 2) & (gains > _GAIN_EPS)
@@ -76,19 +76,17 @@ def best_split(
             best, best_ratio = i, ratio
     if best is None:
         return None, 0.0, None
-    attr = int(attrs[best])
-    return attr, best_ratio, tables[starts[best] : starts[best] + len(ds.domains[attr])]
+    return best, best_ratio, tables[starts[best] : starts[best] + len(ds.domains[best])]
 
 
 def grow(
     ds: PreparedDataset,
     rows: np.ndarray,
-    available: np.ndarray,
     params: TreeParams,
     prune: bool = True,
     partial: bool = False,
 ) -> Grown:
-    """Grow a tree on ``rows`` over the ``available`` input columns.
+    """Grow a tree on ``rows``.
 
     A partial tree (PART) expands the children in order of increasing
     branch entropy and returns the node as soon as one child stays a
@@ -100,15 +98,13 @@ def grow(
     maj = majority_class(counts)
     errors = total - int(counts[maj])
     leaf = GrownLeaf(maj, total, errors)
-    if errors == 0 or total < 2 * params.min_leaf_instances or not available.any():
+    if errors == 0 or total < 2 * params.min_leaf_instances:
         return leaf
 
-    attr, _, table = best_split(ds, rows, available, params.min_leaf_instances)
+    attr, _, table = best_split(ds, rows, params.min_leaf_instances)
     if attr is None:
         return leaf
 
-    child_available = available.copy()
-    child_available[attr] = False
     column = ds.X[rows, attr]
     node = GrownSplit(attr, dict.fromkeys(range(len(ds.domains[attr]))))
     order = list(node.children)
@@ -119,7 +115,7 @@ def grow(
         sub = rows[column == vi]
         child = GrownLeaf(maj, 0, 0)  # an empty branch predicts the parent's majority
         if len(sub):
-            child = grow(ds, sub, child_available, params, prune, partial)
+            child = grow(ds, sub, params, prune, partial)
         node.children[vi] = child
         if partial and isinstance(child, GrownSplit):
             return node  # further siblings stay unexpanded
@@ -152,5 +148,4 @@ def train_c45(
     rows = ds.all_rows() if rows is None else rows
     if len(rows) == 0:
         raise DegenerateDatasetError("cannot train a tree on 0 instances")
-    available = np.ones(len(ds.names), dtype=bool)
-    return _named(ds, grow(ds, rows, available, params, prune))
+    return _named(ds, grow(ds, rows, params, prune))

@@ -4,7 +4,9 @@ Each iteration grows a pruned C4.5 tree on the still-uncovered instances
 but only expands the most promising branches (children are expanded in
 order of increasing entropy until one refuses to collapse into a leaf).
 The leaf covering the most instances becomes a rule, covered instances
-are removed, and the loop continues until nothing is left.
+are removed, and the loop continues until a partial tree is a single
+leaf, the default.  A rule's split has another non-empty branch, so
+instances always remain for the next loop.
 """
 
 from __future__ import annotations
@@ -43,16 +45,10 @@ def train_part(
     remaining = rows
     rules: list[Conjunction] = []
     classes: list[int] = []
-    default: int | None = None
-    while len(remaining):
-        available = np.ones(len(ds.names), dtype=bool)
-        leaf, conds = _best_leaf(grow(ds, remaining, available, params, partial=True))
+    while True:
+        leaf, conds = _best_leaf(grow(ds, remaining, params, partial=True))
         if not conds:
-            default = leaf.ci
-            break
+            return counted_rule_list(ds, rows, rules, classes, leaf.ci)
         rules.append(conds)
         classes.append(leaf.ci)
         remaining = remaining[~covers(ds, remaining, conds)]
-    if default is None:
-        default = classes[-1] if classes else 0
-    return counted_rule_list(ds, rows, rules, classes, default)

@@ -94,8 +94,6 @@ def _grow_rule(
     """Add attribute=value conditions maximizing FOIL information gain
     until no covered negatives remain (or no condition helps)."""
     conds = list(start)
-    unused = np.ones(len(ds.names), dtype=bool)
-    unused[[attr for attr, _ in conds]] = False
     covered = grow_rows[covers(ds, grow_rows, tuple(conds))]
     while True:
         p0 = int((ds.y[covered] == pos).sum())
@@ -103,10 +101,10 @@ def _grow_rule(
         if n0 == 0 or p0 == 0:
             break
         acc0 = _log2(p0 / (p0 + n0))
-        attrs = np.flatnonzero(unused)
-        tables, starts = contingency_tables(ds, covered, attrs)
+        tables, starts = contingency_tables(ds, covered)
         positives, totals = tables[:, pos], tables.sum(axis=1)
-        # cells run in (attribute, value) order: a later one wins only by over 1e-12
+        # cells run in (attribute, value) order: a later one wins only by over
+        # 1e-12; a test the rule already holds has gain 0, so it never wins
         best_gain, best_cell = 0.0, None
         for cell in np.flatnonzero(positives).tolist():
             p1 = int(positives[cell])
@@ -115,10 +113,9 @@ def _grow_rule(
                 best_gain, best_cell = gain, cell
         if best_cell is None:
             break
-        slot = int(np.searchsorted(starts, best_cell, side="right")) - 1
-        attr, value = int(attrs[slot]), best_cell - int(starts[slot])
+        attr = int(np.searchsorted(starts, best_cell, side="right")) - 1
+        value = best_cell - int(starts[attr])
         conds.append((attr, value))
-        unused[attr] = False
         covered = covered[ds.X[covered, attr] == value]
     return tuple(conds)
 

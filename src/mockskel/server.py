@@ -187,8 +187,11 @@ def http_date(seconds: float | None = None) -> str:
 
 def _header_line(name: str, value: str) -> bytes:
     """``name: value`` as latin-1, or as UTF-8 where latin-1 cannot encode
-    it; ValueError when it holds CR, LF or NUL, which would end the header
-    early, or cannot be encoded at all."""
+    it; ValueError when ``name`` is not an RFC 9110 token, which a client
+    would read as another name, when the line holds CR, LF or NUL, which
+    would end the header early, or when it cannot be encoded at all."""
+    if not _TOKEN.fullmatch(name):
+        raise ValueError("its name is not an RFC 9110 token")
     line = f"{name}: {value}"
     if "\r" in line or "\n" in line or "\0" in line:
         raise ValueError("it holds CR, LF or NUL")

@@ -109,8 +109,12 @@ def _unique_keys(pairs: list[tuple[str, Any]]) -> dict:
 def read_json(text: str):
     """The JSON value ``text`` holds.  An object that repeats a key, at
     any depth, raises SettingError naming the key, so that no setting is
-    silently given twice; text that is not JSON raises JSONDecodeError."""
-    return json.loads(text, object_pairs_hook=_unique_keys)
+    silently given twice; text that is not JSON, or is nested too deep to
+    decode, raises JSONDecodeError."""
+    try:
+        return json.loads(text, object_pairs_hook=_unique_keys)
+    except RecursionError:
+        raise json.JSONDecodeError("nested too deep to decode", text, 0) from None
 
 
 def settings_json(obj, key_of: Callable[[str], str] = str) -> dict:

@@ -363,7 +363,7 @@ def _har_record(index: int, entry) -> Mapping | None:
 def _har_entries(data: bytes) -> list:
     try:
         entries = json.loads(data.decode("utf-8"))["log"]["entries"]
-    except (UnicodeDecodeError, json.JSONDecodeError, KeyError, TypeError) as exc:
+    except (UnicodeDecodeError, json.JSONDecodeError, RecursionError, KeyError, TypeError) as exc:
         raise MalformedInputError(f"not a HAR 1.2 document: {exc}") from exc
     if not isinstance(entries, list):
         raise MalformedInputError("not a HAR 1.2 document: log.entries is not a list")
@@ -377,7 +377,7 @@ def _read_records(items: Iterable[tuple[int, object]], unit: str, to_record) -> 
     Records with an unsupported method, and items that ``to_record`` turns
     into None, are counted and skipped.  An error names its ``unit`` (line
     or entry) counted from 1, while ``MalformedInputError.index`` stays
-    zero-based.
+    zero-based; JSON nested too deep to decode is such an error.
     """
     transactions = []
     skipped = 0
@@ -395,7 +395,7 @@ def _read_records(items: Iterable[tuple[int, object]], unit: str, to_record) -> 
             raise MalformedInputError(
                 f"{unit} {index + 1}: record is missing/has invalid field: {exc}", index=index
             ) from exc
-        except (ValueError, MockskelError) as exc:
+        except (ValueError, RecursionError, MockskelError) as exc:
             raise MalformedInputError(f"{unit} {index + 1}: {exc}", index=index) from exc
         transactions.append(txn)
     return TrafficLog(transactions=tuple(transactions), skipped_methods=skipped)

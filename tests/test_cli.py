@@ -469,6 +469,19 @@ class TestUserFiles:
         assert str(path) in capsys.readouterr().err
 
 
+    @pytest.mark.parametrize("file", ["config", "input"])
+    def test_json_nested_too_deep_exits_parse(self, fixture_log, tmp_path, capsys, file):
+        path = tmp_path / "deep.json"
+        path.write_text("[" * 5000 + "]" * 5000)
+        args = {
+            "config": ["evaluate", "--input", fixture_log, "--config", path],
+            "input": ["evaluate", "--input", path],
+        }[file]
+        assert run([*args, "--out-report", tmp_path / "r.json"]) == EXIT_PARSE
+        assert "Traceback" not in capsys.readouterr().err
+        assert not (tmp_path / "r.json").exists()
+
+
 class TestImportHar:
     def test_conversion(self, tmp_path):
         har = {

@@ -10,6 +10,7 @@ from hypothesis import strategies as st
 
 from conftest import column, table_row
 from mockskel.features import (
+    MAX_JSON_DEPTH,
     SENTINEL_NO_EXIST,
     SENTINEL_NULL,
     ExtractionConfig,
@@ -165,17 +166,46 @@ class TestPayload:
             "responsejson:ok": "true",
         }
 
-    def test_array_paths_collected_on_both_sides(self):
+    def test_array_paths_collected_on_the_response_side_only(self):
         t = txn(0, method="POST", req_body=b'{"tags":["a"]}',
                 req_headers=[("Content-Type", "application/json")],
                 resp_body=b'{"items":[{"id":1}]}',
                 resp_headers=[("Content-Type", "application/json")])
         arrays = set()
-        request_feature_map(t.request, arrays=arrays)
         response_feature_map(t.response, arrays=arrays)
-        assert arrays == {"requestjson:tags", "responsejson:items"}
-        _, profile = extract_table(TrafficLog((t,)))
-        assert profile.array_paths == ("requestjson:tags", "responsejson:items")
+        assert arrays == {"responsejson:items"}
+        table, profile = extract_table(TrafficLog((t,)))
+        assert profile.array_paths == ("responsejson:items",)
+        assert "requestjson:tags" in table.names
+
+
+    def test_bodies_nested_too_deep_are_not_valid_json(self):
+        deep = b"[" * 3000 + b"]" * 3000
+        json_type = [("Content-Type", "application/json")]
+        t = txn(0, method="POST", req_body=deep, req_headers=json_type,
+                resp_body=deep, resp_headers=json_type)
+        table, profile = extract_table(TrafficLog((t,)))
+        row = table_row(table, 0)
+        assert (row["hasPayload"], row["hasValidPayload"]) == ("true", "false")
+        assert not any(name.startswith(("requestjson:", "responsejson:")) for name in row)
+        assert profile.array_paths == ()
+        # serving reads the body the same way
+        input_names = [a.name for a in table.inputs()]
+        values, _ = serve_input_values(input_names, t.request, ResourceState())
+        assert values == {name: row[name] for name in input_names}
+
+    def test_the_depth_cap_does_not_depend_on_the_callers_stack(self):
+        def valid(depth, frames):
+            if frames:
+                return valid(depth, frames - 1)
+            body = f"{'[' * depth}1{']' * depth}".encode()
+            request = HttpRequest("POST", "https://a.ex/x", [("Content-Type", "application/json")],
+                                  body)
+            return request_feature_map(request)["hasValidPayload"]
+
+        for frames in (0, 400):
+            assert valid(MAX_JSON_DEPTH, frames) == "true"
+            assert valid(MAX_JSON_DEPTH + 1, frames) == "false"
 
 
 class TestFlattenJson:

@@ -75,19 +75,19 @@ def oracle_gain_and_ratio(cont):
     return gain, (gain / split_info if split_info > 0.0 else 0.0)
 
 
-def oracle_best_split(ds, rows, available, min_leaf):
+def oracle_best_split(ds, rows, min_leaf):
     """The split search one attribute at a time, with C4.5's sequential
     tie rule: a later attribute wins only by more than 1e-12."""
     best = (None, 0.0, None)
-    for a in np.flatnonzero(available):
-        cont = oracle_contingency(ds, rows, int(a))
+    for a in range(len(ds.names)):
+        cont = oracle_contingency(ds, rows, a)
         if int((cont.sum(axis=1) >= min_leaf).sum()) < 2:
             continue
         gain, ratio = oracle_gain_and_ratio(cont)
         if gain <= 1e-12:
             continue
         if best[0] is None or ratio > best[1] + 1e-12:
-            best = (int(a), ratio, cont)
+            best = (a, ratio, cont)
     return best
 
 
@@ -331,10 +331,10 @@ class TestC45:
 
 @st.composite
 def split_search_cases(draw):
-    """A small encoded table, a subset of its rows, the available columns
-    and ``min_leaf``.  Some columns copy an earlier one with their values
-    relabelled in reverse order (an exact tie whose table rows come in
-    another order); a domain of size 1 gives a single-valued column."""
+    """A small encoded table, a subset of its rows and ``min_leaf``.  Some
+    columns copy an earlier one with their values relabelled in reverse
+    order (an exact tie whose table rows come in another order); a domain
+    of size 1 gives a single-valued column."""
     n = draw(st.integers(1, 30))
     columns = []
     for _ in range(draw(st.integers(1, 8))):
@@ -347,9 +347,7 @@ def split_search_cases(draw):
     names = [f"a{j}" for j in range(len(columns))]
     ds = make_dataset([[*values, 200 + c] for *values, c in zip(*columns, classes)], names)
     rows = np.array(sorted(draw(st.sets(st.integers(0, n - 1)))), dtype=np.intp)
-    available = np.array(draw(st.lists(st.booleans(), min_size=len(names),
-                                       max_size=len(names))), dtype=bool)
-    return ds, rows, available, draw(st.integers(0, 3))
+    return ds, rows, draw(st.integers(0, 3))
 
 
 def wide_rows(seed, n=600):
@@ -371,16 +369,15 @@ def wide_rows(seed, n=600):
 
 
 class TestSplitSearch:
-    """``best_split`` scores every available column in one pass; the
-    oracle loop scores them one at a time."""
+    """``best_split`` scores every column in one pass; the oracle loop
+    scores them one at a time."""
 
     @settings(max_examples=300, deadline=None, suppress_health_check=[HealthCheck.too_slow])
     @given(case=split_search_cases())
     def test_matches_the_per_attribute_search(self, case):
-        ds, rows, available, min_leaf = case
-        attr, ratio, table = best_split(ds, rows, available, min_leaf)
-        expected_attr, expected_ratio, expected_table = oracle_best_split(
-            ds, rows, available, min_leaf)
+        ds, rows, min_leaf = case
+        attr, ratio, table = best_split(ds, rows, min_leaf)
+        expected_attr, expected_ratio, expected_table = oracle_best_split(ds, rows, min_leaf)
         assert attr == expected_attr
         assert abs(ratio - expected_ratio) <= 1e-12
         if attr is not None:
@@ -403,7 +400,7 @@ class TestSplitSearch:
 def rule_search_cases(draw):
     """A ``split_search_cases`` table and rows, a class, and up to three
     conjunctions over its columns, each testing a column at most once."""
-    ds, rows, _, _ = draw(split_search_cases())
+    ds, rows, _ = draw(split_search_cases())
     pos = draw(st.integers(0, ds.n_classes - 1))
     conjunctions = []
     for _ in range(draw(st.integers(0, 3))):
@@ -447,6 +444,27 @@ class TestRuleSearch:
                 patched.setattr(ripper, "_prune_for_list", oracle_prune_for_list)
                 assert train_ripper(ds) == model
             assert len(model.rules) > 2
+
+
+class TestFixedInputs:
+    """An input that a split or a rule already fixed is never chosen again,
+    so the learners keep no mask of used inputs."""
+
+    @settings(max_examples=300, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+    @given(case=split_search_cases())
+    def test_a_column_with_one_value_is_never_the_split(self, case):
+        ds, rows, min_leaf = case
+        for j in range(len(ds.names) if len(rows) else 0):
+            fixed = rows[ds.X[rows, j] == ds.X[rows[0], j]]
+            assert best_split(ds, fixed, min_leaf)[0] != j
+
+    @settings(max_examples=300, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+    @given(case=rule_search_cases())
+    def test_a_grown_rule_tests_each_column_once(self, case):
+        ds, rows, pos, conjunctions = case
+        for start in [(), *conjunctions]:
+            columns = [attr for attr, _ in ripper._grow_rule(ds, rows, pos, start)]
+            assert len(columns) == len(set(columns))
 
 
 class TestRuleListSemantics:
@@ -595,8 +613,7 @@ class TestPart:
         rows += [["z", b, s] for b in "pq" for s in ("404", "500") for _ in range(5)]
         rows += [["y", b, s] for b in "pq" for s in ("200", "404", "500") for _ in range(5)]
         ds = make_dataset(rows, ["a", "b"])
-        available = np.ones(len(ds.names), dtype=bool)
-        root = grow(ds, ds.all_rows(), available, TreeParams(), partial=True)
+        root = grow(ds, ds.all_rows(), TreeParams(), partial=True)
 
         assert isinstance(root, GrownSplit)  # not collapsed into a leaf
         assert ds.names[root.attr] == "a"

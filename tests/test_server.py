@@ -997,9 +997,34 @@ def one_header_skeleton(name: str, value: str) -> MockSkeleton:
     )
 
 
+class TestDeeplyNestedBody:
+    """A request body nested too deep to decode is answered like any body
+    that is not valid JSON."""
+
+    DEEP = b"[" * 3000 + b"]" * 3000
+    JSON_TYPE = [("Content-Type", "application/json")]
+
+    def test_the_service_answers_and_counts_it(self, skeleton):
+        service = MockService(skeleton)
+        answer = service.handle("POST", f"{HOST}/tasks/1", self.JSON_TYPE, self.DEEP)
+        assert service.stats()["requests"] == 1
+        invalid = MockService(skeleton).handle("POST", f"{HOST}/tasks/1", self.JSON_TYPE, b"[")
+        assert answer == invalid
+
+    def test_it_is_answered_over_http(self, skeleton):
+        request = (b"POST /tasks/1 HTTP/1.1\r\nContent-Type: application/json\r\n"
+                   b"Content-Length: 6000\r\n\r\n" + self.DEEP
+                   + b"GET /_mock/stats HTTP/1.1\r\n\r\n")
+        received = exchange_over_socketpair(skeleton, request)
+        (answered, _), (stats, _) = read_responses(received)
+        invalid = MockService(skeleton).handle("POST", f"{HOST}/tasks/1", self.JSON_TYPE, b"[")
+        assert (answered, stats) == (invalid.status_code, 200)
+        assert json.loads(received.rpartition(b"\r\n\r\n")[2])["requests"] == 1
+
+
 class TestServedHeaderBytes:
-    """Served header names and values that latin-1 cannot encode, or that
-    would end their header line early."""
+    """Served header names and values that latin-1 cannot encode, that
+    would end their header line early, or names that are not tokens."""
 
     def test_a_value_outside_latin_1_is_sent_as_utf_8(self):
         skeleton = one_header_skeleton("X-Price", "5 €")
@@ -1013,7 +1038,9 @@ class TestServedHeaderBytes:
     @pytest.mark.parametrize("name, value", [
         ("X-Note", "a\r\nSet-Cookie: s=1"), ("X-Note", "a\nb"), ("X-Note", "a\rb"),
         ("X-Note", "a\0b"), ("X-Note\r\nSet-Cookie", "s=1"), ("X-Note", "\ud800"),
-    ], ids=["crlf-value", "lf-value", "cr-value", "nul-value", "crlf-name", "lone-surrogate"])
+        ("A B", "v"), ("X:Y", "w"), ("", "e"),
+    ], ids=["crlf-value", "lf-value", "cr-value", "nul-value", "crlf-name", "lone-surrogate",
+            "space-in-name", "colon-in-name", "empty-name"])
     def test_a_header_that_cannot_be_written_gets_500_and_no_body(self, name, value, caplog):
         request = b"GET /a HTTP/1.1\r\n\r\nGET /_mock/stats HTTP/1.1\r\n\r\n"
         with caplog.at_level("ERROR", logger="mockskel.server"):

@@ -422,6 +422,51 @@ class TestSyntaxErrors:
             parse_skeleton(text)
         assert exc.value.line == line
 
+    @pytest.mark.parametrize("text, line, message", [
+        ('inputs:\n  "method\n', 2, "bad JSON string"),
+        ("inputs:\n  method\ntarget statusCode tree:\n  200 extra\n", 4,
+         "unexpected trailing text 'extra'"),
+        ("inputs:\n  method\ntarget statusCode tree:\n  200 extra (3)\n", 4,
+         "unexpected text before counts"),
+        ("inputs:\n  method\n  everCreated\ntarget statusCode tree:\n  method = GET:\n"
+         "      everCreated = true: 200 (1)\n    everCreated = false: 404 (1)\n", 7,
+         "unexpected indentation"),
+        ("inputs:\n  method\ntarget statusCode tree:\n  method = GET 200 (1)\n", 4,
+         "expected ':' after branch value"),
+        ("inputs:\n  method\ntarget statusCode tree:\n  method = GET: 200 (1)\n"
+         "    method = POST: 404 (1)\n", 5, "unexpected indentation"),
+        ("inputs:\n  method\ntarget statusCode rules:\n  method = GET\n  default: 200\n", 4,
+         "expected a rule or default line"),
+        ("inputs:\n  method\ntarget statusCode rules:\n  (method = GET or x) => statusCode=200\n"
+         "  default: 200\n", 4, "expected 'and' or '\\)'"),
+        ("inputs:\n  method\ntarget statusCode rules:\n  (method = GET) -> statusCode=200\n"
+         "  default: 200\n", 4, "expected '=> statusCode=<class>'"),
+        ("config: {nope\ninputs:\n  method\n", 1, "bad config JSON"),
+        ("config: " + "[" * 5000 + "]" * 5000 + "\ninputs:\n  method\n", 1,
+         "bad config JSON: nested too deep"),
+        ("  service: s\ninputs:\n  method\n", 1, "unexpected indented line 'service: s'"),
+        ("inputs:\n  method\ntarget statusCode graph:\n  200 (1)\n", 3,
+         "expected 'target <name> tree:'"),
+        ("inputs:\n  method\ntarget statusCode tree:\n  200 (1)\n"
+         "target statusCode tree:\n  404 (1)\n", 5, "duplicate target section 'statusCode'"),
+        ('service: "s" x\ninputs:\n  method\n', 1, "unexpected text ' x' after the service name"),
+        ("seed: one\ninputs:\n  method\n", 1, "seed must be an integer"),
+        ("inputs:\n  method extra\n", 2, "unexpected text ' extra' after an input"),
+        ("seed: 1\n  2\ninputs:\n  method\n", 2, "unexpected indented line '2'"),
+        ("inputs:\n  method\nunpredicted:\n  statusCode  reason=unary  color=red\n", 4,
+         "unexpected field"),
+        ('inputs:\n  method\nunpredicted:\n  statusCode  default="1"\n', 4,
+         "missing reason="),
+    ], ids=["json-string", "trailing-text", "text-before-counts", "off-level", "branch-colon",
+            "under-a-leaf", "not-a-rule", "and-or-paren", "rule-head", "config-json",
+            "config-nested-too-deep", "indented-directive", "target-kind", "duplicate-target",
+            "after-service", "seed", "after-input", "under-a-directive", "unpredicted-field",
+            "reason"])
+    def test_each_refusal_names_its_line(self, text, line, message):
+        with pytest.raises(SkeletonSyntaxError, match=message) as exc:
+            parse_skeleton(text)
+        assert exc.value.line == line
+
     def test_rules_notes_and_a_predicted_unpredicted_attribute_may_repeat(self):
         text = (
             "service: s\n# a\n# a\ninputs:\n  method\n"

@@ -61,6 +61,13 @@ class TestJsonlLoading:
         assert [t.sequence for t in log.transactions] == [2, 5, 9]
         assert [t.id for t in log.transactions] == ["t2", "t5", "t9"]
 
+    def test_a_line_nested_too_deep_is_malformed(self):
+        text = line(0) + "\n" + "[" * 5000 + "]" * 5000 + "\n"
+        with pytest.raises(MalformedInputError) as exc:
+            load_traffic(text.encode(), "jsonl")
+        assert exc.value.index == 1
+        assert str(exc.value).startswith("line 2: ")
+
     def test_malformed_line_reports_index(self):
         text = line(0) + "\n{nope\n"
         with pytest.raises(MalformedInputError) as exc:
@@ -183,6 +190,11 @@ class TestHarImport:
                 "content": {"text": "{\"ok\":true}"},
             },
         }
+
+    def test_a_document_nested_too_deep_is_malformed(self):
+        data = b'{"log": {"entries": ' + b"[" * 5000 + b"]" * 5000 + b"}}"
+        with pytest.raises(MalformedInputError, match="^not a HAR 1.2 document: "):
+            load_traffic(data, "har")
 
     def test_entries_map_in_order(self):
         log = load_traffic(self.har([self.entry(), self.entry(method="POST")]), "har")
