@@ -10,7 +10,6 @@ the functions that train, so ``serve`` starts without loading them.
 from __future__ import annotations
 
 import argparse
-import json
 import logging
 import os
 import sys
@@ -74,7 +73,7 @@ class RunConfig(Settings):
     learners: Annotated[tuple[str, ...], _LEARNER_NAMES] = LEARNER_ORDER
     seed: int = 1
     folds: Annotated[int, at_least(2)] = 10
-    jobs: Count = 0  # 0 means logical core count
+    jobs: Count = 0  # 0 means the CPUs this process may use
     service_name: str = ""
     out_skeleton: str = "skeleton.txt"
     out_report: str = "report.json"
@@ -219,6 +218,13 @@ def _run_in_worker(target: int, learner: str) -> tuple[TargetMetrics, Model]:
     return _worker_job.run(target, learner)
 
 
+def _usable_cpus() -> int:
+    """The CPUs this process may run on, where the platform can say."""
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
+    return os.cpu_count() or 1
+
+
 def run_pipeline(traffic_log: TrafficLog, config: RunConfig) -> PipelineResult:
     """Extract, prepare and encode once, then cross-validate and fit every
     (target, learner) pair.  Pool workers receive the datasets once, when
@@ -231,8 +237,8 @@ def run_pipeline(traffic_log: TrafficLog, config: RunConfig) -> PipelineResult:
         raise DegenerateDatasetError("no learnable targets after preparation")
     job = _TrainJob(tuple(datasets), config.learner_params(), config.folds, config.seed)
     tasks = [(t, learner) for t in range(len(datasets)) for learner in config.learners]
-    jobs = config.jobs or os.cpu_count() or 1
-    if jobs > 1 and len(tasks) > 1:
+    jobs = min(config.jobs or _usable_cpus(), len(tasks))
+    if jobs > 1:
         from concurrent.futures import ProcessPoolExecutor
 
         with ProcessPoolExecutor(max_workers=jobs, initializer=_start_worker, initargs=(job,)) as pool:
@@ -373,7 +379,7 @@ def _add_pipeline_options(sub: argparse.ArgumentParser, training: bool) -> None:
     sub.add_argument("--learners", help="comma-separated subset of c45,ripper,part")
     sub.add_argument("--seed", type=int, help="seed for folds and rule induction (default 1)")
     sub.add_argument("--folds", type=int, help="cross-validation folds (default 10)")
-    sub.add_argument("--jobs", type=int, help="parallel workers (default: logical cores)")
+    sub.add_argument("--jobs", type=int, help="parallel workers (default: the CPUs usable)")
     sub.add_argument("--service-name", dest="service_name", help="name recorded in outputs")
     sub.add_argument("--config", help="JSON config file mirroring these flags (flags win)")
     sub.add_argument("--max-target-cardinality", dest="max_target_cardinality", type=int)
@@ -444,7 +450,6 @@ def main(argv=None) -> int:
         SkeletonSyntaxError,
         UnknownAttributeError,
         UnparseableUriError,
-        json.JSONDecodeError,
     ) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_PARSE

@@ -32,7 +32,8 @@ from operator import itemgetter
 from typing import Iterable, Mapping, NamedTuple, Sequence
 from urllib.parse import parse_qsl
 
-from .settings import Count, Settings
+from .errors import MalformedInputError
+from .settings import Count, Settings, read_json
 from .traffic import (
     CRUD_CLASSES,
     HttpRequest,
@@ -212,7 +213,7 @@ MAX_JSON_DEPTH = 500
 
 def _flatten(value, path: str, out: dict[str, str], arrays: set[str], depth: int = 0) -> None:
     if depth > MAX_JSON_DEPTH:
-        raise RecursionError(f"JSON nested over {MAX_JSON_DEPTH} deep")
+        raise MalformedInputError(f"JSON nested over {MAX_JSON_DEPTH} deep")
     if isinstance(value, dict):
         for key, sub in value.items():
             _flatten(sub, f"{path}.{key}" if path else str(key), out, arrays, depth + 1)
@@ -241,8 +242,8 @@ def _add_json(
     ``out``, and its ``prefix:dot.path`` array prefixes to ``arrays``;
     returns (has_payload, is_valid_json).  Arrays are merged index-free:
     the union of their elements' keys, where the first non-null value wins.
-    A body nested too deep to decode or over ``MAX_JSON_DEPTH`` is not
-    valid JSON."""
+    A body that ``read_json`` refuses, or nested over ``MAX_JSON_DEPTH``,
+    is not valid JSON."""
     if body is None or len(body) == 0:
         return False, False
     if content_type is not None and "json" not in content_type.lower():
@@ -250,8 +251,8 @@ def _add_json(
     flat: dict[str, str] = {}
     found: set[str] = set()
     try:
-        _flatten(json.loads(body.decode("utf-8")), "", flat, found)
-    except (UnicodeDecodeError, json.JSONDecodeError, RecursionError):
+        _flatten(read_json(body, unique_keys=False), "", flat, found)
+    except MalformedInputError:
         return True, False
     for path, text in flat.items():
         out[f"{prefix}:{path}"] = escape_literal(text)
@@ -335,13 +336,16 @@ _JSON_NUMBER = re.compile(r"-?(?:0|[1-9][0-9]*)(\.[0-9]+)?([eE][+-]?[0-9]+)?")
 
 def _json_value(nominal: str):
     """The JSON value of a ``responsejson:`` nominal: the value of a JSON
-    literal (null, a boolean or a finite number), else the text itself."""
+    literal (null, a boolean or a finite, convertible number), else the text."""
     text = unescape_literal(nominal)
     number = _JSON_NUMBER.fullmatch(text)
     if number is None:
         return _JSON_CONSTANTS.get(text, text)
     if not (number[1] or number[2]):
-        return int(text)
+        try:
+            return int(text)
+        except ValueError:  # more digits than int() converts
+            return text
     value = float(text)
     return value if math.isfinite(value) else text
 

@@ -170,11 +170,15 @@ class MockService:
 
 def _content_length(value: str | None) -> int | None:
     """Body length a request declares: 0 without the header, None when the
-    value is not a non-negative decimal integer."""
+    value is not a non-negative decimal integer, ``MAX_BODY + 1`` when it
+    has more digits than ``MAX_BODY``, leading zeros aside."""
     if value is None:
         return 0
     value = value.strip()
-    return int(value) if value.isascii() and value.isdigit() else None
+    if not (value.isascii() and value.isdigit()):
+        return None
+    digits = value.lstrip("0")  # int() refuses a number with very many digits
+    return int(digits or "0") if len(digits) <= len(str(MAX_BODY)) else MAX_BODY + 1
 
 
 def http_date(seconds: float | None = None) -> str:

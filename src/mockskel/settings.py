@@ -16,7 +16,7 @@ from dataclasses import dataclass, fields, is_dataclass
 from functools import cache, partial
 from typing import Annotated, Any, Callable, NamedTuple, get_args, get_origin, get_type_hints
 
-from .errors import SettingError
+from .errors import MalformedInputError, SettingError
 
 #: a JSON object of strings, as (key, value) pairs so that settings stay hashable
 Pairs = tuple[tuple[str, str], ...]
@@ -101,20 +101,25 @@ def _unique_keys(pairs: list[tuple[str, Any]]) -> dict:
     obj = {}
     for key, value in pairs:
         if key in obj:
-            raise SettingError(f"repeated key {key!r} in a JSON object")
+            raise MalformedInputError(f"repeated key {key!r} in a JSON object")
         obj[key] = value
     return obj
 
 
-def read_json(text: str):
-    """The JSON value ``text`` holds.  An object that repeats a key, at
-    any depth, raises SettingError naming the key, so that no setting is
-    silently given twice; text that is not JSON, or is nested too deep to
-    decode, raises JSONDecodeError."""
+def read_json(data: str | bytes, unique_keys: bool = True):
+    """The JSON value ``data`` holds, the one decoder of JSON read from
+    outside; bytes are read as strict UTF-8.  Bytes that are not UTF-8,
+    text that is not JSON, nesting too deep to decode and an integer too
+    long to convert raise MalformedInputError, as does, with
+    ``unique_keys``, an object that repeats a key at any depth, so that no
+    setting is silently given twice."""
     try:
-        return json.loads(text, object_pairs_hook=_unique_keys)
+        text = data.decode("utf-8") if isinstance(data, bytes) else data
+        return json.loads(text, object_pairs_hook=_unique_keys if unique_keys else None)
     except RecursionError:
-        raise json.JSONDecodeError("nested too deep to decode", text, 0) from None
+        raise MalformedInputError("nested too deep to decode") from None
+    except ValueError as exc:  # UnicodeDecodeError and JSONDecodeError are ValueErrors too
+        raise MalformedInputError(str(exc)) from exc
 
 
 def settings_json(obj, key_of: Callable[[str], str] = str) -> dict:

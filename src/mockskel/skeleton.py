@@ -54,7 +54,7 @@ from dataclasses import dataclass, field, fields
 from functools import cache
 from typing import TYPE_CHECKING, Iterator, Mapping
 
-from .errors import SettingError, SkeletonSyntaxError, UnknownAttributeError
+from .errors import MalformedInputError, SettingError, SkeletonSyntaxError, UnknownAttributeError
 from .features import ExtractionConfig, ExtractionProfile, Role, role_for
 from .model import Leaf, Model, Node, Rule, RuleList, Split
 from .settings import read_json, read_setting, settings_json
@@ -169,7 +169,7 @@ BARE_TOKEN = re.compile(r"[A-Za-z0-9_.\-{}/@+]+")
 BARE_NAME = re.compile(r"(?![#)])[^\s\"\ud800-\udfff]+")
 _EQUALS = re.compile(r"\s* = ")
 _FIELD = re.compile(r"\s+(reason|default)\s*=")
-_COUNTS = re.compile(r"\((\d+)(?:/(\d+))?\)\s*$")
+_COUNTS = re.compile(r"\(([0-9]+)(?:/([0-9]+))?\)\s*$")
 #: the keywords of the top-level directives; only a section owns the lines under it
 _SECTIONS = ("inputs", "unpredicted")
 _DIRECTIVES = ("service", "schema-digest", "seed", "config", *_SECTIONS)
@@ -242,7 +242,10 @@ def _take_class(text: str, line_no: int, classes: _Classes) -> tuple[str, int, i
         raise SkeletonSyntaxError(
             f"unexpected text before counts: {rest[: match.start()].strip()!r}", line_no
         )
-    return klass, int(match.group(1)), int(match.group(2) or 0)
+    try:
+        return klass, int(match.group(1)), int(match.group(2) or 0)
+    except ValueError:  # more digits than int() converts
+        raise SkeletonSyntaxError("a count has too many digits", line_no) from None
 
 
 def _response_attribute(name: str, line_no: int) -> None:
@@ -442,10 +445,8 @@ def _parse_config(
     """The config, profile and dropped inputs of a ``config:`` line."""
     try:
         obj = read_json(text)
-    except json.JSONDecodeError as exc:
+    except MalformedInputError as exc:
         raise SkeletonSyntaxError(f"bad config JSON: {exc}", line_no) from None
-    except SettingError as exc:
-        raise SkeletonSyntaxError(str(exc), line_no) from None
     if not isinstance(obj, dict):
         raise SkeletonSyntaxError("config must be a JSON object", line_no)
     obj.pop("pathDepth", None)

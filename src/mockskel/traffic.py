@@ -20,7 +20,7 @@ from typing import Annotated, Iterable, Mapping
 from urllib.parse import SplitResult, urlsplit
 
 from .errors import MalformedInputError, MockskelError, UnparseableUriError
-from .settings import Pairs, Settings, Valid
+from .settings import Pairs, Settings, Valid, read_json
 
 SUPPORTED_METHODS = ("GET", "HEAD", "POST", "PUT", "PATCH", "DELETE", "OPTIONS")
 
@@ -307,8 +307,8 @@ def transaction_to_json(txn: HttpTransaction) -> dict:
 
 def _jsonl_record(index: int, line: bytes) -> Mapping:
     try:
-        obj = json.loads(line.decode("utf-8"))
-    except (UnicodeDecodeError, json.JSONDecodeError) as exc:
+        obj = read_json(line, unique_keys=False)
+    except MalformedInputError as exc:
         raise MalformedInputError(f"invalid JSON: {exc}") from exc
     if not isinstance(obj, dict):
         raise MalformedInputError("expected a JSON object")
@@ -362,8 +362,8 @@ def _har_record(index: int, entry) -> Mapping | None:
 
 def _har_entries(data: bytes) -> list:
     try:
-        entries = json.loads(data.decode("utf-8"))["log"]["entries"]
-    except (UnicodeDecodeError, json.JSONDecodeError, RecursionError, KeyError, TypeError) as exc:
+        entries = read_json(data, unique_keys=False)["log"]["entries"]
+    except (MalformedInputError, KeyError, TypeError) as exc:
         raise MalformedInputError(f"not a HAR 1.2 document: {exc}") from exc
     if not isinstance(entries, list):
         raise MalformedInputError("not a HAR 1.2 document: log.entries is not a list")
@@ -377,7 +377,7 @@ def _read_records(items: Iterable[tuple[int, object]], unit: str, to_record) -> 
     Records with an unsupported method, and items that ``to_record`` turns
     into None, are counted and skipped.  An error names its ``unit`` (line
     or entry) counted from 1, while ``MalformedInputError.index`` stays
-    zero-based; JSON nested too deep to decode is such an error.
+    zero-based.
     """
     transactions = []
     skipped = 0
@@ -395,7 +395,7 @@ def _read_records(items: Iterable[tuple[int, object]], unit: str, to_record) -> 
             raise MalformedInputError(
                 f"{unit} {index + 1}: record is missing/has invalid field: {exc}", index=index
             ) from exc
-        except (ValueError, RecursionError, MockskelError) as exc:
+        except (ValueError, MockskelError) as exc:
             raise MalformedInputError(f"{unit} {index + 1}: {exc}", index=index) from exc
         transactions.append(txn)
     return TrafficLog(transactions=tuple(transactions), skipped_methods=skipped)

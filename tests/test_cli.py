@@ -1,3 +1,4 @@
+import concurrent.futures
 import csv
 import http.client
 import json
@@ -5,6 +6,8 @@ import os
 import re
 import subprocess
 import sys
+from concurrent.futures import Future
+from dataclasses import replace
 from pathlib import Path
 
 import pytest
@@ -12,7 +15,8 @@ import pytest
 import mockskel
 from conftest import har_document
 
-from mockskel.cli import EXIT_DEGENERATE, EXIT_IO, EXIT_OK, EXIT_PARSE, main
+from mockskel import cli
+from mockskel.cli import EXIT_DEGENERATE, EXIT_IO, EXIT_OK, EXIT_PARSE, RunConfig, main, run_pipeline
 from mockskel.server import MockService
 from mockskel.skeleton import MockSkeleton, UnpredictedTarget, emit_skeleton, parse_skeleton
 from mockskel.synth import generate_synthetic_log
@@ -89,6 +93,18 @@ class TestTrain:
              "--out-skeleton", tmp_path / "s.txt", "--out-report", tmp_path / "r.json"]
         )
         assert code == EXIT_PARSE
+
+    def test_a_body_with_an_integer_too_long_to_convert_trains(self, tmp_path):
+        log = generate_synthetic_log(40, 4, seed=2)
+        first = log.transactions[0]
+        body = b'{"title": ' + b"1" * 5000 + b"}"
+        headers = (("Content-Type", "application/json"),)
+        long_int = replace(first, request=HttpRequest("POST", first.request.uri, headers, body))
+        path = tmp_path / "traffic.jsonl"
+        save_jsonl(TrafficLog((long_int, *log.transactions[1:])), path)
+        code = run(["train", "--input", path, "--jobs", 1,
+                    "--out-skeleton", tmp_path / "s.txt", "--out-report", tmp_path / "r.json"])
+        assert code == EXIT_OK
 
     def test_degenerate_input_exits_5(self, tmp_path):
         # a single repeated transaction leaves nothing learnable
@@ -285,6 +301,22 @@ class TestConfigFile:
              "--out-report", tmp_path / "r.json"]
         )
         assert code == EXIT_PARSE
+
+    @pytest.mark.parametrize("text, message", [
+        ("[1]", "config file must be a JSON object, not [1]"),
+        ('{"seed": ' + "1" * 5000 + "}", "Exceeds the limit"),
+    ], ids=["array", "integer-too-long"])
+    def test_a_config_file_that_is_no_config_exits_parse(self, fixture_log, tmp_path, capsys,
+                                                         text, message):
+        config_path = tmp_path / "config.json"
+        config_path.write_text(text)
+        report_path = tmp_path / "r.json"
+        code = run(["evaluate", "--input", fixture_log, "--config", config_path,
+                    "--out-report", report_path])
+        err = capsys.readouterr().err
+        assert code == EXIT_PARSE
+        assert message in err and "Traceback" not in err
+        assert not report_path.exists()
 
     def test_repeated_config_key_rejected(self, fixture_log, tmp_path, capsys):
         config_path = tmp_path / "config.json"
@@ -507,6 +539,16 @@ class TestImportHar:
         har_path.write_text("{}")
         assert run(["import-har", "--input", har_path, "--out", tmp_path / "o"]) == EXIT_PARSE
 
+    def test_an_integer_too_long_to_convert_exits_parse(self, tmp_path, capsys):
+        record = {"request": {"method": "GET", "uri": "https://a.ex/x"}, "response": {"status": 200}}
+        har_path = tmp_path / "traffic.har"
+        har_path.write_bytes(har_document([record]).replace(b'"entries"', b'"n": ' + b"1" * 5000
+                                                            + b', "entries"'))
+        assert run(["import-har", "--input", har_path, "--out", tmp_path / "o"]) == EXIT_PARSE
+        err = capsys.readouterr().err
+        assert err.startswith("error: not a HAR 1.2 document: ") and "Traceback" not in err
+        assert not (tmp_path / "o").exists()
+
     def test_lone_surrogate_header_value_is_written_escaped(self, tmp_path):
         record = {"request": {"method": "GET", "uri": "https://a.ex/x", "headers": [["X-Odd", "\ud800"]]},
                   "response": {"status": 200}}
@@ -542,3 +584,59 @@ class TestParallelism:
         run(["evaluate", "--input", fixture_log, "--jobs", 1, "--out-report", serial])
         run(["evaluate", "--input", fixture_log, "--jobs", 4, "--out-report", parallel])
         assert serial.read_bytes() == parallel.read_bytes()
+
+    class RecordingPool:
+        """A stand-in for ProcessPoolExecutor that records the workers asked
+        for and runs each task in this process."""
+
+        def __init__(self, max_workers, initializer, initargs, sizes):
+            sizes.append(max_workers)
+            initializer(*initargs)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc_info):
+            return False
+
+        def submit(self, fn, *args):
+            future = Future()
+            future.set_result(fn(*args))
+            return future
+
+    @pytest.fixture
+    def pool_sizes(self, monkeypatch):
+        """The ``max_workers`` of each pool that training starts."""
+        sizes = []
+        monkeypatch.setattr(cli, "_worker_job", None)
+        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor",
+                            lambda **kwargs: self.RecordingPool(**kwargs, sizes=sizes))
+        return sizes
+
+    @pytest.fixture(scope="class")
+    def six_tasks(self):
+        """A run of six (target, learner) tasks, and its serial metrics."""
+        log = generate_synthetic_log(120, 6, seed=3)
+        config = RunConfig(input="x", jobs=1, learners=("c45",))
+        result = run_pipeline(log, config)
+        assert len(result.metrics) == 6
+        return log, config, result.metrics
+
+    def test_the_pool_never_has_more_workers_than_tasks(self, six_tasks, pool_sizes):
+        log, config, serial = six_tasks
+        result = run_pipeline(log, replace(config, jobs=64))
+        assert pool_sizes == [6]
+        assert result.metrics == serial
+
+    def test_jobs_0_counts_the_cpus_this_process_may_use(self, six_tasks, pool_sizes, monkeypatch):
+        log, config, serial = six_tasks
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0}, raising=False)
+        monkeypatch.setattr(os, "cpu_count", lambda: 64)
+        result = run_pipeline(log, replace(config, jobs=0))
+        assert pool_sizes == []  # one usable CPU: no pool
+        assert result.metrics == serial
+        # without an affinity call, the CPU count
+        monkeypatch.delattr(os, "sched_getaffinity", raising=False)
+        monkeypatch.setattr(os, "cpu_count", lambda: 3)
+        run_pipeline(log, replace(config, jobs=0))
+        assert pool_sizes == [3]

@@ -207,6 +207,25 @@ class TestPayload:
             assert valid(MAX_JSON_DEPTH, frames) == "true"
             assert valid(MAX_JSON_DEPTH + 1, frames) == "false"
 
+    def test_an_integer_too_long_to_convert_is_not_valid_json(self):
+        body = b'{"a": ' + b"1" * 5000 + b', "b": 2}'
+        json_type = [("Content-Type", "application/json")]
+        t = txn(0, method="POST", req_body=body, req_headers=json_type,
+                resp_body=body, resp_headers=json_type)
+        table, _ = extract_table(TrafficLog((t,)))
+        row = table_row(table, 0)
+        assert (row["hasPayload"], row["hasValidPayload"]) == ("true", "false")
+        assert not any(name.startswith(("requestjson:", "responsejson:")) for name in row)
+        input_names = [a.name for a in table.inputs()]
+        values, _ = serve_input_values(input_names, t.request, ResourceState())
+        assert values == {name: row[name] for name in input_names}
+
+    def test_a_body_may_repeat_a_key_and_the_last_value_wins(self):
+        body = b'{"a": 1, "a": 2}'
+        request = HttpRequest("POST", "https://a.ex/x", [("Content-Type", "application/json")], body)
+        features = request_feature_map(request)
+        assert (features["hasValidPayload"], features["requestjson:a"]) == ("true", "2")
+
 
 class TestFlattenJson:
     def test_nested_array_merges_without_indices(self):

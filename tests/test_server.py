@@ -878,6 +878,20 @@ class TestHttpReader:
         assert answers == [(status, answers[0][1])]
         assert answers[0][1]["Connection"] == "close"
 
+    def test_a_content_length_too_long_to_convert_gets_413_and_close(self, skeleton):
+        # the request after the refused one is never read
+        request = (b"POST /tasks/1 HTTP/1.1\r\nContent-Length: " + b"9" * 5000 + b"\r\n\r\n"
+                   b"GET / HTTP/1.1\r\n\r\n")
+        (answer,) = read_responses(exchange_over_socketpair(skeleton, request))
+        assert answer[0] == 413 and answer[1]["Connection"] == "close"
+
+    def test_leading_zeros_do_not_count_as_digits(self, skeleton):
+        request = (b"POST /tasks/1 HTTP/1.1\r\nContent-Type: application/json\r\n"
+                   b"Content-Length: " + b"0" * 5000 + b"14\r\nConnection: close\r\n\r\n"
+                   b'{"title": "x"}')
+        answers = read_responses(exchange_over_socketpair(skeleton, request))
+        assert [status for status, _ in answers] == [201]
+
     def test_a_hundred_headers_are_read(self, skeleton):
         request = b"GET /tasks/45 HTTP/1.1\r\n" + b"X: a\r\n" * 99 + b"Connection: close\r\n\r\n"
         answers = read_responses(exchange_over_socketpair(skeleton, request))
@@ -1020,6 +1034,45 @@ class TestDeeplyNestedBody:
         invalid = MockService(skeleton).handle("POST", f"{HOST}/tasks/1", self.JSON_TYPE, b"[")
         assert (answered, stats) == (invalid.status_code, 200)
         assert json.loads(received.rpartition(b"\r\n\r\n")[2])["requests"] == 1
+
+
+class TestIntegerTooLongToConvert:
+    """An integer with more digits than ``int()`` converts: in a request
+    body it is a body that is not valid JSON, and as a served value it is
+    a JSON string."""
+
+    BODY = b'{"a": ' + b"1" * 5000 + b"}"
+    JSON_TYPE = [("Content-Type", "application/json")]
+
+    def test_the_service_answers_and_counts_it(self, skeleton):
+        service = MockService(skeleton)
+        answer = service.handle("POST", f"{HOST}/tasks/1", self.JSON_TYPE, self.BODY)
+        assert service.stats()["requests"] == 1
+        invalid = MockService(skeleton).handle("POST", f"{HOST}/tasks/1", self.JSON_TYPE, b"[")
+        assert answer == invalid
+
+    def test_it_is_answered_over_http(self, skeleton):
+        request = (b"POST /tasks/1 HTTP/1.1\r\nContent-Type: application/json\r\n"
+                   b"Content-Length: %d\r\n\r\n" % len(self.BODY) + self.BODY
+                   + b"GET /_mock/stats HTTP/1.1\r\n\r\n")
+        received = exchange_over_socketpair(skeleton, request)
+        (answered, _), (stats, _) = read_responses(received)
+        invalid = MockService(skeleton).handle("POST", f"{HOST}/tasks/1", self.JSON_TYPE, b"[")
+        assert (answered, stats) == (invalid.status_code, 200)
+        assert json.loads(received.rpartition(b"\r\n\r\n")[2])["requests"] == 1
+
+    def test_a_served_default_that_spells_one_is_a_json_string(self):
+        digits = "1" * 5000
+        skeleton = MockSkeleton(
+            service_name="s", seed=1, inputs=("method",), targets={},
+            unpredicted=(UnpredictedTarget("statusCode", "unary", "200"),
+                         UnpredictedTarget("responsejson:n", "unary", digits)),
+        )
+        answer = MockService(skeleton).handle("GET", f"{HOST}/a")
+        assert (answer.status_code, json.loads(answer.body)) == (200, {"n": digits})
+        received = exchange_over_socketpair(skeleton, b"GET /a HTTP/1.1\r\n\r\n")
+        assert [status for status, _ in read_responses(received)] == [200]
+        assert json.loads(received.partition(b"\r\n\r\n")[2]) == {"n": digits}
 
 
 class TestServedHeaderBytes:

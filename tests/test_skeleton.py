@@ -467,6 +467,23 @@ class TestSyntaxErrors:
             parse_skeleton(text)
         assert exc.value.line == line
 
+    @pytest.mark.parametrize("counts, message", [
+        ("(١٢)", "unexpected trailing text"),  # Arabic-Indic digits
+        ("(" + "1" * 5000 + ")", "a count has too many digits"),
+        ("(3/" + "1" * 5000 + ")", "a count has too many digits"),
+    ], ids=["not-ascii-digits", "too-long", "too-long-errors"])
+    def test_counts_are_ascii_digits_that_int_converts(self, counts, message):
+        text = f"inputs:\n  method\ntarget statusCode tree:\n  200 {counts}\n"
+        with pytest.raises(SkeletonSyntaxError, match=message) as exc:
+            parse_skeleton(text)
+        assert exc.value.line == 4
+
+    def test_a_config_integer_too_long_to_convert_is_bad_config_json(self):
+        text = 'config: {"maxPathDepth": ' + "1" * 5000 + "}\ninputs:\n  method\n"
+        with pytest.raises(SkeletonSyntaxError, match="bad config JSON: ") as exc:
+            parse_skeleton(text)
+        assert exc.value.line == 1
+
     def test_rules_notes_and_a_predicted_unpredicted_attribute_may_repeat(self):
         text = (
             "service: s\n# a\n# a\ninputs:\n  method\n"

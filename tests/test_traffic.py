@@ -147,6 +147,50 @@ class TestJsonlLoading:
         assert all(type(n) is int for n in numbers)
 
 
+class TestLoaderRefusals:
+    """Each refusal of the loaders, with its message and, where it has one,
+    the zero-based index of the record at fault."""
+
+    @pytest.mark.parametrize("records, message, index", [
+        ([line(0), line(1, uri="http://[::1/a")],
+         "line 2: cannot parse URI 'http://[::1/a': Invalid IPv6 URL", 1),
+        ([line(0), json.dumps({**json.loads(line(1)), "request": {
+            "method": "POST", "uri": "https://a.ex/x", "body": "{}", "bodyB64": "e30="}})],
+         "line 2: transaction t1: request: both body and bodyB64 present", 1),
+        ([line(0), "[1, 2]"], "line 2: expected a JSON object", 1),
+        ([line(4), line(5), line(4).replace('"t4"', '"t6"')],
+         "duplicate sequence numbers in traffic log", None),
+    ], ids=["unparseable-uri", "body-and-bodyB64", "not-an-object", "duplicate-sequence"])
+    def test_each_refusal_names_its_record(self, records, message, index):
+        with pytest.raises(MalformedInputError) as exc:
+            load_traffic("\n".join(records).encode())
+        assert str(exc.value) == message
+        assert exc.value.index == index
+
+    def test_a_repeated_name_is_not_refused_and_its_last_value_wins(self):
+        log = load_traffic(('{"id": "first", ' + line(0)[1:]).encode())
+        assert log.transactions[0].id == "t0"
+
+    def test_an_unknown_format_is_refused(self):
+        with pytest.raises(ValueError, match=r"^unknown traffic format 'xml' \(expected jsonl or har\)$"):
+            load_traffic(line(0).encode(), "xml")
+
+    def test_a_har_time_without_an_offset_is_read_as_utc(self):
+        record = {"request": {"method": "GET", "uri": "https://a.ex/x"}, "response": {"status": 200}}
+        document = json.loads(har_document([record, record]))
+        entries = document["log"]["entries"]
+        entries[0]["startedDateTime"] = "2019-07-02T10:00:00.000"
+        entries[1]["startedDateTime"] = "2019-07-02T10:00:00.000Z"
+        log = load_traffic(json.dumps(document).encode(), "har")
+        assert [t.timestamp for t in log.transactions] == [1562061600000] * 2
+
+    def test_an_integer_too_long_to_convert_is_invalid_json(self):
+        data = line(0).replace('"sequence": 0', '"sequence": ' + "1" * 5000).encode()
+        with pytest.raises(MalformedInputError, match="^line 1: invalid JSON: Exceeds the limit") as exc:
+            load_traffic(data)
+        assert exc.value.index == 0
+
+
 class TestRoundTrip:
     def test_body_and_binary_body_round_trip(self):
         req = HttpRequest(
