@@ -7,9 +7,13 @@ resource), every predicted target is classified, and
 status code, headers and a JSON body.  ``/_mock/*`` control endpoints
 expose reset, counters, and the active skeleton text.
 
-``MockServer`` reads HTTP/1.1 itself, a thread per connection, and
-writes each answer in one send with Nagle's algorithm off.  One lock per
-``MockService`` serializes the answers, which are GIL-bound Python.
+``MockServer`` reads HTTP/1.1 itself and serves every connection from
+one thread, through one ``selectors`` loop: a pure function reads each
+request from the bytes a connection has sent so far, and each answer is
+written in one send with Nagle's algorithm off.  One thread means no two
+connections hand the GIL back and forth; answers are GIL-bound Python,
+so more threads would run none of them in parallel.  ``MockService``
+keeps its one lock for callers that answer from threads of their own.
 """
 
 from __future__ import annotations
@@ -17,12 +21,14 @@ from __future__ import annotations
 import json
 import logging
 import re
-import socketserver
+import selectors
+import socket
 import threading
 import time
 from collections import OrderedDict
 from dataclasses import dataclass, field
 from http import HTTPStatus
+from typing import NamedTuple
 
 from .errors import MockskelError
 from .features import ResourceState, response_from_attributes, serve_input_values
@@ -51,7 +57,14 @@ MAX_HEADERS = 100
 MAX_BODY = 64 * 1024 * 1024
 
 _REASONS = {status.value: status.phrase for status in HTTPStatus}
-_VERSION = re.compile(r"HTTP/([0-9]{1,10})\.([0-9]{1,10})")
+#: a request line less its LF: three words that SP, HTAB, VT, FF or bare CR
+#: separate (RFC 9112 3), the last an HTTP version; a word holds no whitespace
+_REQUEST_LINE = re.compile(
+    r"[ \t\v\f\r]*(\S+)[ \t\v\f\r]+(\S+)[ \t\v\f\r]+HTTP/([0-9]{1,10})\.([0-9]{1,10})[ \t\v\f\r]*")
+_EMPTY_LINES = re.compile(rb"(?:\r?\n)*")
+_BLANK_LINE = re.compile(rb"\n\r?\n")  # the end of a line, then an empty line
+_RECV_SIZE = 65_536  # most bytes read from a connection at a time
+_POLL_S = 0.5  # longest wait of the serving loop before it looks for a shutdown
 _TOKEN = re.compile(r"[-!#$%&'*+.^_`|~0-9A-Za-z]+")  # RFC 9110 field name
 _ABSOLUTE_FORM = re.compile(r"[A-Za-z][-+.0-9A-Za-z]*://[^/?#]*")  # scheme and authority
 _NOT_IN_HOST = re.compile(r"[/?#@\s]")  # would end the authority, or start its userinfo
@@ -229,89 +242,178 @@ def _request_uri(target: str, host: str) -> tuple[str, str]:
     return f"http://{host}{target}", target.partition("?")[0]
 
 
-class MockRequestHandler(socketserver.StreamRequestHandler):
-    """One connection: read each request in turn and answer it in one write.
+class _Head(NamedTuple):
+    """A request line and its header lines, read: what they ask for, the
+    body length they declare, and ``end``, where their blank line ends."""
 
-    Nagle's algorithm is off, so no answer waits for the client to
-    acknowledge the one before it.
-    """
+    method: str
+    uri: str
+    path: str
+    headers: list[tuple[str, str]]
+    length: int
+    keep_alive: bool
+    expects_continue: bool
+    end: int
 
-    disable_nagle_algorithm = True
-    server: MockServer
 
-    def handle(self) -> None:
+def _read_head(data: bytearray, start: int) -> _Head | None:
+    """The request whose request line starts at ``data[start]``, or None
+    until its blank line has arrived.  Each line is checked as soon as it
+    has arrived, in order, so where the bytes were cut never changes the
+    answer.  The words of the request line are separated by SP, HTAB, VT,
+    FF or bare CR (RFC 9112 3); other whitespace makes it malformed."""
+    end = data.find(b"\n", start, start + MAX_LINE)
+    if end < 0:
+        if len(data) - start > MAX_LINE:
+            raise _Refused(414)
+        return None
+    match = _REQUEST_LINE.fullmatch(data[start:end].decode("latin-1"))
+    if not match:
+        raise _Refused(400)
+    method, target, major, minor = match.groups()
+    version = int(major), int(minor)
+    if version >= (2, 0):
+        raise _Refused(505)
+    read = _read_headers(data, end + 1)
+    if read is None:
+        return None
+    headers, lookup, end = read
+    connection = {token.strip().lower() for token in lookup.get("connection", "").split(",")}
+    keep_alive = "close" not in connection and (version >= (1, 1) or "keep-alive" in connection)
+    # where the body ends is unknown, so the connection cannot be reused:
+    # a chunked body is not decoded, and a bad Content-Length is a 400
+    if "transfer-encoding" in lookup:
+        raise _Refused(411)
+    length = _content_length(lookup.get("content-length"))
+    if length is None:
+        raise _Refused(400)
+    if length > MAX_BODY:
+        raise _Refused(413)
+    host = lookup.get("host", "").rstrip(" \t") or "localhost"  # RFC 9110 5.5: less its OWS
+    uri, path = _request_uri(target, host)
+    expects_continue = version >= (1, 1) and lookup.get("expect", "").lower() == "100-continue"
+    return _Head(method, uri, path, headers, length, keep_alive, expects_continue, end)
+
+
+def _read_headers(
+    data: bytearray, start: int
+) -> tuple[list[tuple[str, str]], dict[str, str], int] | None:
+    """The header lines from ``data[start]`` up to the blank one, as (name,
+    value) pairs in order, the first value of each name, by its lower
+    case, and where the blank line ends; None until it has arrived.  A
+    second Host line, or a Content-Length line that differs from the
+    first, leaves the request's target or framing ambiguous: a 400
+    (RFC 9112 3.2, 6.3)."""
+    headers: list[tuple[str, str]] = []
+    lookup: dict[str, str] = {}
+    blank = _BLANK_LINE.search(data, start - 1)  # start - 1 ends the request line
+    *lines, partial = data[start:blank.start() + 1 if blank else len(data)].decode("latin-1").split("\n")
+    for line in lines:
+        if len(line) >= MAX_LINE or len(headers) == MAX_HEADERS:
+            raise _Refused(431)
+        name, colon, value = line.partition(":")
+        if not colon or not _TOKEN.fullmatch(name):  # an obs-fold line starts with a space
+            raise _Refused(400)
+        value = value.lstrip(" \t").rstrip("\r")
+        headers.append((name, value))
+        key = name.lower()
+        if key in lookup and (key == "host" or (
+                key == "content-length" and lookup[key].strip() != value.strip())):
+            raise _Refused(400)
+        lookup.setdefault(key, value)
+    if blank:
+        return headers, lookup, blank.end()
+    if len(partial) > MAX_LINE:
+        raise _Refused(431)
+    return None
+
+
+def _response_bytes(response: HttpResponse, head: bool = False) -> bytes:
+    """The status line, headers and body of an answer, with a Date unless
+    the headers have one.  A HEAD answer (``head``) has the body's length
+    but no body; a 204 or 304, which ends at its headers, has neither.  A
+    header that cannot be written turns the answer into a 500 with no
+    body."""
+    status, body = response.status_code, response.body
+    lines = [f"HTTP/1.1 {status} {_REASONS.get(status, '')}".encode()]
+    if first_header(response.headers, "Date") is None:
+        lines.append(f"Date: {http_date()}".encode())
+    for name, value in response.headers:
         try:
-            while self._serve_one():
-                pass
+            lines.append(_header_line(name, value))
+        except ValueError as error:
+            log.error("cannot send header %r: %s; answered 500", name, error)
+            return _response_bytes(HttpResponse(500))
+    bodiless = status in (204, 304)
+    if not bodiless:
+        lines.append(f"Content-Length: {len(body) if body else 0}".encode())
+    message = b"\r\n".join(lines) + b"\r\n\r\n"
+    if body and not bodiless and not head:
+        message += body
+    return message
+
+
+class _Connection:
+    """One client connection: the bytes it sent that no answer has used, the
+    head of a request whose body is still arriving, and the answer bytes
+    its socket has not taken yet.  ``closing`` is set once the
+    connection is to close after those bytes."""
+
+    __slots__ = ("server", "inbox", "head", "outbox", "closing")
+
+    def __init__(self, server: MockServer):
+        self.server = server
+        self.inbox = bytearray()
+        self.head: _Head | None = None
+        self.outbox = b""
+        self.closing = False
+
+    def received(self, data: bytes) -> bytes:
+        """The answers to every request ``data`` completes, ``b""`` being
+        the end of the stream.  Bytes the end of the stream cuts off from a
+        request are refused with 400 (RFC 9112 8), and a refusal ends the
+        connection."""
+        inbox = self.inbox
+        inbox += data
+        answers: list[bytes] = []
+        start = 0
+        try:
+            while not self.closing:
+                head = self.head
+                if head is None:
+                    start = _EMPTY_LINES.match(inbox, start).end()  # RFC 9112 2.2 skips them
+                    if start == len(inbox):
+                        self.closing = not data
+                        break
+                    head = _read_head(inbox, start)
+                    if head is None:
+                        if not data:
+                            raise _Refused(400)
+                        break
+                    if head.expects_continue:
+                        answers.append(b"HTTP/1.1 100 Continue\r\n\r\n")
+                    self.head, start = head, head.end
+                end = start + head.length
+                if end > len(inbox):
+                    if not data:
+                        raise _Refused(400)
+                    break
+                body = bytes(inbox[start:end]) if head.length else None
+                self.head, start = None, end
+                answers.append(self._answer(head, body))
+                self.closing = not head.keep_alive
         except _Refused as refused:
             log.debug("refused a request with %d", refused.status)
-            self._send(HttpResponse(refused.status, (("Connection", "close"),)))
+            answers.append(_response_bytes(HttpResponse(refused.status, (("Connection", "close"),))))
+            self.closing = True
+        del inbox[:start]
+        return b"".join(answers)
 
-    def _serve_one(self) -> bool:
-        """Read one request and answer it; whether the connection stays open."""
-        line = self.rfile.readline(MAX_LINE + 1)
-        while line in (b"\r\n", b"\n"):  # empty lines before a request: RFC 9112 2.2 skips them
-            line = self.rfile.readline(MAX_LINE + 1)
-        if not line:
-            return False
-        if len(line) > MAX_LINE:
-            raise _Refused(414)
-        words = line.decode("latin-1").split()
-        match = len(words) == 3 and _VERSION.fullmatch(words[2])
-        if not match:
-            raise _Refused(400)
-        method, target, _ = words
-        version = int(match[1]), int(match[2])
-        if version >= (2, 0):
-            raise _Refused(505)
-        headers, lookup = self._read_headers()
-        connection = {token.strip().lower() for token in lookup.get("connection", "").split(",")}
-        keep_alive = "close" not in connection and (version >= (1, 1) or "keep-alive" in connection)
-        # where the body ends is unknown, so the connection cannot be reused:
-        # a chunked body is not decoded, and a bad Content-Length is a 400
-        if "transfer-encoding" in lookup:
-            raise _Refused(411)
-        length = _content_length(lookup.get("content-length"))
-        if length is None:
-            raise _Refused(400)
-        if length > MAX_BODY:
-            raise _Refused(413)
-        host = lookup.get("host", "").rstrip(" \t") or "localhost"  # RFC 9110 5.5: less its OWS
-        uri, path = _request_uri(target, host)
-        if version >= (1, 1) and lookup.get("expect", "").lower() == "100-continue":
-            self.wfile.write(b"HTTP/1.1 100 Continue\r\n\r\n")
-        body = self.rfile.read(length) if length else None
-        self._answer(method, uri, path, headers, body)
-        return keep_alive
-
-    def _read_headers(self) -> tuple[list[tuple[str, str]], dict[str, str]]:
-        """The header lines up to the blank one, as (name, value) pairs in
-        order, and the first value of each name, by its lower case.  A
-        second Host line, or a Content-Length line that differs from the
-        first, leaves the request's target or framing ambiguous: a 400
-        (RFC 9112 3.2, 6.3)."""
-        headers: list[tuple[str, str]] = []
-        lookup: dict[str, str] = {}
-        while (line := self.rfile.readline(MAX_LINE + 1)) not in (b"\r\n", b"\n", b""):
-            if len(line) > MAX_LINE or len(headers) == MAX_HEADERS:
-                raise _Refused(431)
-            name, colon, value = line.decode("latin-1").partition(":")
-            if not colon or not _TOKEN.fullmatch(name):  # an obs-fold line starts with a space
-                raise _Refused(400)
-            value = value.lstrip(" \t").rstrip("\r\n")
-            headers.append((name, value))
-            key = name.lower()
-            if key in lookup and (key == "host" or (
-                    key == "content-length" and lookup[key].strip() != value.strip())):
-                raise _Refused(400)
-            lookup.setdefault(key, value)
-        return headers, lookup
-
-    def _answer(self, method: str, uri: str, path: str, headers, body: bytes | None) -> None:
-        service = self.server.mock_service
+    def _answer(self, head: _Head, body: bytes | None) -> bytes:
+        service, method, path = self.server.mock_service, head.method, head.path
         if not path.startswith("/_mock/"):
-            response = service.handle(method, uri, headers, body)
-            log.info("%s %s -> %d", method, uri, response.status_code)
+            response = service.handle(method, head.uri, head.headers, body)
+            log.info("%s %s -> %d", method, head.uri, response.status_code)
         elif path == "/_mock/reset" and method == "POST":
             service.reset()
             response = HttpResponse(200, _JSON, b'{"reset":true}')
@@ -321,44 +423,113 @@ class MockRequestHandler(socketserver.StreamRequestHandler):
             response = HttpResponse(200, _TEXT, self.server.skeleton_bytes)
         else:
             response = HttpResponse(404)
-        self._send(response, method == "HEAD")
-
-    def _send(self, response: HttpResponse, head: bool = False) -> None:
-        """Write the status line, headers and body in one write, with a
-        Date unless the headers have one.  A HEAD answer (``head``) has the
-        body's length but no body; a 204 or 304, which ends at its headers,
-        has neither.  A header that cannot be written turns the answer
-        into a 500 with no body."""
-        status, body = response.status_code, response.body
-        lines = [f"HTTP/1.1 {status} {_REASONS.get(status, '')}".encode()]
-        if first_header(response.headers, "Date") is None:
-            lines.append(f"Date: {http_date()}".encode())
-        for name, value in response.headers:
-            try:
-                lines.append(_header_line(name, value))
-            except ValueError as error:
-                log.error("cannot send header %r: %s; answered 500", name, error)
-                self._send(HttpResponse(500))
-                return
-        bodiless = status in (204, 304)
-        if not bodiless:
-            lines.append(f"Content-Length: {len(body) if body else 0}".encode())
-        message = b"\r\n".join(lines) + b"\r\n\r\n"
-        if body and not bodiless and not head:
-            message += body
-        self.wfile.write(message)
+        return _response_bytes(response, method == "HEAD")
 
 
-class MockServer(socketserver.ThreadingTCPServer):
-    """Serves one MockService, a thread per connection."""
+class MockServer:
+    """Serves one MockService from the thread that runs ``serve_forever``:
+    one ``selectors`` loop accepts connections, and reads, answers and
+    writes each of them in turn.
 
-    daemon_threads = True
-    allow_reuse_address = True
+    An answer goes out in one send, with Nagle's algorithm off, so no
+    answer waits for the client to acknowledge the one before it.  What
+    the socket does not take is sent when it is writable again, and the
+    connection is not read until then.
+    """
 
     def __init__(self, address: tuple[str, int], service: MockService, skeleton_text: str):
         self.mock_service = service
         self.skeleton_bytes = skeleton_text.encode("utf-8")
-        super().__init__(address, MockRequestHandler)
+        self.socket = socket.create_server(address)
+        self.socket.setblocking(False)
+        self.server_address = self.socket.getsockname()
+        self._selector = selectors.DefaultSelector()
+        self._selector.register(self.socket, selectors.EVENT_READ)
+        self._stopping = False
+        self._stopped = threading.Event()
+
+    def serve_forever(self) -> None:
+        """Serve until ``shutdown``, which is looked for at least every
+        ``_POLL_S`` seconds."""
+        try:
+            while not self._stopping:
+                for key, events in self._selector.select(_POLL_S):
+                    sock, connection = key.fileobj, key.data
+                    if connection is None:
+                        self._accept()
+                        continue
+                    try:
+                        if events & selectors.EVENT_WRITE:
+                            self._flush(sock, connection, waiting=True)
+                        else:
+                            self._read(sock, connection)
+                    except Exception:  # one connection's fault must not stop the others
+                        log.exception("closed a connection after an unexpected error")
+                        self._close(sock)
+        finally:
+            self._stopped.set()
+
+    def shutdown(self) -> None:
+        """Make ``serve_forever``, running in another thread, return, and
+        wait until it has."""
+        self._stopping = True
+        self._stopped.wait()
+
+    def server_close(self) -> None:
+        """Close the listening socket and every open connection."""
+        for key in list(self._selector.get_map().values()):
+            key.fileobj.close()
+        self._selector.close()
+
+    def get_request(self) -> tuple[socket.socket, tuple]:
+        """Accept one connection: its socket and the client's address."""
+        return self.socket.accept()
+
+    def _accept(self) -> None:
+        try:
+            sock, _ = self.get_request()
+            sock.setblocking(False)
+            sock.setsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY, 1)
+        except OSError:  # the client gave up first, or no descriptor is left
+            return
+        self._selector.register(sock, selectors.EVENT_READ, _Connection(self))
+
+    def _read(self, sock: socket.socket, connection: _Connection) -> None:
+        try:
+            data = sock.recv(_RECV_SIZE)
+        except BlockingIOError:
+            return
+        except OSError:  # reset by the client
+            self._close(sock)
+            return
+        connection.outbox = connection.received(data)
+        self._flush(sock, connection, waiting=False)
+
+    def _flush(self, sock: socket.socket, connection: _Connection, waiting: bool) -> None:
+        """Send what ``sock`` takes of the connection's answer bytes;
+        ``waiting`` when the loop waits for it to be writable, not
+        readable.  The connection closes once all are sent, if it is to."""
+        outbox = connection.outbox
+        if outbox:
+            try:
+                sent = sock.send(outbox)
+            except BlockingIOError:
+                sent = 0
+            except OSError:  # the client has gone
+                self._close(sock)
+                return
+            connection.outbox = outbox = outbox[sent:]
+        if outbox:
+            if not waiting:
+                self._selector.modify(sock, selectors.EVENT_WRITE, connection)
+        elif connection.closing:
+            self._close(sock)
+        elif waiting:
+            self._selector.modify(sock, selectors.EVENT_READ, connection)
+
+    def _close(self, sock: socket.socket) -> None:
+        self._selector.unregister(sock)
+        sock.close()
 
 
 def serve_skeleton(

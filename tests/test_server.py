@@ -22,7 +22,6 @@ from mockskel.cli import RunConfig, choose_models, run_pipeline
 from mockskel.features import ExtractionProfile, ResourceState, response_feature_map
 from mockskel.model import Leaf
 from mockskel.server import (
-    MockRequestHandler,
     MockServer,
     MockService,
     ServeState,
@@ -750,21 +749,29 @@ def counting_server(skeleton, skeleton_text="skeleton text"):
         thread.join(timeout=10)
 
 
-class _SocketPairHandler(MockRequestHandler):
-    disable_nagle_algorithm = False  # a socket pair is not TCP
-    timeout = 5
-
-
-def exchange_over_socketpair(skeleton, request: bytes) -> bytes:
-    """What the handler writes for ``request``, sent whole before the client
-    shuts its side, with no server and no thread."""
+def exchange_over_socketpair(skeleton, *pieces: bytes) -> bytes:
+    """What the server writes for a request stream the client sends over a
+    socket pair in ``pieces``, each read and answered before the next is
+    sent, and then shuts its side of; with no server and no thread."""
     server = SimpleNamespace(mock_service=MockService(skeleton), skeleton_bytes=b"text")
+    connection = server_module._Connection(server)
     client, served = socket.socketpair()
     with client, served:
         client.settimeout(5)
-        client.sendall(request)
+        served.settimeout(5)
+        for piece in pieces:
+            if connection.closing:
+                break
+            client.sendall(piece)
+            unread = len(piece)
+            while unread:  # read whole, as unread bytes would reset the pair when it closes
+                data = served.recv(unread)
+                unread -= len(data)
+                if not connection.closing:
+                    served.sendall(connection.received(data))
         client.shutdown(socket.SHUT_WR)
-        _SocketPairHandler(served, ("pair", 0), server)
+        while not connection.closing:
+            served.sendall(connection.received(served.recv(65536)))
         served.close()
         return read_until_closed(client)
 
@@ -995,6 +1002,152 @@ class TestHttpReader:
         for i, (status, fields) in enumerate(finals):
             if fields.get("Connection") == "close":
                 assert 400 <= status <= 599 and i == len(finals) - 1
+
+
+def without_dates(received: bytes) -> bytes:
+    return re.sub(rb"\r\nDate: [^\r]*", b"", received)
+
+
+class TestCutOffRequests:
+    """A request the end of the stream cuts off is refused, not answered as
+    if it were complete (RFC 9112 8), and where the bytes are cut on their
+    way changes no answer."""
+
+    @pytest.mark.parametrize("request_bytes", [
+        b"POST /items/1 HTTP/1.1\r\nContent-Type: application/json\r\nContent-Length: 14\r\n\r\n"
+        b'{"ti',
+        b"GET /items/1 HTTP/1.1\r\nHost: x",
+        b"GET /items/1 HTTP/1.1",
+    ], ids=["short-body", "no-blank-line", "bare-request-line"])
+    def test_a_request_cut_off_gets_400_and_leaves_the_state(self, skeleton, request_bytes):
+        (answer,) = read_responses(exchange_over_socketpair(skeleton, request_bytes))
+        assert answer[0] == 400 and answer[1]["Connection"] == "close"
+        with running(skeleton) as srv:
+            with socket.create_connection(srv.server_address, timeout=5) as sock:
+                sock.sendall(request_bytes)
+                sock.shutdown(socket.SHUT_WR)
+                assert [status for status, _ in read_responses(read_until_closed(sock))] == [400]
+            assert srv.mock_service.stats() == {"requests": 0, "unmatchedFeatures": 0,
+                                                "resources": 0}
+
+    def test_empty_lines_alone_get_no_answer(self, skeleton):
+        assert exchange_over_socketpair(skeleton, b"\r\n\n\r\n") == b""
+
+    @settings(max_examples=200, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+    @given(request=_request_bytes, data=st.data())
+    @example(request=b"GET /tasks/1 HTTP/1.1\r\nExpect: 100-continue\r\nContent-Length: 3\r\n\r\n{}}",
+             data=None)
+    def test_answers_do_not_depend_on_how_the_bytes_arrive(self, skeleton, request, data):
+        if data is None:
+            cuts = list(range(len(request) + 1))  # a byte at a time
+        else:
+            cuts = sorted(data.draw(st.lists(st.integers(0, len(request)), max_size=8)))
+        pieces = [request[a:b] for a, b in zip([0, *cuts], [*cuts, len(request)])]
+        whole = exchange_over_socketpair(skeleton, request)
+        assert without_dates(exchange_over_socketpair(skeleton, *pieces)) == without_dates(whole)
+
+
+class TestRequestLineWhitespace:
+    """Only SP, HTAB, VT, FF and bare CR separate a request line's words
+    (RFC 9112 3); other whitespace is not a separator, and the line is
+    refused."""
+
+    @pytest.mark.parametrize("space", ["\x1c", "\x1d", "\x1e", "\x1f", "\x85", "\xa0"])
+    @pytest.mark.parametrize("line", ["GET{}/tasks/1 HTTP/1.1", "GET /tasks/1{}HTTP/1.1",
+                                      "GET /tasks/1{} HTTP/1.1"])
+    def test_other_whitespace_gets_400_and_close(self, skeleton, space, line):
+        request = line.format(space).encode("latin-1") + b"\r\n\r\nGET / HTTP/1.1\r\n\r\n"
+        (answer,) = read_responses(exchange_over_socketpair(skeleton, request))
+        assert answer[0] == 400 and answer[1]["Connection"] == "close"
+
+    def test_the_separators_rfc_9112_allows(self, skeleton):
+        request = b" GET\t/tasks/1\x0b\x0c HTTP/1.1\r \r\nConnection: close\r\n\r\n"
+        assert [status for status, _ in read_responses(exchange_over_socketpair(skeleton, request))] == [404]
+
+
+class TestOneThread:
+    """Every connection is served from the thread that runs serve_forever."""
+
+    GET = b"GET /tasks/1 HTTP/1.1\r\nHost: x\r\n\r\n"
+
+    def test_half_a_request_does_not_delay_another_connection(self, skeleton):
+        with running(skeleton) as srv:
+            with socket.create_connection(srv.server_address, timeout=5) as slow, \
+                    socket.create_connection(srv.server_address, timeout=5) as quick:
+                slow.sendall(self.GET[:20])
+                time.sleep(0.05)
+                quick.sendall(self.GET.replace(b"\r\n\r\n", b"\r\nConnection: close\r\n\r\n"))
+                assert [status for status, _ in read_responses(read_until_closed(quick))] == [404]
+                slow.sendall(self.GET[20:-2] + b"Connection: close\r\n\r\n")
+                assert [status for status, _ in read_responses(read_until_closed(slow))] == [404]
+
+    def test_five_hundred_requests_sent_at_once_are_answered_in_order(self, skeleton):
+        post = (b"POST /tasks/%d HTTP/1.1\r\nHost: x\r\nContent-Type: application/json\r\n"
+                b"Content-Length: 14\r\n\r\n{\"title\": \"x\"}")
+        get = b"GET /tasks/%d HTTP/1.1\r\nHost: x\r\n\r\n"
+        requests = b"".join(post % i + get % i for i in range(60_000, 60_250))
+        with running(skeleton) as srv:
+            with socket.create_connection(srv.server_address, timeout=10) as sock:
+                sock.sendall(requests + b"GET /tasks/1 HTTP/1.1\r\nConnection: close\r\n\r\n")
+                answers = read_responses(read_until_closed(sock))
+        assert [status for status, _ in answers] == [201, 200] * 250 + [404]
+
+    def test_two_connections_start_no_thread(self, skeleton):
+        with running(skeleton) as srv:
+            threads = threading.active_count()
+            with socket.create_connection(srv.server_address, timeout=5) as one, \
+                    socket.create_connection(srv.server_address, timeout=5) as two:
+                for _ in range(3):
+                    for sock in (one, two):
+                        sock.sendall(self.GET)
+                        assert sock.recv(65536).startswith(b"HTTP/1.1 404 ")
+                        assert threading.active_count() == threads
+
+    def test_an_answer_the_socket_cannot_take_at_once_arrives_whole(self, skeleton):
+        text = "x" * 2_000_000 + "\n"
+        get = b"GET /_mock/skeleton HTTP/1.1\r\nHost: x\r\n\r\n"
+        with counting_server(skeleton, text) as srv:
+            with socket.create_connection(srv.server_address, timeout=10) as sock:
+                sock.sendall(get * 2 + get.replace(b"\r\n\r\n", b"\r\nConnection: close\r\n\r\n"))
+                time.sleep(0.1)  # the server fills the socket's buffers before anything is read
+                received = read_until_closed(sock)
+            (accepted,) = srv.accepted
+            assert accepted.sends > 1
+        assert [status for status, _ in read_responses(received)] == [200] * 3
+        assert received.count(text.encode()) == 3
+
+    def test_a_connection_that_fails_is_closed_and_the_others_are_served(self, skeleton,
+                                                                           monkeypatch, caplog):
+        with running(skeleton) as srv:
+            def fail(*args):
+                raise RuntimeError("boom")
+
+            monkeypatch.setattr(srv.mock_service, "handle", fail)
+            with caplog.at_level("ERROR", logger="mockskel.server"):
+                with socket.create_connection(srv.server_address, timeout=5) as sock:
+                    sock.sendall(self.GET)
+                    assert read_until_closed(sock) == b""
+            assert "boom" in caplog.text
+            monkeypatch.undo()
+            with socket.create_connection(srv.server_address, timeout=5) as sock:
+                sock.sendall(self.GET.replace(b"\r\n\r\n", b"\r\nConnection: close\r\n\r\n"))
+                assert [status for status, _ in read_responses(read_until_closed(sock))] == [404]
+
+    def test_a_stopped_server_closes_its_connections(self, skeleton):
+        srv = serve_skeleton(skeleton, port=0)
+        thread = threading.Thread(target=srv.serve_forever, daemon=True)
+        thread.start()
+        with socket.create_connection(srv.server_address, timeout=5) as sock:
+            sock.sendall(self.GET)
+            assert sock.recv(65536).startswith(b"HTTP/1.1 404 ")
+            srv.shutdown()
+            srv.server_close()
+            thread.join(timeout=10)
+            assert not thread.is_alive()
+            assert sock.recv(65536) == b""
+            with contextlib.suppress(ConnectionError):
+                sock.sendall(self.GET)
+                assert sock.recv(65536) == b""
 
 
 def one_header_skeleton(name: str, value: str) -> MockSkeleton:
